@@ -151,6 +151,10 @@ class Dataset:
     tensor_shape: tuple
     format_version: int = 1
     _cache: dict = field(default_factory=dict, repr=False)
+    _index: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._index = {r.sample_id: r for r in self.records}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -169,11 +173,7 @@ class Dataset:
         return out
 
     def record(self, sample_id: str) -> SampleRecord:
-        try:
-            return self._index[sample_id]
-        except AttributeError:
-            self._index = {r.sample_id: r for r in self.records}
-            return self._index[sample_id]
+        return self._index[sample_id]
 
     def load(self, sample_id: str) -> RdTensor:
         cached = self._cache.get(sample_id)

@@ -164,31 +164,22 @@ def train_fold(
         batches = balanced_batches(ids_by_class, [cfg.seed, fold.fold_index, epoch])
         losses = []
         for b_i, batch in enumerate(batches):
-            grads_acc = None
-            for j, sid in enumerate(batch):
-                t = train_by_id[sid]
-                rng = np.random.default_rng([cfg.seed, fold.fold_index, epoch, b_i, j])
-                scores, cache = net.forward(t, mode="train", rng=rng)
-                loss, dlogits = loss_and_grad(scores, t.label)
-                if not np.isfinite(loss):
-                    raise FloatingPointError(
-                        f"non-finite loss at fold {fold.fold_index} epoch {epoch} "
-                        f"batch {b_i} sample {sid}"
-                    )
-                losses.append(loss)
-                grads = net.backward(cache, dlogits)
-                if grads_acc is None:
-                    grads_acc = grads
-                else:
-                    for name in grads_acc:
-                        grads_acc[name] += grads[name]
-            for name in grads_acc:
-                grads_acc[name] /= len(batch)
-            sgd_step(net.params(), grads_acc, velocity, cfg)
+            x = np.stack([train_by_id[sid].values for sid in batch])
+            # row j keeps the dropout stream it had as the batch's j-th sample
+            seeds = [[cfg.seed, fold.fold_index, epoch, b_i, j] for j in range(len(batch))]
+            scores, cache = net.forward(x, mode="train", rng=seeds)
+            loss, dlogits = loss_and_grad(scores, [train_by_id[sid].label for sid in batch])
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"non-finite loss at fold {fold.fold_index} epoch {epoch} batch {b_i}"
+                )
+            losses.append(loss)
+            sgd_step(net.params(), net.backward(cache, dlogits), velocity, cfg)
             net.bump_version()
         val_acc = evaluate(net, val_tensors, val_labels).accuracy
         history.append(EpochStats(epoch=epoch, train_loss=float(np.mean(losses)), val_accuracy=val_acc))
         if val_acc > best["acc"]:
+            best = None     # free the old snapshot before taking the new one
             best = {"acc": val_acc, "epoch": epoch, "params": net.snapshot()}
 
     net.set_params(best["params"])

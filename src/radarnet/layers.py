@@ -1,9 +1,11 @@
 """Network building blocks with explicit forward and backward passes.
 
-Every layer works on a single sample: feature maps are [channels, height,
-width], fully connected activations are flat vectors.  forward returns the
-output plus an opaque cache; backward consumes that cache and returns the
-input gradient (and parameter gradients for parametric layers).
+Every layer works on a batch: feature maps are [N, channels, height, width],
+fully connected activations are [N, features], and row n of the output
+depends on row n of the input alone.  forward returns the output plus an
+opaque cache; backward consumes that cache and returns the input gradient
+and the parameter gradients, summed over the batch.  The parametric layers'
+backward takes input_grad=False to skip the input gradient (returned as None).
 """
 
 from __future__ import annotations
@@ -51,38 +53,35 @@ class Conv2d:
     def forward(self, x, train=False, rng=None):
         k, s, p = self.kernel, self.stride, self.padding
         if p:
-            x_pad = np.pad(x, ((0, 0), (p, p), (p, p)))
-        else:
-            x_pad = x
-        win = sliding_window_view(x_pad, (k, k), axis=(1, 2))[:, ::s, ::s]   # [C, OH, OW, k, k]
-        oh, ow = win.shape[1], win.shape[2]
-        cols = win.transpose(0, 3, 4, 1, 2).reshape(self.in_channels * k * k, oh * ow)
-        cols = np.ascontiguousarray(cols)
-        w_mat = self.W.reshape(self.out_channels, -1)
-        y = (w_mat @ cols + self.b[:, None]).reshape(self.out_channels, oh, ow)
-        return y, (cols, x.shape, (oh, ow))
+            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]   # [N, C, OH, OW, k, k]
+        n, _, oh, ow = win.shape[:4]
+        # channel-major columns (c, kh, kw) x (n, ow, oh): the output keeps height fastest
+        # in memory, so the ops downstream run along the long axis of these tall maps
+        cols = win.transpose(1, 4, 5, 0, 3, 2).reshape(self.in_channels * k * k, n * ow * oh)
+        y = self.W.reshape(self.out_channels, -1) @ cols + self.b[:, None]
+        return y.reshape(self.out_channels, n, ow, oh).transpose(1, 0, 3, 2), (cols, x.shape)
 
-    def backward(self, dy, cache):
-        cols, x_shape, (oh, ow) = cache
+    def backward(self, dy, cache, input_grad=True):
+        cols, (n, c, hp, wp) = cache
         k, s, p = self.kernel, self.stride, self.padding
-        dy_mat = dy.reshape(self.out_channels, -1)
-        dW = (dy_mat @ cols.T).reshape(self.W.shape)
-        db = dy_mat.sum(axis=1)
-        dcols = self.W.reshape(self.out_channels, -1).T @ dy_mat
-        dcols = dcols.reshape(self.in_channels, k, k, oh, ow)
-
-        c, h, w = x_shape
-        dx_pad = np.zeros((c, h + 2 * p, w + 2 * p), dtype=dy.dtype)
+        _, _, oh, ow = dy.shape
+        dy_mat = dy.transpose(1, 0, 3, 2).reshape(self.out_channels, -1)
+        grads = {f"{self.name}.W": (dy_mat @ cols.T).reshape(self.W.shape),
+                 f"{self.name}.b": dy_mat.sum(axis=1)}
+        if not input_grad:
+            return None, grads
+        dcols = (self.W.reshape(self.out_channels, -1).T @ dy_mat).reshape(c, k, k, n, ow, oh)
+        dx_pad = np.zeros((c, n, wp, hp), dtype=dy.dtype)
         for kh in range(k):
             for kw in range(k):
-                dx_pad[:, kh : kh + s * oh : s, kw : kw + s * ow : s] += dcols[:, kh, kw]
-        dx = dx_pad[:, p : p + h, p : p + w] if p else dx_pad
-        return dx, {f"{self.name}.W": dW, f"{self.name}.b": db}
+                dx_pad[:, :, kw : kw + s * ow : s, kh : kh + s * oh : s] += dcols[:, kh, kw]
+        return dx_pad[:, :, p : wp - p, p : hp - p].transpose(1, 0, 3, 2), grads
 
 
 class MaxPool2d:
     """Overlapping max pooling; the backward pass routes each output gradient
-    to the single argmax input position (first maximum on ties)."""
+    to the single argmax input position (the first in window order on ties)."""
 
     kind = "maxpool"
 
@@ -103,37 +102,40 @@ class MaxPool2d:
             raise ValueError(f"layer {self.name}: input {in_shape} too small to pool")
         return (c, oh, ow)
 
-    def forward(self, x, train=False, rng=None):
+    def _windows(self, shape):
+        """The k*k strided slices, in window order, that cover every window."""
         k, s = self.kernel, self.stride
-        win = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
-        c, oh, ow = win.shape[:3]
-        flat = win.reshape(c, oh, ow, k * k)
-        idx = flat.argmax(axis=-1)
-        y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        return y, (idx, x.shape, (oh, ow))
+        oh, ow = self.output_shape(shape[1:])[1:]
+        return [(..., slice(kh, kh + s * (oh - 1) + 1, s), slice(kw, kw + s * (ow - 1) + 1, s))
+                for kh in range(k) for kw in range(k)]
+
+    def forward(self, x, train=False, rng=None):
+        windows = self._windows(x.shape)
+        y = x[windows[0]].copy(order="K")     # keep the input's memory order
+        for win in windows[1:]:
+            np.maximum(y, x[win], out=y)
+        return y, (x, y)
 
     def backward(self, dy, cache):
-        idx, x_shape, (oh, ow) = cache
-        k, s = self.kernel, self.stride
-        c, h, w = x_shape
-        rows = (np.arange(oh) * s)[None, :, None] + idx // k
-        cols = (np.arange(ow) * s)[None, None, :] + idx % k
-        flat = rows * w + cols
-        dx = np.zeros((c, h * w), dtype=dy.dtype)
-        chan = np.arange(c)[:, None, None]
-        np.add.at(dx, (chan, flat), dy)
-        return dx.reshape(x_shape), {}
+        x, y = cache
+        dx = np.zeros_like(x, dtype=dy.dtype)
+        pending = np.ones_like(y, dtype=bool)    # windows whose first maximum is not yet seen
+        for win in self._windows(x.shape):
+            first = (x[win] == y) & pending
+            pending ^= first
+            dx[win] += dy * first
+        return dx, {}
 
 
 def _box_sum_channels(x, radius):
     """Sum over a clamped window of +-radius positions along the channel axis."""
-    cs = np.cumsum(x, axis=0)
-    c = x.shape[0]
+    cs = np.cumsum(x, axis=1)
+    c = x.shape[1]
     hi = np.minimum(np.arange(c) + radius, c - 1)
     lo = np.arange(c) - radius - 1
-    out = cs[hi].copy()
+    out = cs[:, hi]
     valid = lo >= 0
-    out[valid] -= cs[lo[valid]]
+    out[:, valid] -= cs[:, lo[valid]]
     return out
 
 
@@ -215,7 +217,11 @@ class Dropout:
         if rng is None:
             raise ValueError(f"layer {self.name}: train-mode dropout needs an rng")
         keep = 1.0 - self.rate
-        mask = (rng.random(x.shape) < keep).astype(x.dtype) / np.asarray(keep, dtype=x.dtype)
+        if isinstance(rng, np.random.Generator):     # else one generator per row
+            u = rng.random(x.shape)
+        else:
+            u = np.stack([g.random(x.shape[1:]) for g in rng])
+        mask = (u < keep).astype(x.dtype) / np.asarray(keep, dtype=x.dtype)
         return x * mask, mask
 
     def backward(self, dy, cache):
@@ -225,7 +231,7 @@ class Dropout:
 
 
 class Linear:
-    """Fully connected layer; flattens any feature-map input."""
+    """Fully connected layer; flattens each row of a feature-map input."""
 
     kind = "fc"
 
@@ -252,16 +258,13 @@ class Linear:
         return (self.out_features,)
 
     def forward(self, x, train=False, rng=None):
-        flat = x.reshape(-1)
-        y = self.W @ flat + self.b
-        return y, (flat, x.shape)
+        flat = x.reshape(len(x), -1)
+        return flat @ self.W.T + self.b, (flat, x.shape)
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, input_grad=True):
         flat, x_shape = cache
-        dW = np.outer(dy, flat)
-        db = dy.copy()
-        dx = (self.W.T @ dy).reshape(x_shape)
-        return dx, {f"{self.name}.W": dW, f"{self.name}.b": db}
+        grads = {f"{self.name}.W": dy.T @ flat, f"{self.name}.b": dy.sum(axis=0)}
+        return ((dy @ self.W).reshape(x_shape) if input_grad else None), grads
 
 
 class Softmax:
@@ -284,9 +287,8 @@ class Softmax:
         return in_shape
 
     def forward(self, x, train=False, rng=None):
-        z = x - x.max()
-        e = np.exp(z)
-        return e / e.sum(), None
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True), None
 
     def backward(self, dlogits, cache):
         return dlogits, {}

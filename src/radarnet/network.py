@@ -10,6 +10,7 @@ mechanisms for fast experiments.  Weights persist in a .rdw container
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,32 +136,43 @@ class Network:
         return chain
 
     def forward(self, x, mode="eval", rng=None):
-        """Run the stack; returns (class probabilities, cache for backward)."""
+        """Run the stack on one sample ([C, H, W] or RdTensor; gives (classes,)
+        probabilities) or a batch [N, C, H, W] (gives [N, classes]); returns
+        (probabilities, cache for backward).  rng seeds train-mode dropout:
+        a seed or generator, or a list of them, one per batch row."""
         if isinstance(x, RdTensor):
             x = x.values
         x = np.asarray(x, dtype=self.dtype)
-        if x.shape != self.input_shape:
+        single = x.shape == self.input_shape
+        x = x[None] if single else x
+        if x.shape[1:] != self.input_shape:
             raise ValueError(f"input shape {x.shape} != network input {self.input_shape}")
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         train = mode == "train"
-        if rng is not None and not isinstance(rng, np.random.Generator):
+        if isinstance(rng, list):
+            rng = [np.random.default_rng(r) for r in rng]
+        elif rng is not None:
             rng = np.random.default_rng(rng)
         entries = []
         for layer in self.layers:
             x, cache = layer.forward(x, train=train, rng=rng)
             entries.append((layer, cache))
-        return x, ForwardCache(entries=entries, version=self._version, train=train)
+        return (x[0] if single else x), ForwardCache(entries=entries, version=self._version, train=train)
 
     def backward(self, cache: ForwardCache, dlogits):
-        """Reverse pass from the logit gradient; returns parameter gradients."""
+        """Reverse pass from the logit gradient of forward's output shape;
+        returns parameter gradients summed over the batch."""
         if cache.version != self._version:
             raise StaleCacheError("parameters changed since this cache's forward pass")
         grads = {}
-        dy = np.asarray(dlogits, dtype=self.dtype)
-        for layer, layer_cache in reversed(cache.entries):
+        dy = np.atleast_2d(np.asarray(dlogits, dtype=self.dtype))
+        (first, first_cache), *rest = cache.entries
+        for layer, layer_cache in reversed(rest):
             dy, layer_grads = layer.backward(dy, layer_cache)
             grads.update(layer_grads)
+        if first.params:    # nothing reads the network's input gradient
+            grads.update(first.backward(dy, first_cache, input_grad=False)[1])
         return grads
 
     def with_precision(self, precision: str) -> "Network":
@@ -313,23 +325,16 @@ def build_network(
     return net
 
 
-def forward(net: Network, tensor, mode="eval", rng=None):
-    return net.forward(tensor, mode=mode, rng=rng)
-
-
-def backward(net: Network, cache: ForwardCache, dlogits):
-    return net.backward(cache, dlogits)
-
-
 def loss_and_grad(scores, true_class):
-    """Cross-entropy -ln p_true and its gradient w.r.t. the logits."""
-    scores = np.asarray(scores, dtype=float)
-    idx = true_class.index if isinstance(true_class, VehicleClass) else int(true_class)
-    p_true = max(float(scores[idx]), 1e-12)
-    loss = -np.log(p_true)
-    dlogits = scores.copy()
-    dlogits[idx] -= 1.0
-    return loss, dlogits
+    """Cross-entropy -ln p_true and its gradient w.r.t. the logits; for a batch (scores
+    [N, K], a list of N classes) the mean loss and its gradient, (probs - onehot) / N."""
+    rows = np.atleast_2d(np.asarray(scores, dtype=float))
+    labels = true_class if isinstance(true_class, (list, tuple)) else [true_class]
+    at = (np.arange(len(labels)), [c.index if isinstance(c, VehicleClass) else int(c) for c in labels])
+    loss = float(np.mean(-np.log(np.maximum(rows[at], 1e-12))))
+    dlogits = rows.copy()
+    dlogits[at] -= 1.0
+    return loss, (dlogits / len(labels)).reshape(np.shape(scores))
 
 
 def predict(net: Network, tensor):
@@ -340,7 +345,8 @@ def predict(net: Network, tensor):
 
 def sgd_step(params: dict, grads: dict, velocity: dict, cfg: TrainConfig) -> None:
     """Classical momentum with L2 decay folded into the gradient:
-    v <- mu*v - lr*(g + wd*w);  w <- w + v.  Updates params/velocity in place."""
+    v <- mu*v - lr*(g + wd*w);  w <- w + v.  Updates params/velocity in place,
+    with one temporary the size of w."""
     for name, w in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -349,9 +355,11 @@ def sgd_step(params: dict, grads: dict, velocity: dict, cfg: TrainConfig) -> Non
         if v is None:
             v = np.zeros_like(w)
             velocity[name] = v
-        g_eff = g + cfg.weight_decay * w
+        step = w * cfg.weight_decay
+        step += g
+        step *= cfg.learning_rate
         v *= cfg.momentum
-        v -= cfg.learning_rate * g_eff
+        v -= step
         w += v
 
 
@@ -435,25 +443,26 @@ def read_weight_records(path) -> dict:
         raise WeightsFormatError("file shorter than the magic")
     if data[:4] != WEIGHTS_MAGIC:
         raise WeightsFormatError(f"bad magic {data[:4]!r}, expected {WEIGHTS_MAGIC!r}")
+    view = memoryview(data)
+
+    def take(n, what):
+        """The next n bytes; raises instead of reading past the end."""
+        nonlocal pos
+        if pos + n > len(data):
+            raise WeightsFormatError(f"file truncated in {what} at byte {pos}")
+        pos += n
+        return view[pos - n : pos]
+
     pos = 4
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    (count,) = struct.unpack("<I", take(4, "record count"))
     records = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        name = data[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (rank,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{rank}I", data, pos)
-        pos += 4 * rank
-        size = int(np.prod(dims)) if rank else 1
-        end = pos + 4 * size
-        if end > len(data):
-            raise WeightsFormatError(f"record {name!r} truncated")
-        records[name] = np.frombuffer(data, dtype="<f4", count=size, offset=pos).reshape(dims).copy()
-        pos = end
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        name = str(take(name_len, "record name"), "utf-8")
+        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
+        payload = take(4 * math.prod(dims), f"values of {name!r}")
+        records[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     return records
 
 

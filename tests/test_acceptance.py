@@ -132,17 +132,17 @@ def test_criterion_5_architecture_fidelity():
         "fc8": (6,),
     }
     # walk a real forward pass and record each layer's actual output shape
-    x = np.random.default_rng(0).normal(size=(3, 227, 227)).astype(np.float32)
+    x = np.random.default_rng(0).normal(size=(3, 227, 227)).astype(np.float32)[None]
     shapes = {}
     for layer in net.layers:
         x, _ = layer.forward(x)
-        shapes[layer.name] = x.shape
+        shapes[layer.name] = x.shape[1:]
     for name, shape in expected.items():
         assert shapes[name] == shape, f"{name}: {shapes[name]} != {shape}"
     kernels = [net.layer_named(f"conv{i}").out_channels for i in range(1, 6)]
     assert kernels == [96, 256, 384, 384, 256]
     assert [net.layer_named(n).out_features for n in ("fc6", "fc7", "fc8")] == [4096, 4096, 6]
-    assert x.shape == (6,) and abs(float(x.sum()) - 1.0) < 1e-6
+    assert x.shape[1:] == (6,) and abs(float(x.sum()) - 1.0) < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _passline(5, f"full-preset forward reproduces the published shape chain and "

@@ -15,6 +15,7 @@ from radarnet.network import (
     load_weights,
     loss_and_grad,
     predict,
+    read_weight_records,
     save_weights,
     sgd_step,
 )
@@ -98,8 +99,8 @@ class TestForward:
         conv.W[...] = 1.0
         conv.b[...] = 0.0
         x = np.random.default_rng(1).normal(size=(1, 5, 7)).astype(np.float32)
-        y, _ = conv.forward(x)
-        np.testing.assert_allclose(y, x, rtol=1e-6)
+        y, _ = conv.forward(x[None])
+        np.testing.assert_allclose(y[0], x, rtol=1e-6)
 
     def test_shape_mismatch_rejected(self):
         net = _mini()
@@ -198,7 +199,7 @@ class TestBackward:
 
     def test_maxpool_routes_gradient_mass(self):
         pool = MaxPool2d("p", kernel=3, stride=2)
-        x = np.random.default_rng(3).normal(size=(4, 11, 9))
+        x = np.random.default_rng(3).normal(size=(4, 11, 9))[None]
         y, cache = pool.forward(x)
         dy = np.random.default_rng(4).normal(size=y.shape)
         dx, _ = pool.backward(dy, cache)
@@ -207,6 +208,67 @@ class TestBackward:
         # every output gradient lands on exactly one input cell
         ones_dx, _ = pool.backward(np.ones_like(dy), cache)
         assert ones_dx.sum() == pytest.approx(y.size)
+
+
+class TestBatch:
+    """A batch [N, C, H, W] through the network against its rows one at a time."""
+
+    @staticmethod
+    def _rngs(n):
+        return [np.random.default_rng([5, 0, 1, 2, j]) for j in range(n)]
+
+    def test_batch_gradient_is_mean_of_single_sample_gradients(self):
+        net = _mini(seed=2, precision="high")
+        x = np.random.default_rng(9).normal(size=(6, *MINI_SHAPE))
+        labels = [0, 1, 2, 3, 4, 5]
+        scores, cache = net.forward(x, mode="train", rng=self._rngs(6))
+        loss, dlogits = loss_and_grad(scores, labels)
+        batch = net.backward(cache, dlogits)
+        singles, losses = [], []
+        for row, label, rng in zip(x, labels, self._rngs(6)):
+            s, c = net.forward(row, mode="train", rng=rng)
+            one_loss, one_dlogits = loss_and_grad(s, label)
+            losses.append(one_loss)
+            singles.append(net.backward(c, one_dlogits))
+        assert loss == pytest.approx(np.mean(losses), rel=1e-12)
+        for name, g in batch.items():
+            np.testing.assert_allclose(g, np.mean([one[name] for one in singles], axis=0), rtol=1e-10)
+
+    def test_dropout_row_j_draws_the_per_sample_mask(self):
+        net = _mini()
+        x = np.stack([_x32(seed) for seed in range(3)])
+        _, cache = net.forward(x, mode="train", rng=self._rngs(3))
+        masks = dict((layer.name, c) for layer, c in cache.entries)["drop1"]
+        for j, rng in enumerate(self._rngs(3)):
+            _, one = net.forward(x[j], mode="train", rng=rng)
+            np.testing.assert_array_equal(masks[j], dict((layer.name, c) for layer, c in one.entries)["drop1"][0])
+
+    def test_maxpool_routes_to_first_maximum_in_window_order(self):
+        k, s = 3, 2
+        pool = MaxPool2d("p", kernel=k, stride=s)
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 3, size=(2, 3, 11, 9)).astype(np.float64)     # many ties
+        y, cache = pool.forward(x)
+        dy = rng.integers(-5, 6, size=y.shape).astype(np.float64)         # sums stay exact
+        dx, _ = pool.backward(dy, cache)
+        want_y, want_dx = np.zeros_like(y), np.zeros_like(x)
+        for n, c, i, j in np.ndindex(y.shape):
+            window = x[n, c, i * s : i * s + k, j * s : j * s + k]
+            first = int(np.argmax(window))
+            want_y[n, c, i, j] = window.max()
+            want_dx[n, c, i * s + first // k, j * s + first % k] += dy[n, c, i, j]
+        np.testing.assert_array_equal(y, want_y)
+        np.testing.assert_array_equal(dx, want_dx)
+
+    def test_single_sample_is_row_0_of_a_batch(self):
+        net = _mini()
+        x = _x32(6)
+        one, _ = net.forward(x)
+        assert one.shape == (6,)
+        np.testing.assert_array_equal(one, net.forward(x[None])[0][0])
+        rows, _ = net.forward(np.stack([x, _x32(7), _x32(8)]))
+        assert rows.shape == (3, 6)
+        np.testing.assert_allclose(rows[0], one, rtol=1e-5, atol=1e-7)
 
 
 class TestDropout:
@@ -384,6 +446,20 @@ class TestWeightPersistence:
         (tmp_path / "w.rdw").write_bytes(b"ZZZZ betrayal")
         with pytest.raises(WeightsFormatError):
             load_weights(_mini(), tmp_path / "w.rdw")
+
+    def test_every_truncation_raises_typed_error(self, tmp_path):
+        from radarnet.layers import Softmax
+
+        rng = np.random.default_rng(0)
+        layers = [Conv2d("c", 1, 2, 1, 1, 0, rng=rng), Linear("f", 8, 3, rng=rng), Softmax("s")]
+        save_weights(Network(layers, (1, 2, 2), 3), tmp_path / "w.rdw")
+        blob = (tmp_path / "w.rdw").read_bytes()
+        assert len(read_weight_records(tmp_path / "w.rdw")) == 4
+        cut = tmp_path / "cut.rdw"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(WeightsFormatError):
+                read_weight_records(cut)
 
 
 class TestTrainingSanity:
