@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, FoldSplit, balanced_batches, stratified_fold_split
-from .network import Network, TrainConfig, build_network, loss_and_grad, sgd_step
+from .network import Network, TrainConfig, build_network, load_weights, loss_and_grad, sgd_step
 from .radar import CLASS_ORDER, VehicleClass
 from .spectrogram import RdTensor, compute_mean_tensor, mean_normalize
 
@@ -153,12 +153,11 @@ def train_fold(
         dropout_rate=cfg.dropout_rate,
     )
     if init_weights is not None:
-        from .network import load_weights
-
         load_weights(net, init_weights, reinit_fc=reinit_fc)
     velocity = {}
     history = []
-    best = {"acc": -1.0, "epoch": 0, "params": net.snapshot()}
+    # every epoch beats -1, so the init is never restored; the last epoch's parameters stay live
+    best_acc, best_epoch, best_params = -1.0, 0, None
 
     for epoch in range(1, epochs + 1):
         batches = balanced_batches(ids_by_class, [cfg.seed, fold.fold_index, epoch])
@@ -178,12 +177,14 @@ def train_fold(
             net.bump_version()
         val_acc = evaluate(net, val_tensors, val_labels).accuracy
         history.append(EpochStats(epoch=epoch, train_loss=float(np.mean(losses)), val_accuracy=val_acc))
-        if val_acc > best["acc"]:
-            best = None     # free the old snapshot before taking the new one
-            best = {"acc": val_acc, "epoch": epoch, "params": net.snapshot()}
+        if val_acc > best_acc:
+            best_acc, best_epoch = val_acc, epoch
+            best_params = None      # free the old snapshot before taking the new one
+            best_params = net.snapshot() if epoch < epochs else None
 
-    net.set_params(best["params"])
-    return FoldTraining(net=net, mean_tensor=mean, history=history, best_epoch=best["epoch"])
+    if best_params is not None:
+        net.set_params(best_params)
+    return FoldTraining(net=net, mean_tensor=mean, history=history, best_epoch=best_epoch)
 
 
 @dataclass

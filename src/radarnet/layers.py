@@ -13,6 +13,26 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# float64 values drawn per chunk of the He init (8 MB of scratch)
+INIT_CHUNK = 1 << 20
+
+
+def normal_init(rng, std, shape, dtype):
+    """rng.normal(0.0, std, shape).astype(dtype), drawn in float64 chunks straight into
+    the result, so no full-size float64 temporary exists; the values and the generator's
+    state afterwards are identical.  rng None draws from a fresh generator."""
+    rng = rng if rng is not None else np.random.default_rng()
+    w = np.empty(shape, dtype=dtype)
+    flat = w.reshape(-1)
+    buf = np.empty(min(flat.size, INIT_CHUNK))
+    for i in range(0, flat.size, INIT_CHUNK):
+        z = buf[: min(INIT_CHUNK, flat.size - i)]
+        rng.standard_normal(out=z)
+        z *= std
+        # rng.normal computes loc + scale*z, which turns a -0.0 draw into +0.0
+        np.add(0.0, z, out=flat[i : i + z.size], casting="unsafe")
+    return w
+
 
 class Conv2d:
     """2-D convolution (cross-correlation) via an im2col matrix product."""
@@ -30,8 +50,7 @@ class Conv2d:
         fan_in = in_channels * kernel * kernel
         if weight_std is None:
             weight_std = np.sqrt(2.0 / fan_in)
-        rng = rng if rng is not None else np.random.default_rng()
-        self.W = rng.normal(0.0, weight_std, (out_channels, in_channels, kernel, kernel)).astype(dtype)
+        self.W = normal_init(rng, weight_std, (out_channels, in_channels, kernel, kernel), dtype)
         self.b = np.zeros(out_channels, dtype=dtype)
 
     @property
@@ -241,8 +260,7 @@ class Linear:
         self.out_features = out_features
         if weight_std is None:
             weight_std = np.sqrt(2.0 / in_features)
-        rng = rng if rng is not None else np.random.default_rng()
-        self.W = rng.normal(0.0, weight_std, (out_features, in_features)).astype(dtype)
+        self.W = normal_init(rng, weight_std, (out_features, in_features), dtype)
         self.b = np.zeros(out_features, dtype=dtype)
 
     @property

@@ -10,6 +10,7 @@ mechanisms for fast experiments.  Weights persist in a .rdw container
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass
@@ -32,6 +33,10 @@ from .spectrogram import RdTensor
 WEIGHTS_MAGIC = b"RDW1"
 
 PRESETS = ("full", "mini")
+
+# values per sgd_step block: w, g, v and the temporary take 1 MB in float32 (cache-sized);
+# every mini-net tensor fits in one block
+SGD_BLOCK = 1 << 16
 
 
 class WeightsFormatError(ValueError):
@@ -178,34 +183,9 @@ class Network:
     def with_precision(self, precision: str) -> "Network":
         """Structural copy carrying the same parameter values in a new dtype."""
         dtype = np.float64 if precision == "high" else np.float32
-        twins = []
-        for layer in self.layers:
-            if isinstance(layer, Conv2d):
-                twin = Conv2d(
-                    layer.name, layer.in_channels, layer.out_channels,
-                    layer.kernel, layer.stride, layer.padding,
-                    dtype=dtype, rng=np.random.default_rng(0),
-                )
-                twin.W = layer.W.astype(dtype)
-                twin.b = layer.b.astype(dtype)
-            elif isinstance(layer, Linear):
-                twin = Linear(
-                    layer.name, layer.in_features, layer.out_features,
-                    dtype=dtype, rng=np.random.default_rng(0),
-                )
-                twin.W = layer.W.astype(dtype)
-                twin.b = layer.b.astype(dtype)
-            elif isinstance(layer, ChannelResponseNorm):
-                twin = ChannelResponseNorm(layer.name, layer.k, layer.n, layer.alpha, layer.beta)
-            elif isinstance(layer, MaxPool2d):
-                twin = MaxPool2d(layer.name, layer.kernel, layer.stride)
-            elif isinstance(layer, Dropout):
-                twin = Dropout(layer.name, layer.rate)
-            elif isinstance(layer, ReLU):
-                twin = ReLU(layer.name)
-            else:
-                twin = Softmax(layer.name)
-            twins.append(twin)
+        # deepcopy each layer with its parameters pre-mapped to their cast copies
+        twins = [copy.deepcopy(layer, {id(a): a.astype(dtype) for a in layer.params.values()})
+                 for layer in self.layers]
         return Network(twins, self.input_shape, self.num_classes, precision=precision)
 
 
@@ -345,22 +325,30 @@ def predict(net: Network, tensor):
 
 def sgd_step(params: dict, grads: dict, velocity: dict, cfg: TrainConfig) -> None:
     """Classical momentum with L2 decay folded into the gradient:
-    v <- mu*v - lr*(g + wd*w);  w <- w + v.  Updates params/velocity in place,
-    with one temporary the size of w."""
+    v <- mu*v - lr*(g + wd*w);  w <- w + v.  Updates params/velocity in place.
+
+    Every gradient is checked finite before any parameter changes.  The update then
+    walks the flattened C-contiguous arrays in blocks of SGD_BLOCK values, so its one
+    temporary is block-sized; each value is as the whole-array formula gives it."""
     for name, w in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
+        g = grads[name].reshape(-1)
+        if not all(np.isfinite(g[i : i + SGD_BLOCK]).all() for i in range(0, g.size, SGD_BLOCK)):
             raise FloatingPointError(f"non-finite gradient for {name}; aborting training")
+        if not w.flags.c_contiguous:
+            raise ValueError(f"parameter {name} is not C-contiguous")
+    for name, w in params.items():
         v = velocity.get(name)
         if v is None:
-            v = np.zeros_like(w)
-            velocity[name] = v
-        step = w * cfg.weight_decay
-        step += g
-        step *= cfg.learning_rate
-        v *= cfg.momentum
-        v -= step
-        w += v
+            v = velocity[name] = np.zeros_like(w)
+        w, g, v = w.reshape(-1), grads[name].reshape(-1), v.reshape(-1)
+        for i in range(0, w.size, SGD_BLOCK):
+            wb, gb, vb = w[i : i + SGD_BLOCK], g[i : i + SGD_BLOCK], v[i : i + SGD_BLOCK]
+            step = wb * cfg.weight_decay
+            step += gb
+            step *= cfg.learning_rate
+            vb *= cfg.momentum
+            vb -= step
+            wb += vb
 
 
 def gradient_check(
@@ -471,11 +459,15 @@ def load_weights(net: Network, path, *, reinit_fc: bool = False) -> list:
 
     With reinit_fc, records of fully connected layers are skipped and those
     layers keep their current (random) initialization, supporting partial
-    transfer of the convolutional stack.
+    transfer of the convolutional stack.  A record that names no parameter of
+    the network raises WeightShapeError before anything is loaded.
     """
     records = read_weight_records(path)
     fc_names = {layer.name for layer in net.layers if layer.kind == "fc"}
     params = net.params()
+    extra = sorted(set(records) - set(params))
+    if extra:
+        raise WeightShapeError("weight records matching no parameter: " + ", ".join(extra))
     loaded, bad = [], []
     for name in sorted(params):
         layer_name = name.split(".")[0]

@@ -110,6 +110,16 @@ class TestTrainFold:
         for name, arr in fresh.params().items():
             np.testing.assert_array_equal(arr, trained.net.params()[name])
 
+    def test_best_epoch_restore_equals_training_only_that_far(self, marker_dataset):
+        fold = stratified_fold_split(marker_dataset, 1, 4, 2, seed=0)[0]
+        cfg = TrainConfig(learning_rate=1e-3, epochs=4, seed=1)
+        full = train_fold(marker_dataset, fold, cfg)
+        assert full.best_epoch < cfg.epochs     # the fixture keeps an earlier epoch
+        upto_best = train_fold(marker_dataset, fold, cfg, epochs=full.best_epoch)
+        assert upto_best.best_epoch == full.best_epoch
+        for name, arr in upto_best.net.params().items():
+            assert arr.tobytes() == full.net.params()[name].tobytes(), name
+
     def test_deterministic(self, marker_dataset):
         fold = stratified_fold_split(marker_dataset, 1, 4, 2, seed=0)[0]
         cfg = TrainConfig(epochs=2)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from radarnet.layers import Conv2d, Dropout, Linear, MaxPool2d
+from radarnet.layers import INIT_CHUNK, Conv2d, Dropout, Linear, MaxPool2d, normal_init
 from radarnet.network import (
+    SGD_BLOCK,
     Network,
     StaleCacheError,
     TrainConfig,
@@ -75,6 +76,46 @@ class TestBuildNetwork:
         assert any(
             not np.array_equal(arr, c.params()[name]) for name, arr in a.params().items()
         )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_init_equals_one_normal_draw(self, dtype):
+        shape = (3, INIT_CHUNK // 2 + 11)    # two chunks and a ragged tail
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        w = normal_init(a, 0.02, shape, dtype)
+        expected = b.normal(0.0, 0.02, shape).astype(dtype)
+        assert w.dtype == dtype and w.shape == shape
+        assert w.tobytes() == expected.tobytes()
+        assert a.random() == b.random()      # the generator ends in the same state
+
+
+class TestWithPrecision:
+    def test_twin_carries_cast_parameters(self):
+        net = _mini(seed=2)
+        twin = net.with_precision("high")
+        assert twin.dtype == np.float64
+        for name, arr in net.params().items():
+            assert twin.params()[name].dtype == np.float64
+            np.testing.assert_array_equal(twin.params()[name], arr.astype(np.float64))
+
+    def test_mutating_twin_leaves_source_untouched(self):
+        net = _mini(seed=2)
+        before = net.snapshot()
+        for precision in ("high", "standard"):
+            for arr in net.with_precision(precision).params().values():
+                arr += 1.0
+        for name, arr in net.params().items():
+            np.testing.assert_array_equal(arr, before[name])
+
+    def test_structure_and_hyperparameters_kept(self):
+        net = _mini(seed=2, precision="high")
+        twin = net.with_precision("standard")
+        assert twin.input_shape == net.input_shape and twin.num_classes == net.num_classes
+        assert twin.shape_chain() == net.shape_chain()
+        for layer, cast in zip(net.layers, twin.layers, strict=True):
+            assert type(cast) is type(layer) and cast is not layer
+            assert (cast.name, cast.kind) == (layer.name, layer.kind)
+            settings = {k: v for k, v in vars(layer).items() if not isinstance(v, np.ndarray)}
+            assert settings == {k: v for k, v in vars(cast).items() if not isinstance(v, np.ndarray)}
 
 
 class TestForward:
@@ -324,6 +365,50 @@ class TestSgdStep:
         with pytest.raises(FloatingPointError):
             sgd_step(params, grads, {}, TrainConfig())
 
+    @staticmethod
+    def _multi_block_tensors():
+        rng = np.random.default_rng(4)
+        # the last parameter spans three blocks and a ragged tail
+        shapes = {"a.b": (9,), "b.W": (5, SGD_BLOCK // 2 + 7), "c.W": (3 * SGD_BLOCK + 123,)}
+        params = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+        grads = [{n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+                 for _ in range(3)]
+        return params, grads
+
+    def test_blocked_update_matches_whole_array_formula(self):
+        params, grads = self._multi_block_tensors()
+        cfg = TrainConfig(learning_rate=0.01, momentum=0.9, weight_decay=0.0005)
+        ref_w = {n: w.copy() for n, w in params.items()}
+        ref_v = {n: np.zeros_like(w) for n, w in params.items()}
+        vel = {}
+        for g in grads:
+            sgd_step(params, g, vel, cfg)
+            for n, w in ref_w.items():     # the whole-array update
+                step = w * cfg.weight_decay
+                step += g[n]
+                step *= cfg.learning_rate
+                ref_v[n] *= cfg.momentum
+                ref_v[n] -= step
+                w += ref_v[n]
+        for n in params:
+            assert params[n].tobytes() == ref_w[n].tobytes(), n
+            assert vel[n].tobytes() == ref_v[n].tobytes(), n
+
+    def test_nan_in_last_block_changes_nothing(self):
+        params, grads = self._multi_block_tensors()
+        vel = {}
+        sgd_step(params, grads[0], vel, TrainConfig())
+        before_w = {n: w.copy() for n, w in params.items()}
+        before_v = {n: v.copy() for n, v in vel.items()}
+        bad = grads[1]
+        last = list(params)[-1]
+        bad[last].reshape(-1)[-1] = np.nan
+        with pytest.raises(FloatingPointError, match=last):
+            sgd_step(params, bad, vel, TrainConfig())
+        for n in params:
+            np.testing.assert_array_equal(params[n], before_w[n])
+            np.testing.assert_array_equal(vel[n], before_v[n])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
@@ -441,6 +526,22 @@ class TestWeightPersistence:
         path.write_bytes(b"".join(blob))
         with pytest.raises(WeightShapeError, match="conv1"):
             load_weights(_mini(seed=1), path)
+
+    def test_records_matching_no_parameter_rejected(self, tmp_path):
+        net = _mini(seed=7)
+        save_weights(net, tmp_path / "w.rdw")
+        extra = Linear("fc9", 2, 3, rng=np.random.default_rng(0))
+        save_weights(Network([*net.layers, extra], MINI_SHAPE, 6), tmp_path / "extra.rdw")
+        target = _mini(seed=8)
+        before = target.snapshot()
+        for reinit_fc in (False, True):
+            with pytest.raises(WeightShapeError, match=r"fc9\.W, fc9\.b"):
+                load_weights(target, tmp_path / "extra.rdw", reinit_fc=reinit_fc)
+            for name, arr in target.params().items():
+                np.testing.assert_array_equal(arr, before[name])
+        # the fc records --reinit-fc skips still name parameters of the network
+        loaded = load_weights(target, tmp_path / "w.rdw", reinit_fc=True)
+        assert loaded and all(not n.startswith("fc") for n in loaded)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "w.rdw").write_bytes(b"ZZZZ betrayal")
