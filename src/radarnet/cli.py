@@ -211,12 +211,7 @@ def cmd_eval(args) -> int:
             ds, cfg.folds, cfg.train_per_class, cfg.val_per_class, cfg.split_seed
         )
         ids = list(folds[args.fold].test_ids)
-    tensors, labels = [], []
-    for sid in ids:
-        t = mean_normalize(ds.load(sid), mean)
-        tensors.append(t)
-        labels.append(t.label)
-    matrix = evaluation.evaluate(net, tensors, labels)
+    matrix = evaluation.evaluate(net, *evaluation._normalized(ds, ids, mean))
     print(f"samples: {matrix.total}  accuracy: {matrix.accuracy:.4f}")
     print("rows=true, cols=predicted, order " + " ".join(CLASS_ORDER))
     print(matrix.counts)
@@ -308,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-width", type=int, dest="target_width")
     p.add_argument("--freq-range", dest="freq_range",
                    help="crop frequency bins to LO:HI (e.g. 0:227 for square inputs)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads that simulate samples; the output is byte-identical for any count")
     p.add_argument("--keep-signals", action="store_true",
                    help="also write raw beat signals (.rbs)")
     p.set_defaults(func=cmd_generate)

@@ -2,10 +2,11 @@
 
 Tensors live on disk as .rdt files (magic "RDT1", little-endian u32 dims,
 float32 payload) indexed by a JSON manifest; beat signals can optionally be
-kept alongside as .rbs files.  Folds follow the repeated-shuffle protocol:
-each fold independently reshuffles every class and takes fixed train and
-validation quotas, the remainder becoming that fold's test set (so test sets
-overlap across folds by construction).
+kept alongside as .rbs files.  A loaded dataset holds all its tensors in one
+read-only [N, 3, H, W] array, rows in manifest order.  Folds follow the
+repeated-shuffle protocol: each fold independently reshuffles every class and
+takes fixed train and validation quotas, the remainder becoming that fold's
+test set (so test sets overlap across folds by construction).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -55,6 +57,14 @@ class DimensionOverflowError(TensorFormatError):
     pass
 
 
+class TrailingBytesError(TensorFormatError):
+    pass
+
+
+class HeaderFieldError(TensorFormatError):
+    """A header field outside its valid range."""
+
+
 def tensor_to_bytes(tensor: RdTensor) -> bytes:
     c, h, w = tensor.values.shape
     payload = np.ascontiguousarray(tensor.values, dtype="<f4").tobytes()
@@ -65,23 +75,28 @@ def save_tensor(tensor: RdTensor, path) -> None:
     Path(path).write_bytes(tensor_to_bytes(tensor))
 
 
-def tensor_from_bytes(data: bytes, label: VehicleClass | None = None) -> RdTensor:
+def _check_header(data: bytes, magic: bytes, header_size: int) -> None:
     if len(data) < 4:
         raise TruncatedFileError("file shorter than the magic")
-    if data[:4] != TENSOR_MAGIC:
-        raise BadMagicError(f"bad magic {data[:4]!r}, expected {TENSOR_MAGIC!r}")
-    if len(data) < 16:
+    if data[:4] != magic:
+        raise BadMagicError(f"bad magic {data[:4]!r}, expected {magic!r}")
+    if len(data) < header_size:
         raise TruncatedFileError("header truncated")
+
+
+def _check_size(data: bytes, expected: int) -> None:
+    if len(data) < expected:
+        raise TruncatedFileError(f"header promises {expected} bytes, file has {len(data)}")
+    if len(data) > expected:
+        raise TrailingBytesError(f"{len(data) - expected} trailing bytes")
+
+
+def tensor_from_bytes(data: bytes, label: VehicleClass | None = None) -> RdTensor:
+    _check_header(data, TENSOR_MAGIC, 16)
     c, h, w = struct.unpack("<III", data[4:16])
     if min(c, h, w) == 0 or max(c, h, w) > MAX_DIM or c * h * w > MAX_ELEMENTS:
         raise DimensionOverflowError(f"unreasonable dimensions {(c, h, w)}")
-    expected = 16 + c * h * w * 4
-    if len(data) < expected:
-        raise TruncatedFileError(
-            f"header promises {expected} bytes, file has {len(data)}"
-        )
-    if len(data) > expected:
-        raise TensorFormatError(f"{len(data) - expected} trailing bytes")
+    _check_size(data, 16 + c * h * w * 4)
     values = np.frombuffer(data, dtype="<f4", count=c * h * w, offset=16)
     return RdTensor(values=values.reshape(c, h, w).copy(), label=label)
 
@@ -105,17 +120,16 @@ def save_signal(sig: BeatSignal, path) -> None:
 
 def load_signal(path) -> BeatSignal:
     data = Path(path).read_bytes()
-    if len(data) < 4:
-        raise TruncatedFileError("file shorter than the magic")
-    if data[:4] != SIGNAL_MAGIC:
-        raise BadMagicError(f"bad magic {data[:4]!r}, expected {SIGNAL_MAGIC!r}")
     header_size = 4 + struct.calcsize("<IBbdQ")
-    if len(data) < header_size:
-        raise TruncatedFileError("header truncated")
+    _check_header(data, SIGNAL_MAGIC, header_size)
     spr, first, label_idx, rate, count = struct.unpack("<IBbdQ", data[4:header_size])
-    expected = header_size + count * 8
-    if len(data) < expected:
-        raise TruncatedFileError(f"header promises {expected} bytes, file has {len(data)}")
+    if spr == 0:
+        raise HeaderFieldError("samples per ramp is 0")
+    if first not in (0, 1):
+        raise HeaderFieldError(f"first-ramp byte {first}, expected 0 (up) or 1 (down)")
+    if not -1 <= label_idx < len(CLASS_ORDER):
+        raise HeaderFieldError(f"class index {label_idx}, expected -1..{len(CLASS_ORDER) - 1}")
+    _check_size(data, header_size + count * 8)
     samples = np.frombuffer(data, dtype="<f8", count=count, offset=header_size).copy()
     label = None if label_idx < 0 else VehicleClass(CLASS_ORDER[label_idx])
     return BeatSignal(
@@ -150,11 +164,10 @@ class Dataset:
     radar_hash: str
     tensor_shape: tuple
     format_version: int = 1
-    _cache: dict = field(default_factory=dict, repr=False)
-    _index: dict = field(init=False, repr=False)
+    _index: dict = field(init=False, repr=False)     # sample id -> row
 
     def __post_init__(self):
-        self._index = {r.sample_id: r for r in self.records}
+        self._index = {r.sample_id: row for row, r in enumerate(self.records)}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -173,20 +186,32 @@ class Dataset:
         return out
 
     def record(self, sample_id: str) -> SampleRecord:
-        return self._index[sample_id]
+        return self.records[self._index[sample_id]]
 
-    def load(self, sample_id: str) -> RdTensor:
-        cached = self._cache.get(sample_id)
-        if cached is None:
-            rec = self.record(sample_id)
-            cached = load_tensor(self.root / rec.path, label=rec.class_label)
-            if cached.values.shape != self.tensor_shape:
+    def rows(self, sample_ids) -> np.ndarray:
+        """Row of each sample id in `tensors`."""
+        return np.array([self._index[sid] for sid in sample_ids], dtype=np.intp)
+
+    @cached_property
+    def tensors(self) -> np.ndarray:
+        """Every sample as one read-only float32 [N, *tensor_shape] array, rows
+        in record order, read from the .rdt files on first use."""
+        out = np.empty((len(self.records), *self.tensor_shape), dtype=np.float32)
+        for row, rec in enumerate(self.records):
+            values = load_tensor(self.root / rec.path).values
+            if values.shape != self.tensor_shape:
                 raise TensorFormatError(
-                    f"sample {sample_id} has shape {cached.values.shape}, "
+                    f"sample {rec.sample_id} has shape {values.shape}, "
                     f"manifest says {self.tensor_shape}"
                 )
-            self._cache[sample_id] = cached
-        return cached
+            out[row] = values
+        out.flags.writeable = False
+        return out
+
+    def load(self, sample_id: str) -> RdTensor:
+        """Read-only view of one sample's row of `tensors`."""
+        row = self._index[sample_id]
+        return RdTensor(values=self.tensors[row], label=self.records[row].class_label)
 
     def manifest_dict(self) -> dict:
         return {
@@ -285,29 +310,27 @@ def generate_dataset(
             )
             i += 1
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_make_sample, [j[1] for j in jobs]))
-    else:
-        results = [_make_sample(j[1]) for j in jobs]
-
     records = []
     tensor_shape = None
-    for (sample_id, (vclass, seed, *_)), (scenario, sig, tensor) in zip(jobs, results):
-        rel = f"tensors/{sample_id}.rdt"
-        save_tensor(tensor, out_dir / rel)
-        if keep_signals and sig is not None:
-            save_signal(sig, out_dir / f"signals/{sample_id}.rbs")
-        records.append(
-            SampleRecord(
-                sample_id=sample_id,
-                class_label=vclass,
-                path=rel,
-                speed=scenario.speed,
-                seed=seed,
+    # samples arrive in job order and are written as they come, so none is held longer
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        args = [j[1] for j in jobs]
+        samples = pool.map(_make_sample, args) if workers > 1 else map(_make_sample, args)
+        for (sample_id, (vclass, seed, *_)), (scenario, sig, tensor) in zip(jobs, samples):
+            rel = f"tensors/{sample_id}.rdt"
+            save_tensor(tensor, out_dir / rel)
+            if keep_signals and sig is not None:
+                save_signal(sig, out_dir / f"signals/{sample_id}.rbs")
+            records.append(
+                SampleRecord(
+                    sample_id=sample_id,
+                    class_label=vclass,
+                    path=rel,
+                    speed=scenario.speed,
+                    seed=seed,
+                )
             )
-        )
-        tensor_shape = tensor.values.shape
+            tensor_shape = tensor.values.shape
 
     ds = Dataset(
         root=out_dir,

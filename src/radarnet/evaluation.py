@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, FoldSplit, balanced_batches, stratified_fold_split
-from .network import Network, TrainConfig, build_network, load_weights, loss_and_grad, sgd_step
+from .network import Network, TrainConfig, build_network, load_weights, loss_and_grad, predict, sgd_step
 from .radar import CLASS_ORDER, VehicleClass
-from .spectrogram import RdTensor, compute_mean_tensor, mean_normalize
+from .spectrogram import RdTensor, compute_mean_tensor
 
 
 @dataclass
@@ -72,14 +72,6 @@ def confusion_matrix(preds, labels) -> ConfusionMatrix:
     return ConfusionMatrix(counts=counts)
 
 
-def select_best_epoch(val_accuracies) -> int:
-    """1-indexed epoch with the highest validation accuracy, earliest on ties."""
-    accs = list(val_accuracies)
-    if not accs:
-        raise ValueError("no epochs to select from")
-    return int(np.argmax(accs)) + 1
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -97,20 +89,15 @@ class FoldTraining:
 
 def evaluate(net: Network, tensors, labels) -> ConfusionMatrix:
     """Eval-mode predictions over normalized tensors."""
-    preds = []
-    for t in tensors:
-        scores, _ = net.forward(t, mode="eval")
-        preds.append(VehicleClass(CLASS_ORDER[int(np.argmax(scores))]))
-    return confusion_matrix(preds, labels)
+    return confusion_matrix([predict(net, t)[0] for t in tensors], labels)
 
 
 def _normalized(ds: Dataset, ids, mean: RdTensor):
-    tensors, labels = [], []
-    for sid in ids:
-        t = mean_normalize(ds.load(sid), mean)
-        tensors.append(t)
-        labels.append(t.label)
-    return tensors, labels
+    """The samples' tensors as one [N, C, H, W] copy with the mean subtracted, and their labels."""
+    rows = ds.rows(ids)
+    x = ds.tensors[rows]
+    x -= mean.values
+    return x, [ds.records[r].class_label for r in rows]
 
 
 def train_fold(
@@ -135,16 +122,15 @@ def train_fold(
     epochs = cfg.epochs if epochs is None else epochs
     net_seed = cfg.seed if net_seed is None else net_seed
 
-    train_tensors_raw = [ds.load(sid) for sid in fold.train_ids]
-    mean = compute_mean_tensor(train_tensors_raw)
-    train_by_id = {
-        sid: mean_normalize(t, mean) for sid, t in zip(fold.train_ids, train_tensors_raw)
-    }
+    mean = compute_mean_tensor(ds.load(sid) for sid in fold.train_ids)
     val_tensors, val_labels = _normalized(ds, fold.val_ids, mean)
 
-    ids_by_class = {}
-    for sid in fold.train_ids:
-        ids_by_class.setdefault(train_by_id[sid].label, []).append(sid)
+    # batches hold positions within the training split
+    train_rows = ds.rows(fold.train_ids)
+    train_labels = [ds.records[r].class_label for r in train_rows]
+    positions_by_class = {}
+    for pos, label in enumerate(train_labels):
+        positions_by_class.setdefault(label, []).append(pos)
 
     net = build_network(
         preset,
@@ -160,14 +146,15 @@ def train_fold(
     best_acc, best_epoch, best_params = -1.0, 0, None
 
     for epoch in range(1, epochs + 1):
-        batches = balanced_batches(ids_by_class, [cfg.seed, fold.fold_index, epoch])
+        batches = balanced_batches(positions_by_class, [cfg.seed, fold.fold_index, epoch])
         losses = []
         for b_i, batch in enumerate(batches):
-            x = np.stack([train_by_id[sid].values for sid in batch])
+            x = ds.tensors[train_rows[list(batch)]]
+            x -= mean.values
             # row j keeps the dropout stream it had as the batch's j-th sample
             seeds = [[cfg.seed, fold.fold_index, epoch, b_i, j] for j in range(len(batch))]
             scores, cache = net.forward(x, mode="train", rng=seeds)
-            loss, dlogits = loss_and_grad(scores, [train_by_id[sid].label for sid in batch])
+            loss, dlogits = loss_and_grad(scores, [train_labels[pos] for pos in batch])
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at fold {fold.fold_index} epoch {epoch} batch {b_i}"

@@ -50,18 +50,6 @@ class RdTensor:
         if self.values.ndim != 3 or self.values.shape[0] != 3:
             raise ValueError("tensor must have shape [3, height, width]")
 
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
 
 def segment_ramps(sig: BeatSignal):
     """Split a beat signal into its up- and down-ramp windows.

@@ -10,8 +10,10 @@ from radarnet.dataset import (
     BadMagicError,
     Dataset,
     DimensionOverflowError,
+    HeaderFieldError,
     SampleRecord,
     TensorFormatError,
+    TrailingBytesError,
     TruncatedFileError,
     balanced_batches,
     generate_dataset,
@@ -114,6 +116,38 @@ class TestSignalFormat:
         with pytest.raises(BadMagicError):
             load_signal(tmp_path / "s.rbs")
 
+    @staticmethod
+    def _small_rbs(tmp_path):
+        sig = BeatSignal(np.arange(8.0), P.sample_rate, samples_per_ramp=4, label=VehicleClass.CAR)
+        save_signal(sig, tmp_path / "s.rbs")
+        return (tmp_path / "s.rbs").read_bytes()
+
+    @pytest.mark.parametrize("offset, field, value", [
+        (4, "<I", 0),           # samples per ramp
+        (8, "<B", 2),           # first ramp
+        (8, "<B", 255),
+        (9, "<b", 6),           # class index
+        (9, "<b", -2),
+    ])
+    def test_bad_header_field(self, tmp_path, offset, field, value):
+        blob = bytearray(self._small_rbs(tmp_path))
+        struct.pack_into(field, blob, offset, value)
+        (tmp_path / "bad.rbs").write_bytes(bytes(blob))
+        with pytest.raises(HeaderFieldError):
+            load_signal(tmp_path / "bad.rbs")
+
+    def test_trailing_garbage(self, tmp_path):
+        (tmp_path / "extra.rbs").write_bytes(self._small_rbs(tmp_path) + b"\x00")
+        with pytest.raises(TrailingBytesError):
+            load_signal(tmp_path / "extra.rbs")
+
+    def test_every_truncation_raises_typed_error(self, tmp_path):
+        blob = self._small_rbs(tmp_path)
+        for n in range(len(blob)):
+            (tmp_path / "cut.rbs").write_bytes(blob[:n])
+            with pytest.raises(TruncatedFileError):
+                load_signal(tmp_path / "cut.rbs")
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
@@ -179,6 +213,35 @@ class TestGenerateDataset:
         counts = SKEWED_COUNTS
         top3 = sorted(counts, key=counts.get, reverse=True)[:3]
         assert set(top3) == {"A", "D", "E"}
+
+
+class TestStackedTensors:
+    @staticmethod
+    def _dataset(root, shapes):
+        records = []
+        for i, shape in enumerate(shapes):
+            save_tensor(_random_tensor(i, shape), root / f"{i}.rdt")
+            records.append(SampleRecord(f"A{i:04d}", VehicleClass.CAR, f"{i}.rdt", 25.0, i))
+        return Dataset(root=root, records=records, radar_hash="x", tensor_shape=shapes[0])
+
+    def test_rows_are_the_files_in_record_order(self, tmp_path):
+        ds = self._dataset(tmp_path, [(3, 7, 5)] * 3)
+        assert ds.tensors.shape == (3, 3, 7, 5) and ds.tensors.dtype == np.float32
+        for row, rec in enumerate(ds.records):
+            values = load_tensor(tmp_path / rec.path).values
+            np.testing.assert_array_equal(ds.tensors[row], values)
+            np.testing.assert_array_equal(ds.load(rec.sample_id).values, values)
+
+    def test_shape_differing_from_manifest_rejected(self, tmp_path):
+        # a (3, 7, 1) file would broadcast silently into a (3, 7, 5) row
+        ds = self._dataset(tmp_path, [(3, 7, 5), (3, 7, 1)])
+        with pytest.raises(TensorFormatError, match="A0001"):
+            ds.load("A0000")
+
+    def test_loaded_values_read_only(self, tmp_path):
+        ds = self._dataset(tmp_path, [(3, 7, 5)])
+        with pytest.raises(ValueError):
+            ds.load("A0000").values[0, 0, 0] = 1.0
 
 
 def _fake_dataset(per_class):

@@ -8,10 +8,9 @@ from radarnet.evaluation import (
     confusion_matrix,
     cross_validate,
     evaluate,
-    select_best_epoch,
     train_fold,
 )
-from radarnet.network import TrainConfig
+from radarnet.network import Network, TrainConfig
 from radarnet.radar import CLASS_ORDER, VehicleClass
 from radarnet.spectrogram import RdTensor
 
@@ -55,18 +54,6 @@ class TestConfusionMatrix:
     def test_string_labels_accepted(self):
         m = confusion_matrix(["A", "G"], ["A", "G"])
         assert m.accuracy == 1.0
-
-
-class TestSelectBestEpoch:
-    def test_tie_goes_to_earliest(self):
-        assert select_best_epoch([0.5, 0.8, 0.8, 0.7]) == 2
-
-    def test_single(self):
-        assert select_best_epoch([0.1]) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_best_epoch([])
 
 
 def _marker_tensor(label, seed, shape=(3, 257, 32)):
@@ -119,6 +106,45 @@ class TestTrainFold:
         assert upto_best.best_epoch == full.best_epoch
         for name, arr in upto_best.net.params().items():
             assert arr.tobytes() == full.net.params()[name].tobytes(), name
+
+    def test_best_epoch_is_earliest_of_tied_maxima(self, marker_dataset):
+        fold = stratified_fold_split(marker_dataset, 1, 4, 2, seed=0)[0]
+        trained = train_fold(marker_dataset, fold, TrainConfig(learning_rate=1e-3, epochs=4, seed=0))
+        accs = [h.val_accuracy for h in trained.history]
+        assert accs.count(max(accs)) >= 2       # the fixture ties two epochs at the maximum
+        assert trained.best_epoch == 1 + int(np.argmax(accs))
+
+    def test_batches_are_mean_normalized_training_samples(self, marker_dataset, monkeypatch):
+        fold = stratified_fold_split(marker_dataset, 1, 4, 2, seed=0)[0]
+        cfg = TrainConfig(epochs=2)
+        inputs = []
+        forward = Network.forward
+
+        def spy(net, x, mode="eval", rng=None):
+            if mode == "train":
+                inputs.append(np.array(x))
+            return forward(net, x, mode=mode, rng=rng)
+
+        monkeypatch.setattr(Network, "forward", spy)
+        trained = train_fold(marker_dataset, fold, cfg)
+        ids_by_class = {}
+        for sid in fold.train_ids:
+            ids_by_class.setdefault(marker_dataset.record(sid).class_label, []).append(sid)
+        mean = trained.mean_tensor.values
+        expected = [
+            np.stack([marker_dataset.load(sid).values - mean for sid in batch])
+            for epoch in range(1, cfg.epochs + 1)
+            for batch in balanced_batches(ids_by_class, [cfg.seed, fold.fold_index, epoch])
+        ]
+        assert len(inputs) == len(expected)
+        for got, want in zip(inputs, expected):
+            assert got.tobytes() == want.tobytes()
+
+    def test_dataset_tensors_unchanged(self, marker_dataset):
+        fold = stratified_fold_split(marker_dataset, 1, 4, 2, seed=0)[0]
+        before = marker_dataset.tensors.tobytes()
+        train_fold(marker_dataset, fold, TrainConfig(epochs=1))
+        assert marker_dataset.tensors.tobytes() == before
 
     def test_deterministic(self, marker_dataset):
         fold = stratified_fold_split(marker_dataset, 1, 4, 2, seed=0)[0]
