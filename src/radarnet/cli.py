@@ -7,6 +7,7 @@ timestamps.  Exit codes: 0 success, 1 pipeline error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from .config import (
     apply_quota_preset,
     load_config,
 )
-from .radar import CLASS_ORDER
+from .radar import CLASS_ORDER, RadarParams
 from .spectrogram import export_pgm, mean_normalize, signal_to_tensor
 
 
@@ -58,7 +59,7 @@ def _load_run_config(args) -> RunConfig:
         if value is not None:
             attr = "seed" if flag == "train_seed" else flag
             setattr(cfg.train, attr, value)
-    cfg.train = network.TrainConfig(**cfg.train.to_dict())   # re-validate
+    cfg.train = dataclasses.replace(cfg.train)   # re-validate
     return cfg
 
 
@@ -132,7 +133,7 @@ def _save_model(weights_path, net, mean_tensor, cfg: RunConfig):
         "input_shape": list(net.input_shape),
         "target_width": cfg.target_width,
         "freq_range": list(cfg.freq_range) if cfg.freq_range else None,
-        "radar": cfg.radar.to_dict(),
+        "radar": dataclasses.asdict(cfg.radar),
         "class_order": list(CLASS_ORDER),
     }
     metapath.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -184,17 +185,14 @@ def _load_model(weights_path, cfg: RunConfig):
     wpath, mpath, metapath = _model_paths(weights_path)
     if not mpath.exists():
         raise FileNotFoundError(f"mean tensor {mpath} not found beside the weights")
-    meta = json.loads(metapath.read_text(encoding="utf-8")) if metapath.exists() else {}
-    preset = meta.get("preset", cfg.preset)
+    if not metapath.exists():
+        raise FileNotFoundError(f"model meta {metapath} not found beside the weights")
+    meta = json.loads(metapath.read_text(encoding="utf-8"))
     mean = ds_mod.load_tensor(mpath)
-    net = network.build_network(preset, input_shape=mean.values.shape)
+    net = network.build_network(meta["preset"], input_shape=mean.values.shape)
     network.load_weights(net, wpath)
-    if "radar" in meta:
-        from .radar import RadarParams
-
-        cfg.radar = RadarParams.from_dict(meta["radar"])
-    if "target_width" in meta:
-        cfg.target_width = meta["target_width"]
+    cfg.radar = RadarParams.from_dict(meta["radar"])
+    cfg.target_width = meta["target_width"]
     if meta.get("freq_range"):
         cfg.freq_range = tuple(meta["freq_range"])
     return net, mean
@@ -204,6 +202,11 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     ds = ds_mod.load_dataset(args.data)
     net, mean = _load_model(args.weights, cfg)
+    model_hash = ds_mod.radar_params_hash(cfg.radar)
+    if model_hash != ds.radar_hash:
+        raise ValueError(
+            f"the model was trained on radar {model_hash}, but {args.data} holds data from radar {ds.radar_hash}"
+        )
     if args.all:
         ids = [r.sample_id for r in ds.records]
     else:
@@ -216,20 +219,8 @@ def cmd_eval(args) -> int:
     print("rows=true, cols=predicted, order " + " ".join(CLASS_ORDER))
     print(matrix.counts)
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(
-                {
-                    "accuracy": matrix.accuracy,
-                    "counts": matrix.counts.tolist(),
-                    "row_rates": matrix.row_rates.tolist(),
-                    "class_order": list(CLASS_ORDER),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        report = {**matrix.to_dict(), "class_order": list(CLASS_ORDER)}
+        Path(args.output).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {args.output}")
     return 0
 

@@ -8,7 +8,7 @@ reproduces any run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .network import TrainConfig
@@ -56,7 +56,7 @@ class RunConfig:
             for vc, p in self.profiles.profiles.items()
         }
         return {
-            "radar": self.radar.to_dict(),
+            "radar": asdict(self.radar),
             "profiles": {
                 "classes": profs,
                 "entry_range": list(self.profiles.entry_range),
@@ -69,7 +69,7 @@ class RunConfig:
             "target_width": self.target_width,
             "freq_range": list(self.freq_range) if self.freq_range else None,
             "preset": self.preset,
-            "train": self.train.to_dict(),
+            "train": asdict(self.train),
             "folds": self.folds,
             "train_per_class": self.train_per_class,
             "val_per_class": self.val_per_class,

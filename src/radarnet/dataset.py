@@ -15,7 +15,7 @@ import hashlib
 import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
@@ -142,7 +142,7 @@ def load_signal(path) -> BeatSignal:
 
 
 def radar_params_hash(p: RadarParams) -> str:
-    blob = json.dumps(p.to_dict(), sort_keys=True).encode()
+    blob = json.dumps(asdict(p), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

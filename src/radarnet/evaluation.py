@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,9 @@ class ConfusionMatrix:
         diag = self.row_rates.diagonal()
         return {label: float(diag[i]) for i, label in enumerate(CLASS_ORDER)}
 
+    def to_dict(self) -> dict:
+        return {"accuracy": self.accuracy, "counts": self.counts.tolist(), "row_rates": self.row_rates.tolist()}
+
 
 def confusion_matrix(preds, labels) -> ConfusionMatrix:
     preds = list(preds)
@@ -88,7 +91,7 @@ class FoldTraining:
 
 
 def evaluate(net: Network, tensors, labels) -> ConfusionMatrix:
-    """Eval-mode predictions over normalized tensors."""
+    """One predict (dropout off) per normalized tensor, tallied against the labels."""
     return confusion_matrix([predict(net, t)[0] for t in tensors], labels)
 
 
@@ -107,7 +110,6 @@ def train_fold(
     *,
     preset: str = "mini",
     net_seed: int | None = None,
-    epochs: int | None = None,
     init_weights=None,
     reinit_fc: bool = False,
 ) -> FoldTraining:
@@ -119,7 +121,6 @@ def train_fold(
     bit-identical networks.  init_weights warm-starts from a saved .rdw
     (optionally keeping the fully connected layers at random init).
     """
-    epochs = cfg.epochs if epochs is None else epochs
     net_seed = cfg.seed if net_seed is None else net_seed
 
     mean = compute_mean_tensor(ds.load(sid) for sid in fold.train_ids)
@@ -145,7 +146,7 @@ def train_fold(
     # every epoch beats -1, so the init is never restored; the last epoch's parameters stay live
     best_acc, best_epoch, best_params = -1.0, 0, None
 
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         batches = balanced_batches(positions_by_class, [cfg.seed, fold.fold_index, epoch])
         losses = []
         for b_i, batch in enumerate(batches):
@@ -153,7 +154,7 @@ def train_fold(
             x -= mean.values
             # row j keeps the dropout stream it had as the batch's j-th sample
             seeds = [[cfg.seed, fold.fold_index, epoch, b_i, j] for j in range(len(batch))]
-            scores, cache = net.forward(x, mode="train", rng=seeds)
+            scores, cache = net.forward(x, rng=seeds)
             loss, dlogits = loss_and_grad(scores, [train_labels[pos] for pos in batch])
             if not np.isfinite(loss):
                 raise FloatingPointError(
@@ -167,7 +168,7 @@ def train_fold(
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch
             best_params = None      # free the old snapshot before taking the new one
-            best_params = net.snapshot() if epoch < epochs else None
+            best_params = net.snapshot() if epoch < cfg.epochs else None
 
     if best_params is not None:
         net.set_params(best_params)
@@ -208,18 +209,12 @@ class CvReport:
         return {
             "class_order": list(CLASS_ORDER),
             "preset": self.preset,
-            "hyperparameters": self.cfg.to_dict(),
+            "hyperparameters": asdict(self.cfg),
             "split_seed": self.split_seed,
             "train_per_class": self.train_per_class,
             "val_per_class": self.val_per_class,
             "folds": [
-                {
-                    "fold_index": i,
-                    "accuracy": m.accuracy,
-                    "best_epoch": self.fold_best_epochs[i],
-                    "counts": m.counts.tolist(),
-                    "row_rates": m.row_rates.tolist(),
-                }
+                {"fold_index": i, "best_epoch": self.fold_best_epochs[i], **m.to_dict()}
                 for i, m in enumerate(self.fold_matrices)
             ],
             "mean_accuracy": self.mean_accuracy,

@@ -6,6 +6,8 @@ depends on row n of the input alone.  forward returns the output plus an
 opaque cache; backward consumes that cache and returns the input gradient
 and the parameter gradients, summed over the batch.  The parametric layers'
 backward takes input_grad=False to skip the input gradient (returned as None).
+forward's rng is None in evaluation; in training it holds one generator per
+row, and only Dropout reads it.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class Conv2d:
             raise ValueError(f"layer {self.name}: input {in_shape} too small for kernel/stride")
         return (self.out_channels, oh, ow)
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, rng=None):
         k, s, p = self.kernel, self.stride, self.padding
         if p:
             x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
@@ -128,7 +130,7 @@ class MaxPool2d:
         return [(..., slice(kh, kh + s * (oh - 1) + 1, s), slice(kw, kw + s * (ow - 1) + 1, s))
                 for kh in range(k) for kw in range(k)]
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, rng=None):
         windows = self._windows(x.shape)
         y = x[windows[0]].copy(order="K")     # keep the input's memory order
         for win in windows[1:]:
@@ -178,7 +180,7 @@ class ChannelResponseNorm:
     def output_shape(self, in_shape):
         return in_shape
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, rng=None):
         ssum = _box_sum_channels(x * x, self.n // 2)
         scale = (self.k + self.alpha * ssum).astype(x.dtype)
         y = x * scale ** (-self.beta)
@@ -205,7 +207,7 @@ class ReLU:
     def output_shape(self, in_shape):
         return in_shape
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, rng=None):
         mask = x > 0
         return x * mask, mask
 
@@ -214,8 +216,9 @@ class ReLU:
 
 
 class Dropout:
-    """Inverted dropout: retained units are scaled by 1/(1-rate) at train
-    time, evaluation is the identity."""
+    """Inverted dropout: in training, row j keeps each unit with probability
+    1-rate, drawn from generator rng[j], and scales it by 1/(1-rate); with
+    rng None (evaluation) it is the identity."""
 
     kind = "dropout"
 
@@ -230,16 +233,11 @@ class Dropout:
     def output_shape(self, in_shape):
         return in_shape
 
-    def forward(self, x, train=False, rng=None):
-        if not train or self.rate <= 0.0:
+    def forward(self, x, rng=None):
+        if rng is None or self.rate <= 0.0:
             return x, None
-        if rng is None:
-            raise ValueError(f"layer {self.name}: train-mode dropout needs an rng")
         keep = 1.0 - self.rate
-        if isinstance(rng, np.random.Generator):     # else one generator per row
-            u = rng.random(x.shape)
-        else:
-            u = np.stack([g.random(x.shape[1:]) for g in rng])
+        u = np.stack([g.random(x.shape[1:]) for g in rng])
         mask = (u < keep).astype(x.dtype) / np.asarray(keep, dtype=x.dtype)
         return x * mask, mask
 
@@ -275,7 +273,7 @@ class Linear:
             )
         return (self.out_features,)
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, rng=None):
         flat = x.reshape(len(x), -1)
         return flat @ self.W.T + self.b, (flat, x.shape)
 
@@ -304,7 +302,7 @@ class Softmax:
     def output_shape(self, in_shape):
         return in_shape
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, rng=None):
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True), None
 

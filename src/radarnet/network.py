@@ -70,22 +70,11 @@ class TrainConfig:
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "dropout_rate": self.dropout_rate,
-        }
-
 
 @dataclass
 class ForwardCache:
     entries: list
     version: int
-    train: bool
 
 
 class Network:
@@ -140,38 +129,30 @@ class Network:
             chain.append((layer.name, shape))
         return chain
 
-    def forward(self, x, mode="eval", rng=None):
-        """Run the stack on one sample ([C, H, W] or RdTensor; gives (classes,)
-        probabilities) or a batch [N, C, H, W] (gives [N, classes]); returns
-        (probabilities, cache for backward).  rng seeds train-mode dropout:
-        a seed or generator, or a list of them, one per batch row."""
-        if isinstance(x, RdTensor):
-            x = x.values
+    def forward(self, x, rng=None):
+        """Run the stack on a batch [N, C, H, W]; returns the [N, classes]
+        probabilities and the cache for backward.  rng None evaluates (dropout is
+        the identity); training passes one seed or generator per batch row."""
         x = np.asarray(x, dtype=self.dtype)
-        single = x.shape == self.input_shape
-        x = x[None] if single else x
         if x.shape[1:] != self.input_shape:
-            raise ValueError(f"input shape {x.shape} != network input {self.input_shape}")
-        if mode not in ("train", "eval"):
-            raise ValueError(f"unknown mode {mode!r}")
-        train = mode == "train"
-        if isinstance(rng, list):
+            raise ValueError(f"input shape {x.shape} is not a batch of network inputs {self.input_shape}")
+        if rng is not None:
+            if len(rng) != len(x):
+                raise ValueError(f"{len(rng)} dropout seeds for a batch of {len(x)}")
             rng = [np.random.default_rng(r) for r in rng]
-        elif rng is not None:
-            rng = np.random.default_rng(rng)
         entries = []
         for layer in self.layers:
-            x, cache = layer.forward(x, train=train, rng=rng)
+            x, cache = layer.forward(x, rng=rng)
             entries.append((layer, cache))
-        return (x[0] if single else x), ForwardCache(entries=entries, version=self._version, train=train)
+        return x, ForwardCache(entries=entries, version=self._version)
 
     def backward(self, cache: ForwardCache, dlogits):
-        """Reverse pass from the logit gradient of forward's output shape;
-        returns parameter gradients summed over the batch."""
+        """Reverse pass from the [N, classes] logit gradient; returns parameter
+        gradients summed over the batch."""
         if cache.version != self._version:
             raise StaleCacheError("parameters changed since this cache's forward pass")
         grads = {}
-        dy = np.atleast_2d(np.asarray(dlogits, dtype=self.dtype))
+        dy = np.asarray(dlogits, dtype=self.dtype)
         (first, first_cache), *rest = cache.entries
         for layer, layer_cache in reversed(rest):
             dy, layer_grads = layer.backward(dy, layer_cache)
@@ -305,21 +286,29 @@ def build_network(
     return net
 
 
-def loss_and_grad(scores, true_class):
-    """Cross-entropy -ln p_true and its gradient w.r.t. the logits; for a batch (scores
-    [N, K], a list of N classes) the mean loss and its gradient, (probs - onehot) / N."""
-    rows = np.atleast_2d(np.asarray(scores, dtype=float))
-    labels = true_class if isinstance(true_class, (list, tuple)) else [true_class]
+def loss_and_grad(scores, labels):
+    """Mean cross-entropy -ln p_true over a batch (scores [N, K], a sequence of N
+    classes) and its gradient w.r.t. the logits, (probs - onehot) / N."""
+    scores = np.asarray(scores, dtype=float)
+    if len(labels) != len(scores):
+        raise ValueError(f"{len(labels)} labels for {len(scores)} rows of scores")
     at = (np.arange(len(labels)), [c.index if isinstance(c, VehicleClass) else int(c) for c in labels])
-    loss = float(np.mean(-np.log(np.maximum(rows[at], 1e-12))))
-    dlogits = rows.copy()
+    loss = float(np.mean(-np.log(np.maximum(scores[at], 1e-12))))
+    dlogits = scores.copy()
     dlogits[at] -= 1.0
-    return loss, (dlogits / len(labels)).reshape(np.shape(scores))
+    return loss, dlogits / len(labels)
+
+
+def _batch_of_one(tensor):
+    """An RdTensor or a [C, H, W] array as a [1, C, H, W] batch."""
+    return (tensor.values if isinstance(tensor, RdTensor) else np.asarray(tensor))[None]
 
 
 def predict(net: Network, tensor):
-    """Eval-mode class decision; argmax with ties going to the lowest index."""
-    scores, _ = net.forward(tensor, mode="eval")
+    """Class decision for one sample (an RdTensor or a [C, H, W] array), run as a
+    batch of one with dropout off: the argmax class, ties going to the lowest
+    index, and the (classes,) scores."""
+    scores = net.forward(_batch_of_one(tensor))[0][0]
     return VehicleClass(CLASS_ORDER[int(np.argmax(scores))]), scores
 
 
@@ -359,10 +348,10 @@ def gradient_check(
     epsilon: float = 1e-4,
     num_params: int = 200,
     seed: int = 0,
-    denom_floor: float | None = None,
 ) -> float:
     """Max relative error between backprop and central differences over a
-    random sample of parameters (eval-mode forward, so dropout is identity).
+    random sample of parameters for one sample (an RdTensor or a [C, H, W]
+    array, run as a batch of one without dropout seeds, so dropout is identity).
 
     The difference quotient always runs in float64: for a standard-precision
     network the check perturbs a float64 twin carrying the identical
@@ -371,12 +360,10 @@ def gradient_check(
     denominator is floored (1e-6 in high precision, 1e-2 in standard) so
     parameters with negligible gradients compare absolutely.
     """
-    if denom_floor is None:
-        denom_floor = 1e-6 if net.dtype == np.float64 else 1e-2
-
-    x = tensor.values if isinstance(tensor, RdTensor) else np.asarray(tensor)
-    scores, cache = net.forward(x, mode="eval")
-    _, dlogits = loss_and_grad(scores, true_class)
+    denom_floor = 1e-6 if net.dtype == np.float64 else 1e-2
+    x = _batch_of_one(tensor)
+    scores, cache = net.forward(x)
+    _, dlogits = loss_and_grad(scores, [true_class])
     analytic = net.backward(cache, dlogits)
 
     probe = net if net.dtype == np.float64 else net.with_precision("high")
@@ -390,8 +377,8 @@ def gradient_check(
     x64 = x.astype(np.float64)
 
     def loss_at():
-        s, _ = probe.forward(x64, mode="eval")
-        return loss_and_grad(s, true_class)[0]
+        s, _ = probe.forward(x64)
+        return loss_and_grad(s, [true_class])[0]
 
     worst = 0.0
     for j in chosen_idx:
@@ -447,10 +434,14 @@ def read_weight_records(path) -> dict:
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         name = str(take(name_len, "record name"), "utf-8")
+        if name in records:
+            raise WeightsFormatError(f"duplicate record {name!r}")
         (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
         payload = take(4 * math.prod(dims), f"values of {name!r}")
         records[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    if pos != len(data):
+        raise WeightsFormatError(f"{len(data) - pos} trailing bytes after the last record")
     return records
 
 

@@ -119,18 +119,6 @@ class RadarParams:
         """c / (2 delta_f) [m]."""
         return self.c / (2.0 * self.delta_f)
 
-    def to_dict(self) -> dict:
-        return {
-            "f0": self.f0,
-            "delta_f": self.delta_f,
-            "t_ramp": self.t_ramp,
-            "samples_per_ramp": self.samples_per_ramp,
-            "fft_size": self.fft_size,
-            "amplitude": self.amplitude,
-            "c": self.c,
-            "geometry": {"h": self.geometry.h, "alpha": self.geometry.alpha},
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "RadarParams":
         d = dict(d)

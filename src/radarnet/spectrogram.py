@@ -71,16 +71,16 @@ def segment_ramps(sig: BeatSignal):
 
 
 def fft_modulus(window, fft_size: int) -> np.ndarray:
-    """One-sided FFT modulus |X[k]|, k = 0..fft_size/2, of one rectangular
-    (untapered) window, zero-padded up to fft_size."""
-    window = np.atleast_2d(np.asarray(window, dtype=float))
+    """One-sided FFT modulus |X[k]|, k = 0..fft_size/2, of rectangular (untapered)
+    windows along the last axis, each zero-padded up to fft_size; an input of
+    shape [..., n] gives [..., fft_size // 2 + 1]."""
+    window = np.asarray(window, dtype=float)
     n = window.shape[-1]
     if n > fft_size:
         raise ValueError(f"window of {n} samples exceeds fft_size {fft_size}")
     if n < fft_size:
-        window = np.pad(window, ((0, 0), (0, fft_size - n)))
-    mods = np.abs(fourier.fft(window)[..., : fft_size // 2 + 1])
-    return mods[0] if mods.shape[0] == 1 else mods
+        window = np.pad(window, [(0, 0)] * (window.ndim - 1) + [(0, fft_size - n)])
+    return np.abs(fourier.fft(window)[..., : fft_size // 2 + 1])
 
 
 def build_spectrograms(sig: BeatSignal, p: RadarParams):
@@ -89,12 +89,12 @@ def build_spectrograms(sig: BeatSignal, p: RadarParams):
     up_windows, down_windows = segment_ramps(sig)
     bin_hz = sig.sample_rate / p.fft_size
     up = Spectrogram(
-        values=np.atleast_2d(fft_modulus(up_windows, p.fft_size)).T.copy(),
+        values=fft_modulus(up_windows, p.fft_size).T.copy(),
         bin_hz=bin_hz,
         ramp_polarity=RampPolarity.UP,
     )
     down = Spectrogram(
-        values=np.atleast_2d(fft_modulus(down_windows, p.fft_size)).T.copy(),
+        values=fft_modulus(down_windows, p.fft_size).T.copy(),
         bin_hz=bin_hz,
         ramp_polarity=RampPolarity.DOWN,
     )

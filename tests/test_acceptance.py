@@ -208,7 +208,7 @@ def test_criterion_7_pipeline_invariant_suite():
     # softmax normalization and shift invariance
     net = build_network("mini", (3, 257, 32), seed=0)
     x = rng.normal(size=(3, 257, 32)).astype(np.float32)
-    scores, _ = net.forward(x)
+    scores, _ = net.forward(x[None])
     assert abs(float(scores.sum()) - 1.0) < 1e-6 and np.all(scores > 0)
     from radarnet.layers import Softmax
 

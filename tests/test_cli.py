@@ -142,6 +142,24 @@ class TestTrainEvalPredict:
         assert rc == 1
         assert "mean" in capsys.readouterr().err
 
+    def test_missing_meta_exits_1(self, workspace, tmp_path, capsys):
+        for suffix in (".rdw", ".mean.rdt"):
+            (tmp_path / f"bare{suffix}").write_bytes((workspace / f"model{suffix}").read_bytes())
+        rc = main(["eval", "-d", str(workspace / "ds"), "-w", str(tmp_path / "bare.rdw"),
+                   "--fold", "0", *SPLIT_ARGS])
+        assert rc == 1
+        assert "bare.meta.json" in capsys.readouterr().err
+
+    def test_eval_refuses_data_from_another_radar(self, workspace, tmp_path, capsys):
+        config = tmp_path / "radar.json"
+        config.write_text(json.dumps({"radar": {"f0": 24.125e9, "delta_f": 150e6}}))
+        assert main(["generate", "-o", str(tmp_path / "ds"), "--config", str(config), *GEN_ARGS]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "-d", str(tmp_path / "ds"), "-w", str(workspace / "model.rdw"),
+                   "--fold", "0", *SPLIT_ARGS])
+        assert rc == 1
+        assert "radar" in capsys.readouterr().err
+
     def test_partial_weight_import(self, workspace, tmp_path):
         rc = main(
             ["train", "-d", str(workspace / "ds"), "-o", str(tmp_path / "warm.rdw"),

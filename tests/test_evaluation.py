@@ -1,5 +1,7 @@
 """Confusion matrices, fold training, model selection and cross-validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ class TestTrainFold:
         cfg = TrainConfig(learning_rate=1e-3, epochs=4, seed=1)
         full = train_fold(marker_dataset, fold, cfg)
         assert full.best_epoch < cfg.epochs     # the fixture keeps an earlier epoch
-        upto_best = train_fold(marker_dataset, fold, cfg, epochs=full.best_epoch)
+        upto_best = train_fold(marker_dataset, fold, dataclasses.replace(cfg, epochs=full.best_epoch))
         assert upto_best.best_epoch == full.best_epoch
         for name, arr in upto_best.net.params().items():
             assert arr.tobytes() == full.net.params()[name].tobytes(), name
@@ -120,10 +122,10 @@ class TestTrainFold:
         inputs = []
         forward = Network.forward
 
-        def spy(net, x, mode="eval", rng=None):
-            if mode == "train":
+        def spy(net, x, rng=None):
+            if rng is not None:
                 inputs.append(np.array(x))
-            return forward(net, x, mode=mode, rng=rng)
+            return forward(net, x, rng=rng)
 
         monkeypatch.setattr(Network, "forward", spy)
         trained = train_fold(marker_dataset, fold, cfg)

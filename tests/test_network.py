@@ -57,8 +57,8 @@ class TestBuildNetwork:
 
     def test_mini_preset_output(self):
         net = _mini()
-        scores, _ = net.forward(_x32())
-        assert scores.shape == (6,)
+        scores, _ = net.forward(_x32()[None])
+        assert scores.shape == (1, 6)
 
     def test_bad_preset_and_shapes(self):
         with pytest.raises(ValueError):
@@ -122,7 +122,7 @@ class TestForward:
     def test_probabilities(self):
         net = _mini()
         for seed in range(5):
-            scores, _ = net.forward(_x32(seed))
+            scores, _ = net.forward(_x32(seed)[None])
             assert scores.sum() == pytest.approx(1.0, abs=1e-6)
             assert np.all(scores > 0.0)
 
@@ -146,44 +146,57 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         net = _mini()
         with pytest.raises(ValueError):
-            net.forward(np.zeros((3, 10, 10), dtype=np.float32))
+            net.forward(np.zeros((1, 3, 10, 10), dtype=np.float32))
+
+    def test_single_sample_without_batch_axis_rejected(self):
+        with pytest.raises(ValueError, match="batch"):
+            _mini().forward(_x32())
+
+    def test_one_dropout_seed_per_row_required(self):
+        x = np.stack([_x32(0), _x32(1)])
+        with pytest.raises(ValueError, match="1 dropout seeds for a batch of 2"):
+            _mini().forward(x, rng=[1])
 
     def test_eval_deterministic_train_dropout_varies(self):
         net = _mini()
-        x = _x32()
-        a, _ = net.forward(x, mode="eval")
-        b, _ = net.forward(x, mode="eval")
+        x = _x32()[None]
+        a, _ = net.forward(x)
+        b, _ = net.forward(x)
         np.testing.assert_array_equal(a, b)
-        t1, _ = net.forward(x, mode="train", rng=1)
-        t2, _ = net.forward(x, mode="train", rng=2)
+        t1, _ = net.forward(x, rng=[1])
+        t2, _ = net.forward(x, rng=[2])
         assert not np.array_equal(t1, t2)
-        t1b, _ = net.forward(x, mode="train", rng=1)
+        t1b, _ = net.forward(x, rng=[1])
         np.testing.assert_array_equal(t1, t1b)
 
 
 class TestLossAndGrad:
     def test_uniform_scores(self):
-        loss, grad = loss_and_grad(np.full(6, 1 / 6), 0)
+        loss, grad = loss_and_grad(np.full((1, 6), 1 / 6), [0])
         assert loss == pytest.approx(np.log(6.0), abs=1e-12)
-        np.testing.assert_allclose(grad, np.full(6, 1 / 6) - np.eye(6)[0])
+        np.testing.assert_allclose(grad, [np.full(6, 1 / 6) - np.eye(6)[0]])
 
     def test_certain_correct(self):
-        scores = np.zeros(6)
-        scores[2] = 1.0
-        loss, grad = loss_and_grad(scores, 2)
+        scores = np.zeros((1, 6))
+        scores[0, 2] = 1.0
+        loss, grad = loss_and_grad(scores, [2])
         assert loss == 0.0
-        np.testing.assert_array_equal(grad, np.zeros(6))
+        np.testing.assert_array_equal(grad, np.zeros((1, 6)))
 
     def test_clamped_log(self):
-        scores = np.zeros(6)
-        scores[1] = 1.0
-        loss, _ = loss_and_grad(scores, 0)   # p_true = 0 clamps
+        scores = np.zeros((1, 6))
+        scores[0, 1] = 1.0
+        loss, _ = loss_and_grad(scores, [0])   # p_true = 0 clamps
         assert np.isfinite(loss)
 
     def test_accepts_vehicle_class(self):
-        loss_a, _ = loss_and_grad(np.full(6, 1 / 6), VehicleClass.CAR)
-        loss_b, _ = loss_and_grad(np.full(6, 1 / 6), 0)
+        loss_a, _ = loss_and_grad(np.full((1, 6), 1 / 6), [VehicleClass.CAR])
+        loss_b, _ = loss_and_grad(np.full((1, 6), 1 / 6), [0])
         assert loss_a == loss_b
+
+    def test_one_label_per_row_required(self):
+        with pytest.raises(ValueError, match="1 labels for 2 rows"):
+            loss_and_grad(np.full((2, 6), 1 / 6), [0])
 
     def test_dlogits_matches_finite_differences(self):
         # differentiate loss(softmax(logits)) numerically w.r.t. the logits
@@ -198,7 +211,7 @@ class TestLossAndGrad:
 
         e_z = np.exp(logits - logits.max())
         probs = e_z / e_z.sum()
-        _, analytic = loss_and_grad(probs, true)
+        _, (analytic,) = loss_and_grad(probs[None], [true])
         eps = 1e-6
         for i in range(6):
             z = logits.copy()
@@ -213,25 +226,25 @@ class TestLossAndGrad:
 class TestBackward:
     def test_zero_dlogits_zero_grads(self):
         net = _mini()
-        _, cache = net.forward(_x32())
-        grads = net.backward(cache, np.zeros(6))
+        _, cache = net.forward(_x32()[None])
+        grads = net.backward(cache, np.zeros((1, 6)))
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_stale_cache_rejected(self):
         net = _mini()
-        _, cache = net.forward(_x32())
+        _, cache = net.forward(_x32()[None])
         sgd_step(net.params(), {k: np.zeros_like(v) for k, v in net.params().items()}, {}, TrainConfig())
         net.bump_version()
         with pytest.raises(StaleCacheError):
-            net.backward(cache, np.zeros(6))
+            net.backward(cache, np.zeros((1, 6)))
 
     def test_train_mode_mask_replay_deterministic(self):
         net = _mini()
-        x = _x32()
+        x = _x32()[None]
 
         def run():
-            scores, cache = net.forward(x, mode="train", rng=7)
-            _, dlogits = loss_and_grad(scores, 1)
+            scores, cache = net.forward(x, rng=[7])
+            _, dlogits = loss_and_grad(scores, [1])
             return net.backward(cache, dlogits)
 
         a, b = run(), run()
@@ -262,13 +275,13 @@ class TestBatch:
         net = _mini(seed=2, precision="high")
         x = np.random.default_rng(9).normal(size=(6, *MINI_SHAPE))
         labels = [0, 1, 2, 3, 4, 5]
-        scores, cache = net.forward(x, mode="train", rng=self._rngs(6))
+        scores, cache = net.forward(x, rng=self._rngs(6))
         loss, dlogits = loss_and_grad(scores, labels)
         batch = net.backward(cache, dlogits)
         singles, losses = [], []
         for row, label, rng in zip(x, labels, self._rngs(6)):
-            s, c = net.forward(row, mode="train", rng=rng)
-            one_loss, one_dlogits = loss_and_grad(s, label)
+            s, c = net.forward(row[None], rng=[rng])
+            one_loss, one_dlogits = loss_and_grad(s, [label])
             losses.append(one_loss)
             singles.append(net.backward(c, one_dlogits))
         assert loss == pytest.approx(np.mean(losses), rel=1e-12)
@@ -278,10 +291,10 @@ class TestBatch:
     def test_dropout_row_j_draws_the_per_sample_mask(self):
         net = _mini()
         x = np.stack([_x32(seed) for seed in range(3)])
-        _, cache = net.forward(x, mode="train", rng=self._rngs(3))
+        _, cache = net.forward(x, rng=self._rngs(3))
         masks = dict((layer.name, c) for layer, c in cache.entries)["drop1"]
         for j, rng in enumerate(self._rngs(3)):
-            _, one = net.forward(x[j], mode="train", rng=rng)
+            _, one = net.forward(x[j][None], rng=[rng])
             np.testing.assert_array_equal(masks[j], dict((layer.name, c) for layer, c in one.entries)["drop1"][0])
 
     def test_maxpool_routes_to_first_maximum_in_window_order(self):
@@ -304,7 +317,7 @@ class TestBatch:
     def test_single_sample_is_row_0_of_a_batch(self):
         net = _mini()
         x = _x32(6)
-        one, _ = net.forward(x)
+        _, one = predict(net, x)
         assert one.shape == (6,)
         np.testing.assert_array_equal(one, net.forward(x[None])[0][0])
         rows, _ = net.forward(np.stack([x, _x32(7), _x32(8)]))
@@ -316,27 +329,22 @@ class TestDropout:
     def test_eval_identity(self):
         d = Dropout("d", rate=0.5)
         x = np.random.default_rng(0).normal(size=(8, 8)).astype(np.float32)
-        y, _ = d.forward(x, train=False)
+        y, _ = d.forward(x)
         np.testing.assert_array_equal(y, x)
 
     def test_inverted_scaling_preserves_mean(self):
         # E[mask] = 1, Var[mask] = (1-p)/p per unit at p = 0.5
         d = Dropout("d", rate=0.5)
-        x = np.ones((40,), dtype=np.float64)
+        x = np.ones((1, 40), dtype=np.float64)
         rng = np.random.default_rng(11)
         total = np.zeros_like(x)
         n = 10_000
         for _ in range(n):
-            y, _ = d.forward(x, train=True, rng=rng)
+            y, _ = d.forward(x, rng=[rng])
             total += y
         mean = total / n
         se = np.sqrt((1 - 0.5) / 0.5 / n)
         assert np.all(np.abs(mean - 1.0) < 3 * se)
-
-    def test_train_needs_rng(self):
-        d = Dropout("d", rate=0.5)
-        with pytest.raises(ValueError):
-            d.forward(np.ones(4), train=True, rng=None)
 
 
 class TestSgdStep:
@@ -548,6 +556,30 @@ class TestWeightPersistence:
         with pytest.raises(WeightsFormatError):
             load_weights(_mini(), tmp_path / "w.rdw")
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "w.rdw"
+        save_weights(_mini(seed=7), path)
+        path.write_bytes(path.read_bytes() + b"\0" * 7)
+        with pytest.raises(WeightsFormatError, match="7 trailing bytes"):
+            read_weight_records(path)
+
+    def test_duplicate_record_rejected(self, tmp_path):
+        import struct as st
+
+        path = tmp_path / "w.rdw"
+        save_weights(_mini(seed=7), path)
+        blob = path.read_bytes()
+        (count,) = st.unpack("<I", blob[4:8])
+        name = b"conv1.b"      # a second record of a name the file already holds
+        again = st.pack("<I", len(name)) + name + st.pack("<II", 1, 16) + np.zeros(16, "<f4").tobytes()
+        path.write_bytes(blob[:4] + st.pack("<I", count + 1) + blob[8:] + again)
+        target = _mini(seed=8)
+        before = target.snapshot()
+        with pytest.raises(WeightsFormatError, match=r"duplicate record 'conv1\.b'"):
+            load_weights(target, path)
+        for name, arr in target.params().items():
+            np.testing.assert_array_equal(arr, before[name])
+
     def test_every_truncation_raises_typed_error(self, tmp_path):
         from radarnet.layers import Softmax
 
@@ -575,8 +607,8 @@ class TestTrainingSanity:
         def batch_loss_and_grads():
             total, grads_acc = 0.0, None
             for x, label in batch:
-                scores, cache = net.forward(x, mode="train", rng=0)
-                loss, dlogits = loss_and_grad(scores, label)
+                scores, cache = net.forward(x[None], rng=[0])
+                loss, dlogits = loss_and_grad(scores, [label])
                 total += loss / len(batch)
                 g = net.backward(cache, dlogits)
                 if grads_acc is None:

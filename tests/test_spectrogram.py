@@ -94,6 +94,17 @@ class TestFftModulus:
         with pytest.raises(ValueError):
             fft_modulus(np.zeros(513), 512)
 
+    def test_keeps_the_leading_shape(self):
+        x = np.random.default_rng(33).normal(size=(2, 512))
+        assert fft_modulus(x[0], 512).shape == (257,)
+        assert fft_modulus(x[:1], 512).shape == (1, 257)
+        both = fft_modulus(x, 512)
+        assert both.shape == (2, 257)
+        np.testing.assert_array_equal(both[1], fft_modulus(x[1], 512))
+        short = fft_modulus(np.ones((2, 3, 100)), 512)    # padded along the last axis only
+        assert short.shape == (2, 3, 257)
+        np.testing.assert_allclose(short[1, 2], naive_dft_modulus_onesided(np.ones(100), 512), atol=1e-9)
+
     def test_matches_naive_dft_on_random_windows(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
