@@ -23,7 +23,7 @@ from .config import (
     load_config,
 )
 from .radar import CLASS_ORDER, RadarParams
-from .spectrogram import export_pgm, mean_normalize, signal_to_tensor
+from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor
 
 
 def _parse_counts(text):
@@ -98,22 +98,26 @@ def _plot_channels(values_by_name, out_path, log_scale):
         print(f"wrote {target}")
 
 
+def _read_input(path, cfg: RunConfig, *, allow_crop: bool = False) -> RdTensor:
+    """The network input in an .rbs beat signal (labelled as its header says) or
+    an .rdt file (unlabelled)."""
+    path = Path(path)
+    if path.suffix == ".rbs":
+        sig = ds_mod.load_signal(path)
+        return signal_to_tensor(
+            sig, cfg.radar, cfg.target_width, allow_crop=allow_crop, freq_range=cfg.freq_range
+        )
+    return RdTensor(ds_mod.load_tensor(path))
+
+
 def cmd_plot(args) -> int:
     cfg = _load_run_config(args)
-    path = Path(args.input)
     wanted = [c.strip() for c in args.channels.split(",")]
     channel_index = {"up": 0, "down": 1, "avg": 2, "0": 0, "1": 1, "2": 2}
     for c in wanted:
         if c not in channel_index:
             raise ValueError(f"unknown channel {c!r}; pick from up, down, avg")
-    if path.suffix == ".rbs":
-        sig = ds_mod.load_signal(path)
-        tensor = signal_to_tensor(
-            sig, cfg.radar, cfg.target_width,
-            allow_crop=args.crop, freq_range=cfg.freq_range,
-        )
-    else:
-        tensor = ds_mod.load_tensor(path)
+    tensor = _read_input(args.input, cfg, allow_crop=args.crop)
     plots = {c: tensor.values[channel_index[c]] for c in wanted}
     _plot_channels(plots, args.output, args.log)
     return 0
@@ -189,7 +193,7 @@ def _load_model(weights_path, cfg: RunConfig):
         raise FileNotFoundError(f"model meta {metapath} not found beside the weights")
     meta = json.loads(metapath.read_text(encoding="utf-8"))
     mean = ds_mod.load_tensor(mpath)
-    net = network.build_network(meta["preset"], input_shape=mean.values.shape)
+    net = network.build_network(meta["preset"], input_shape=mean.shape)
     network.load_weights(net, wpath)
     cfg.radar = RadarParams.from_dict(meta["radar"])
     cfg.target_width = meta["target_width"]
@@ -253,13 +257,7 @@ def cmd_cv(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_run_config(args)
     net, mean = _load_model(args.weights, cfg)
-    path = Path(args.input)
-    if path.suffix == ".rbs":
-        sig = ds_mod.load_signal(path)
-        tensor = signal_to_tensor(sig, cfg.radar, cfg.target_width, freq_range=cfg.freq_range)
-    else:
-        tensor = ds_mod.load_tensor(path)
-    tensor = mean_normalize(tensor, mean)
+    tensor = mean_normalize(_read_input(args.input, cfg), mean)
     label, scores = network.predict(net, tensor)
     print(f"predicted class: {label.value}")
     for i, c in enumerate(CLASS_ORDER):

@@ -8,7 +8,7 @@ reproduces any run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .network import TrainConfig
@@ -43,49 +43,18 @@ class RunConfig:
     split_seed: int = 0
 
     def to_dict(self) -> dict:
-        profs = {
-            vc.value: {
-                "length_range": list(p.length_range),
-                "speed_range": list(p.speed_range),
-                "reflectivity_range": list(p.reflectivity_range),
-                "height_range": list(p.height_range),
-                "scatterer_spacing": p.scatterer_spacing,
-                "cluster_gap": p.cluster_gap,
-                "trailer_gain": p.trailer_gain,
-            }
-            for vc, p in self.profiles.profiles.items()
-        }
-        return {
-            "radar": asdict(self.radar),
-            "profiles": {
-                "classes": profs,
-                "entry_range": list(self.profiles.entry_range),
-                "footprint_length": self.profiles.footprint_length,
-                "v_min": self.profiles.v_min,
-                "v_max": self.profiles.v_max,
-                "snr_db": self.profiles.snr_db,
-            },
-            "counts_per_class": dict(self.counts_per_class),
-            "target_width": self.target_width,
-            "freq_range": list(self.freq_range) if self.freq_range else None,
-            "preset": self.preset,
-            "train": asdict(self.train),
-            "folds": self.folds,
-            "train_per_class": self.train_per_class,
-            "val_per_class": self.val_per_class,
-            "base_seed": self.base_seed,
-            "split_seed": self.split_seed,
-        }
+        d = asdict(self)
+        # the profile table is keyed by VehicleClass; JSON keys are the class letters
+        d["profiles"]["classes"] = {vc.value: p for vc, p in d["profiles"].pop("profiles").items()}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         cfg = cls()
-        known = {
-            "counts_per_class", "target_width", "freq_range", "preset", "folds",
-            "train_per_class", "val_per_class", "base_seed", "split_seed",
-        }
+        nested = {"radar", "profiles", "train"}
+        known = {f.name for f in fields(cls)} - nested
         for key in d:
-            if key not in known | {"radar", "profiles", "train"}:
+            if key not in known | nested:
                 raise ValueError(f"unknown config field {key!r}")
         if "radar" in d:
             cfg.radar = RadarParams.from_dict(d["radar"])
@@ -97,9 +66,9 @@ class RunConfig:
             classes = pd.pop("classes", None)
             profs = dict(cfg.profiles.profiles)
             if classes:
-                for label, fields in classes.items():
-                    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()}
-                    profs[VehicleClass.from_label(label)] = ClassProfile(**fields)
+                for label, values in classes.items():
+                    values = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+                    profs[VehicleClass.from_label(label)] = ClassProfile(**values)
             cfg.profiles = ProfileTable(profiles=profs, **pd)
         if "train" in d:
             cfg.train = TrainConfig(**d["train"])

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Mapping
 
 import numpy as np
@@ -65,14 +66,20 @@ class HeaderFieldError(TensorFormatError):
     """A header field outside its valid range."""
 
 
-def tensor_to_bytes(tensor: RdTensor) -> bytes:
-    c, h, w = tensor.values.shape
-    payload = np.ascontiguousarray(tensor.values, dtype="<f4").tobytes()
-    return TENSOR_MAGIC + struct.pack("<III", c, h, w) + payload
+class ManifestError(ValueError):
+    """A manifest.json that does not describe a dataset."""
 
 
-def save_tensor(tensor: RdTensor, path) -> None:
-    Path(path).write_bytes(tensor_to_bytes(tensor))
+def tensor_to_bytes(values: np.ndarray) -> bytes:
+    """A [3, H, W] array as an .rdt file."""
+    if values.ndim != 3 or values.shape[0] != 3:
+        raise ValueError(f"tensor must have shape [3, height, width], got {values.shape}")
+    payload = np.ascontiguousarray(values, dtype="<f4").tobytes()
+    return TENSOR_MAGIC + struct.pack("<III", *values.shape) + payload
+
+
+def save_tensor(values: np.ndarray, path) -> None:
+    Path(path).write_bytes(tensor_to_bytes(values))
 
 
 def _check_header(data: bytes, magic: bytes, header_size: int) -> None:
@@ -91,18 +98,20 @@ def _check_size(data: bytes, expected: int) -> None:
         raise TrailingBytesError(f"{len(data) - expected} trailing bytes")
 
 
-def tensor_from_bytes(data: bytes, label: VehicleClass | None = None) -> RdTensor:
+def tensor_from_bytes(data: bytes) -> np.ndarray:
+    """The float32 [3, H, W] array an .rdt file holds."""
     _check_header(data, TENSOR_MAGIC, 16)
     c, h, w = struct.unpack("<III", data[4:16])
     if min(c, h, w) == 0 or max(c, h, w) > MAX_DIM or c * h * w > MAX_ELEMENTS:
         raise DimensionOverflowError(f"unreasonable dimensions {(c, h, w)}")
+    if c != 3:
+        raise HeaderFieldError(f"{c} channels, expected 3 (up, down, average)")
     _check_size(data, 16 + c * h * w * 4)
-    values = np.frombuffer(data, dtype="<f4", count=c * h * w, offset=16)
-    return RdTensor(values=values.reshape(c, h, w).copy(), label=label)
+    return np.frombuffer(data, dtype="<f4", count=c * h * w, offset=16).reshape(c, h, w).copy()
 
 
-def load_tensor(path, label: VehicleClass | None = None) -> RdTensor:
-    return tensor_from_bytes(Path(path).read_bytes(), label=label)
+def load_tensor(path) -> np.ndarray:
+    return tensor_from_bytes(Path(path).read_bytes())
 
 
 def save_signal(sig: BeatSignal, path) -> None:
@@ -198,7 +207,7 @@ class Dataset:
         in record order, read from the .rdt files on first use."""
         out = np.empty((len(self.records), *self.tensor_shape), dtype=np.float32)
         for row, rec in enumerate(self.records):
-            values = load_tensor(self.root / rec.path).values
+            values = load_tensor(self.root / rec.path)
             if values.shape != self.tensor_shape:
                 raise TensorFormatError(
                     f"sample {rec.sample_id} has shape {values.shape}, "
@@ -237,33 +246,68 @@ def save_manifest(ds: Dataset) -> None:
     (ds.root / "manifest.json").write_text(text, encoding="utf-8")
 
 
-def load_dataset(root) -> Dataset:
-    root = Path(root)
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    records = [
-        SampleRecord(
-            sample_id=s["id"],
-            class_label=VehicleClass(s["class"]),
-            path=s["path"],
-            speed=s["speed"],
-            seed=s["seed"],
-        )
-        for s in manifest["samples"]
-    ]
-    return Dataset(
-        root=root,
-        records=records,
-        radar_hash=manifest["radar_params_hash"],
-        tensor_shape=tuple(manifest["tensor_shape"]),
-        format_version=manifest["format_version"],
+def _manifest_field(obj, key: str, kinds, where: str):
+    """obj[key], which must be one of the given JSON types (never a bool)."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ManifestError(f"{where}: field {key!r} is missing or of the wrong type")
+    return value
+
+
+def _manifest_record(s, where: str) -> SampleRecord:
+    label = _manifest_field(s, "class", str, where)
+    try:
+        vclass = VehicleClass(label)
+    except ValueError:
+        raise ManifestError(f"{where}: unknown class {label!r}") from None
+    path = _manifest_field(s, "path", str, where)
+    # lexical, so loading costs no filesystem call per sample
+    if PurePath(path).is_absolute() or ".." in PurePath(path).parts:
+        raise ManifestError(f"{where}: path {path!r} leaves the dataset root")
+    return SampleRecord(
+        sample_id=_manifest_field(s, "id", str, where),
+        class_label=vclass,
+        path=path,
+        speed=_manifest_field(s, "speed", (int, float), where),
+        seed=_manifest_field(s, "seed", int, where),
     )
+
+
+def load_dataset(root) -> Dataset:
+    """The dataset a manifest.json describes; ManifestError if it describes none."""
+    root = Path(root)
+    path = root / "manifest.json"
+    where = str(path)
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    version = _manifest_field(manifest, "format_version", int, where)
+    if version != 1:
+        raise ManifestError(f"{where}: format version {version}, expected 1")
+    shape = _manifest_field(manifest, "tensor_shape", list, where)
+    if (
+        len(shape) != 3
+        or shape[0] != 3
+        or not all(type(d) is int and d > 0 for d in shape)
+        or math.prod(shape) > MAX_ELEMENTS
+    ):
+        raise ManifestError(f"{where}: tensor shape {shape} is not a valid [3, height, width]")
+    samples = _manifest_field(manifest, "samples", list, where)
+    ds = Dataset(
+        root=root,
+        records=[_manifest_record(s, f"{where}, sample {i}") for i, s in enumerate(samples)],
+        radar_hash=_manifest_field(manifest, "radar_params_hash", str, where),
+        tensor_shape=tuple(shape),
+        format_version=version,
+    )
+    if len(ds._index) != len(ds):
+        raise ManifestError(f"{where}: sample ids repeat")
+    return ds
 
 
 def _make_sample(args):
     vclass, seed, profiles, radar, target_width, freq_range, keep_signal = args
     scenario = sample_vehicle_scenario(vclass, seed, profiles)
     sig = synthesize_beat_signal(scenario, radar)
-    tensor = signal_to_tensor(sig, radar, target_width, freq_range=freq_range)
+    tensor = signal_to_tensor(sig, radar, target_width, freq_range=freq_range).values
     return scenario, (sig if keep_signal else None), tensor
 
 
@@ -330,7 +374,7 @@ def generate_dataset(
                     seed=seed,
                 )
             )
-            tensor_shape = tensor.values.shape
+            tensor_shape = tensor.shape
 
     ds = Dataset(
         root=out_dir,

@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import Dataset, FoldSplit, balanced_batches, stratified_fold_split
 from .network import Network, TrainConfig, build_network, load_weights, loss_and_grad, predict, sgd_step
 from .radar import CLASS_ORDER, VehicleClass
-from .spectrogram import RdTensor, compute_mean_tensor
+from .spectrogram import compute_mean_tensor
 
 
 @dataclass
@@ -85,7 +85,7 @@ class EpochStats:
 @dataclass
 class FoldTraining:
     net: Network
-    mean_tensor: RdTensor
+    mean_tensor: np.ndarray     # float32 [3, H, W]
     history: list
     best_epoch: int     # 0 when no epoch ran
 
@@ -95,11 +95,11 @@ def evaluate(net: Network, tensors, labels) -> ConfusionMatrix:
     return confusion_matrix([predict(net, t)[0] for t in tensors], labels)
 
 
-def _normalized(ds: Dataset, ids, mean: RdTensor):
+def _normalized(ds: Dataset, ids, mean: np.ndarray):
     """The samples' tensors as one [N, C, H, W] copy with the mean subtracted, and their labels."""
     rows = ds.rows(ids)
     x = ds.tensors[rows]
-    x -= mean.values
+    x -= mean
     return x, [ds.records[r].class_label for r in rows]
 
 
@@ -123,11 +123,11 @@ def train_fold(
     """
     net_seed = cfg.seed if net_seed is None else net_seed
 
-    mean = compute_mean_tensor(ds.load(sid) for sid in fold.train_ids)
+    train_rows = ds.rows(fold.train_ids)
+    mean = compute_mean_tensor(ds.tensors, train_rows)
     val_tensors, val_labels = _normalized(ds, fold.val_ids, mean)
 
     # batches hold positions within the training split
-    train_rows = ds.rows(fold.train_ids)
     train_labels = [ds.records[r].class_label for r in train_rows]
     positions_by_class = {}
     for pos, label in enumerate(train_labels):
@@ -151,7 +151,7 @@ def train_fold(
         losses = []
         for b_i, batch in enumerate(batches):
             x = ds.tensors[train_rows[list(batch)]]
-            x -= mean.values
+            x -= mean
             # row j keeps the dropout stream it had as the batch's j-th sample
             seeds = [[cfg.seed, fold.fold_index, epoch, b_i, j] for j in range(len(batch))]
             scores, cache = net.forward(x, rng=seeds)

@@ -433,7 +433,11 @@ def read_weight_records(path) -> dict:
     records = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = str(take(name_len, "record name"), "utf-8")
+        raw_name = take(name_len, "record name")
+        try:
+            name = str(raw_name, "utf-8")
+        except UnicodeDecodeError:
+            raise WeightsFormatError(f"record name ending at byte {pos} is not UTF-8") from None
         if name in records:
             raise WeightsFormatError(f"duplicate record {name!r}")
         (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))

@@ -128,32 +128,6 @@ class RadarParams:
         return cls(**d)
 
 
-def tri(t):
-    """Unit triangular pulse: peaks at 1 for t=0, zero outside the open interval (-1, 1)."""
-    t = np.asarray(t, dtype=float)
-    rising = (t > -1.0) & (t <= 0.0)
-    falling = (t > 0.0) & (t < 1.0)
-    out = np.where(rising, 1.0 + t, np.where(falling, 1.0 - t, 0.0))
-    return out if out.ndim else float(out)
-
-
-def modulating_frequency(t, p: RadarParams):
-    """Instantaneous frequency deviation of the transmit sweep at time t.
-
-    Symmetric triangle wave with period 2*t_ramp: minimum -delta_f/2 at even
-    multiples of t_ramp, maximum +delta_f/2 at odd multiples, slope
-    +-delta_f/t_ramp in between.
-    """
-    tm = np.mod(t, 2.0 * p.t_ramp)
-    out = p.delta_f * (np.asarray(tri((tm - p.t_ramp) / p.t_ramp)) - 0.5)
-    return out if out.ndim else float(out)
-
-
-def instantaneous_tx_frequency(t, p: RadarParams):
-    """Transmit RF frequency f0 + m(t); reference only, RF is never sampled."""
-    return p.f0 + modulating_frequency(t, p)
-
-
 def beat_frequencies(target_range, v_radial, p: RadarParams):
     """Per-ramp beat frequencies (up, down) of a point target.
 

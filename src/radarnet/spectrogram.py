@@ -168,26 +168,23 @@ def signal_to_tensor(
     )
 
 
-def compute_mean_tensor(train_tensors) -> RdTensor:
-    """Elementwise mean of the training tensors (accumulated in float64)."""
-    tensors = list(train_tensors)
-    if not tensors:
-        raise ValueError("cannot average an empty tensor list")
-    shape = tensors[0].values.shape
-    for t in tensors[1:]:
-        if t.values.shape != shape:
-            raise ValueError(f"tensor shape {t.values.shape} != {shape}")
-    acc = np.zeros(shape, dtype=np.float64)
-    for t in tensors:
-        acc += t.values
-    return RdTensor(values=(acc / len(tensors)).astype(np.float32))
+def compute_mean_tensor(x, rows) -> np.ndarray:
+    """Elementwise mean of the given rows of an [N, 3, H, W] array as a float32
+    [3, H, W] array.  Rows are added one at a time, in the order given, into one
+    float64 accumulator, so the selected rows are never copied out together."""
+    if len(rows) == 0:
+        raise ValueError("cannot average an empty set of rows")
+    acc = np.zeros(x.shape[1:], dtype=np.float64)
+    for row in rows:
+        acc += x[row]
+    return (acc / len(rows)).astype(np.float32)
 
 
-def mean_normalize(t: RdTensor, mean: RdTensor) -> RdTensor:
-    """Subtract the train-set mean tensor; applied to train and test alike."""
-    if t.values.shape != mean.values.shape:
-        raise ValueError(f"tensor shape {t.values.shape} != mean shape {mean.values.shape}")
-    return RdTensor(values=t.values - mean.values, label=t.label)
+def mean_normalize(t: RdTensor, mean: np.ndarray) -> RdTensor:
+    """Subtract the train-set mean array; applied to train and test alike."""
+    if t.values.shape != mean.shape:
+        raise ValueError(f"tensor shape {t.values.shape} != mean shape {mean.shape}")
+    return RdTensor(values=t.values - mean, label=t.label)
 
 
 def export_pgm(matrix, log_scale: bool = False) -> bytes:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from radarnet.cli import main
-from radarnet.dataset import save_signal
+from radarnet.dataset import save_signal, save_tensor
 from radarnet.radar import (
     PointTarget,
     RadarParams,
@@ -80,10 +80,7 @@ class TestPlot:
         assert abs(int(np.argmax(row_energy)) - expected_bin) <= 1
 
     def test_zero_tensor_uniform_black(self, tmp_path):
-        from radarnet.dataset import save_tensor
-        from radarnet.spectrogram import RdTensor
-
-        save_tensor(RdTensor(np.zeros((3, 16, 8), dtype=np.float32)), tmp_path / "z.rdt")
+        save_tensor(np.zeros((3, 16, 8), dtype=np.float32), tmp_path / "z.rdt")
         assert main(["plot", str(tmp_path / "z.rdt"), "-o", str(tmp_path / "z.pgm")]) == 0
         data = (tmp_path / "z.pgm").read_bytes()
         pixels = data.split(b"\n255\n", 1)[1]
@@ -134,6 +131,13 @@ class TestTrainEvalPredict:
         assert math.isclose(sum(scores), 1.0, abs_tol=1e-6)
         assert len(scores) == 6
 
+    def test_predict_rejects_tensor_of_another_width(self, workspace, tmp_path, capsys):
+        # a (3, 257, 1) tensor would broadcast silently against the (3, 257, 32) mean
+        save_tensor(np.ones((3, 257, 1), dtype=np.float32), tmp_path / "narrow.rdt")
+        rc = main(["predict", "-w", str(workspace / "model.rdw"), str(tmp_path / "narrow.rdt")])
+        assert rc == 1
+        assert "shape" in capsys.readouterr().err
+
     def test_predict_missing_mean_exits_1(self, workspace, tmp_path, capsys):
         orphan = tmp_path / "orphan.rdw"
         orphan.write_bytes((workspace / "model.rdw").read_bytes())
@@ -174,6 +178,26 @@ class TestTrainEvalPredict:
         assert main([*args, "-o", str(tmp_path / "m1.rdw")]) == 0
         assert main([*args, "-o", str(tmp_path / "m2.rdw")]) == 0
         assert (tmp_path / "m1.rdw").read_bytes() == (tmp_path / "m2.rdw").read_bytes()
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("key, value", [
+        ("samples", 5),
+        ("tensor_shape", "x"),
+        ("format_version", "zz"),
+        ("path", "../../x"),
+    ])
+    def test_train_exits_1(self, workspace, tmp_path, capsys, key, value):
+        manifest = json.loads((workspace / "ds" / "manifest.json").read_text())
+        if key == "path":
+            manifest["samples"][0]["path"] = value
+        else:
+            manifest[key] = value
+        (tmp_path / "ds").mkdir()
+        (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["train", "-d", str(tmp_path / "ds"), "-o", str(tmp_path / "m.rdw"), *SPLIT_ARGS])
+        assert rc == 1
+        assert "manifest.json" in capsys.readouterr().err
 
 
 class TestCv:

@@ -1,5 +1,6 @@
 """Tensor/signal file formats, generation, fold splitting and batching."""
 
+import json
 import struct
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from radarnet.dataset import (
     Dataset,
     DimensionOverflowError,
     HeaderFieldError,
+    ManifestError,
     SampleRecord,
     TensorFormatError,
     TrailingBytesError,
@@ -32,14 +34,13 @@ from radarnet.radar import (
     RampPolarity,
     VehicleClass,
 )
-from radarnet.spectrogram import RdTensor
 
 P = RadarParams()
 
 
 def _random_tensor(seed=0, shape=(3, 7, 5)):
     rng = np.random.default_rng(seed)
-    return RdTensor(rng.normal(size=shape).astype(np.float32))
+    return rng.normal(size=shape).astype(np.float32)
 
 
 class TestTensorFormat:
@@ -48,12 +49,12 @@ class TestTensorFormat:
         path = tmp_path / "t.rdt"
         save_tensor(t, path)
         back = load_tensor(path)
-        np.testing.assert_array_equal(back.values, t.values)
+        np.testing.assert_array_equal(back, t)
         save_tensor(back, tmp_path / "t2.rdt")
         assert (tmp_path / "t.rdt").read_bytes() == (tmp_path / "t2.rdt").read_bytes()
 
     def test_layout_is_little_endian_f32(self):
-        t = RdTensor(np.arange(30, dtype=np.float32).reshape(3, 2, 5))
+        t = np.arange(30, dtype=np.float32).reshape(3, 2, 5)
         blob = tensor_to_bytes(t)
         assert blob[:4] == b"RDT1"
         assert struct.unpack("<III", blob[4:16]) == (3, 2, 5)
@@ -79,6 +80,14 @@ class TestTensorFormat:
         path.write_bytes(b"RDT1" + struct.pack("<III", 3, 1 << 24, 1 << 24))
         with pytest.raises(DimensionOverflowError):
             load_tensor(path)
+
+    def test_channel_count_other_than_three_rejected(self, tmp_path):
+        path = tmp_path / "two.rdt"
+        path.write_bytes(b"RDT1" + struct.pack("<III", 2, 7, 5) + bytes(2 * 7 * 5 * 4))
+        with pytest.raises(HeaderFieldError):
+            load_tensor(path)
+        with pytest.raises(ValueError):
+            tensor_to_bytes(np.zeros((2, 7, 5), dtype=np.float32))
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "extra.rdt"
@@ -228,7 +237,7 @@ class TestStackedTensors:
         ds = self._dataset(tmp_path, [(3, 7, 5)] * 3)
         assert ds.tensors.shape == (3, 3, 7, 5) and ds.tensors.dtype == np.float32
         for row, rec in enumerate(ds.records):
-            values = load_tensor(tmp_path / rec.path).values
+            values = load_tensor(tmp_path / rec.path)
             np.testing.assert_array_equal(ds.tensors[row], values)
             np.testing.assert_array_equal(ds.load(rec.sample_id).values, values)
 
@@ -242,6 +251,70 @@ class TestStackedTensors:
         ds = self._dataset(tmp_path, [(3, 7, 5)])
         with pytest.raises(ValueError):
             ds.load("A0000").values[0, 0, 0] = 1.0
+
+
+def _manifest(**fields):
+    sample = {"id": "A0000", "class": "A", "path": "tensors/A0000.rdt", "speed": 25.0, "seed": 1}
+    manifest = {
+        "format_version": 1,
+        "radar_params_hash": "x",
+        "tensor_shape": [3, 7, 5],
+        "class_counts": {"A": 1},
+        "samples": [sample],
+    }
+    for key, value in fields.items():
+        if key in sample:
+            sample[key] = value
+        else:
+            manifest[key] = value
+    return manifest
+
+
+class TestManifest:
+    @staticmethod
+    def _load(root, manifest):
+        (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        return load_dataset(root)
+
+    def test_valid_manifest_loads(self, tmp_path):
+        ds = self._load(tmp_path, _manifest())
+        assert ds.tensor_shape == (3, 7, 5)
+        assert ds.record("A0000").class_label is VehicleClass.CAR
+
+    @pytest.mark.parametrize("fields", [
+        {"samples": 5},
+        {"samples": [5]},
+        {"tensor_shape": "x"},
+        {"tensor_shape": [3, 7]},
+        {"tensor_shape": [2, 7, 5]},
+        {"tensor_shape": [3, 0, 5]},
+        {"tensor_shape": [3, 7.0, 5]},
+        {"tensor_shape": [3, 1 << 20, 1 << 20]},
+        {"format_version": "zz"},
+        {"format_version": 2},
+        {"radar_params_hash": None},
+        {"class": "Q"},
+        {"class": "AB"},
+        {"id": 7},
+        {"speed": "fast"},
+        {"seed": True},
+        {"path": "../../x"},
+        {"path": "tensors/../../x"},
+        {"path": "/etc/hostname"},
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, fields):
+        with pytest.raises(ManifestError):
+            self._load(tmp_path, _manifest(**fields))
+
+    def test_non_object_manifest_rejected(self, tmp_path):
+        with pytest.raises(ManifestError):
+            self._load(tmp_path, [])
+
+    def test_repeated_sample_id_rejected(self, tmp_path):
+        manifest = _manifest()
+        manifest["samples"].append(dict(manifest["samples"][0], path="tensors/other.rdt"))
+        with pytest.raises(ManifestError, match="repeat"):
+            self._load(tmp_path, manifest)
 
 
 def _fake_dataset(per_class):

@@ -5,7 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from radarnet.dataset import Dataset, SampleRecord, balanced_batches, save_tensor, stratified_fold_split
+from radarnet.dataset import (
+    Dataset,
+    SampleRecord,
+    balanced_batches,
+    load_tensor,
+    save_tensor,
+    stratified_fold_split,
+)
 from radarnet.evaluation import (
     confusion_matrix,
     cross_validate,
@@ -14,7 +21,6 @@ from radarnet.evaluation import (
 )
 from radarnet.network import Network, TrainConfig
 from radarnet.radar import CLASS_ORDER, VehicleClass
-from radarnet.spectrogram import RdTensor
 
 A, B, C = VehicleClass.CAR, VehicleClass.CAR_TRAILER, VehicleClass.TRUCK
 
@@ -64,7 +70,7 @@ def _marker_tensor(label, seed, shape=(3, 257, 32)):
     values = rng.normal(0.0, 0.05, shape).astype(np.float32)
     idx = label.index
     values[:, 40 * idx : 40 * idx + 30, :] += 8.0
-    return RdTensor(values=values, label=label)
+    return values
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +138,7 @@ class TestTrainFold:
         ids_by_class = {}
         for sid in fold.train_ids:
             ids_by_class.setdefault(marker_dataset.record(sid).class_label, []).append(sid)
-        mean = trained.mean_tensor.values
+        mean = trained.mean_tensor
         expected = [
             np.stack([marker_dataset.load(sid).values - mean for sid in batch])
             for epoch in range(1, cfg.epochs + 1)
@@ -158,12 +164,15 @@ class TestTrainFold:
         assert [h.val_accuracy for h in a.history] == [h.val_accuracy for h in b.history]
 
     def test_mean_from_train_only(self, marker_dataset):
-        from radarnet.spectrogram import compute_mean_tensor
-
         fold = stratified_fold_split(marker_dataset, 1, 4, 2, seed=0)[0]
         trained = train_fold(marker_dataset, fold, TrainConfig(epochs=1))
-        expected = compute_mean_tensor([marker_dataset.load(s) for s in fold.train_ids])
-        np.testing.assert_array_equal(trained.mean_tensor.values, expected.values)
+        # float64 sum of the training files, one at a time in fold order
+        acc = np.zeros(marker_dataset.tensor_shape, dtype=np.float64)
+        for sid in fold.train_ids:
+            acc += load_tensor(marker_dataset.root / marker_dataset.record(sid).path)
+        expected = (acc / len(fold.train_ids)).astype(np.float32)
+        assert trained.mean_tensor.dtype == np.float32
+        assert trained.mean_tensor.tobytes() == expected.tobytes()
 
     def test_batches_never_touch_val_or_test(self, marker_dataset):
         fold = stratified_fold_split(marker_dataset, 1, 4, 2, seed=0)[0]

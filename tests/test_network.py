@@ -580,6 +580,18 @@ class TestWeightPersistence:
         for name, arr in target.params().items():
             np.testing.assert_array_equal(arr, before[name])
 
+    def test_non_utf8_record_name_rejected(self, tmp_path):
+        import struct as st
+
+        path = tmp_path / "w.rdw"
+        save_weights(_mini(seed=7), path)
+        blob = bytearray(path.read_bytes())
+        (name_len,) = st.unpack("<I", blob[8:12])
+        blob[12 : 12 + name_len] = b"\xff" * name_len     # never valid UTF-8
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightsFormatError, match="UTF-8"):
+            read_weight_records(path)
+
     def test_every_truncation_raises_typed_error(self, tmp_path):
         from radarnet.layers import Softmax
 

@@ -14,13 +14,10 @@ from radarnet.radar import (
     Scenario,
     VehicleClass,
     beat_frequencies,
-    instantaneous_tx_frequency,
     invert_beat,
-    modulating_frequency,
     sample_vehicle_scenario,
     synthesize_beat_signal,
     synthesize_point_targets,
-    tri,
 )
 
 from _oracles import spectrogram_peak_frequencies
@@ -50,60 +47,6 @@ class TestRadarParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RadarParams(**kwargs)
-
-
-class TestTri:
-    def test_branch_values(self):
-        assert tri(0.0) == 1.0
-        assert tri(0.5) == 0.5
-        assert tri(-0.5) == 0.5
-        assert tri(-1.0) == 0.0
-        assert tri(2.0) == 0.0
-        assert tri(1.0) == 0.0
-
-    def test_vectorized(self):
-        t = np.array([-2.0, -1.0, -0.25, 0.0, 0.75, 1.0, 3.0])
-        np.testing.assert_allclose(tri(t), [0.0, 0.0, 0.75, 1.0, 0.25, 0.0, 0.0])
-
-
-class TestModulatingFrequency:
-    def test_trough_peak_midpoint(self):
-        assert modulating_frequency(0.0, P) == pytest.approx(-60e6)
-        assert modulating_frequency(P.t_ramp, P) == pytest.approx(60e6)
-        assert modulating_frequency(P.t_ramp / 2, P) == pytest.approx(0.0)
-        assert modulating_frequency(2 * P.t_ramp, P) == pytest.approx(-60e6)
-
-    def test_periodicity_many_points(self):
-        rng = np.random.default_rng(11)
-        t = rng.uniform(-10.0, 10.0, 10_000)
-        a = modulating_frequency(t, P)
-        b = modulating_frequency(t + 2 * P.t_ramp, P)
-        scale = P.delta_f / 2
-        assert np.max(np.abs(a - b)) / scale < 1e-9
-
-    def test_slope_on_open_ramps(self):
-        rng = np.random.default_rng(12)
-        # interior points of the up ramp, away from the corners
-        t = rng.uniform(0.001 * P.t_ramp, 0.999 * P.t_ramp, 2000)
-        dt = P.t_ramp * 1e-7
-        slope = (modulating_frequency(t + dt, P) - modulating_frequency(t - dt, P)) / (2 * dt)
-        np.testing.assert_allclose(slope, P.ramp_slope, rtol=1e-6)
-        t_down = t + P.t_ramp
-        slope_down = (
-            modulating_frequency(t_down + dt, P) - modulating_frequency(t_down - dt, P)
-        ) / (2 * dt)
-        np.testing.assert_allclose(slope_down, -P.ramp_slope, rtol=1e-6)
-
-
-class TestInstantaneousTxFrequency:
-    def test_endpoints(self):
-        assert instantaneous_tx_frequency(0.0, P) == pytest.approx(24e9 - 60e6)
-        assert instantaneous_tx_frequency(P.t_ramp, P) == pytest.approx(24e9 + 60e6)
-
-    def test_degenerate_sweep(self):
-        flat = RadarParams(delta_f=1e-9)  # effectively zero sweep
-        t = np.linspace(0, 1, 50)
-        np.testing.assert_allclose(instantaneous_tx_frequency(t, flat), flat.f0, rtol=1e-12)
 
 
 class TestBeatFrequencies:
