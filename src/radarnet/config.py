@@ -8,10 +8,10 @@ reproduces any run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .network import TrainConfig
+from .network import ConfigError, TrainConfig
 from .radar import ClassProfile, ProfileTable, RadarParams, VehicleClass
 
 DESK_COUNTS = {c: 100 for c in "ABCDEG"}
@@ -25,6 +25,32 @@ QUOTA_PRESETS = {
     "desk": {"train_per_class": 40, "val_per_class": 10},
     "full": {"train_per_class": 400, "val_per_class": 45},
 }
+
+
+# The JSON type of each top-level field.  The nested objects (radar, profiles,
+# train) check their own fields when they are built.
+JSON_TYPES = {
+    "radar": dict,
+    "profiles": dict,
+    "counts_per_class": dict,
+    "target_width": int,
+    "freq_range": (list, type(None)),
+    "preset": str,
+    "train": dict,
+    "folds": int,
+    "train_per_class": int,
+    "val_per_class": int,
+    "base_seed": int,
+    "split_seed": int,
+}
+NESTED = {"radar", "profiles", "train"}
+
+
+def _check_type(key, value, types):
+    """Reject a JSON value of the wrong type; a bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+        raise ConfigError(f"config field {key!r} must be {names}, got {value!r}")
 
 
 @dataclass
@@ -50,34 +76,42 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a run config is a JSON object, not {type(d).__name__}")
+        for key, value in d.items():
+            if key not in JSON_TYPES:
+                raise ConfigError(f"unknown config field {key!r}")
+            _check_type(key, value, JSON_TYPES[key])
+        for label, count in d.get("counts_per_class", {}).items():
+            _check_type(f"counts_per_class.{label}", count, int)
+        if d.get("freq_range") is not None:
+            if len(d["freq_range"]) != 2:
+                raise ConfigError(f"config field 'freq_range' must hold two bins, got {d['freq_range']!r}")
+            for bound in d["freq_range"]:
+                _check_type("freq_range", bound, int)
         cfg = cls()
-        nested = {"radar", "profiles", "train"}
-        known = {f.name for f in fields(cls)} - nested
-        for key in d:
-            if key not in known | nested:
-                raise ValueError(f"unknown config field {key!r}")
-        if "radar" in d:
-            cfg.radar = RadarParams.from_dict(d["radar"])
-        if "profiles" in d:
-            pd = {
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in d["profiles"].items()
-            }
-            classes = pd.pop("classes", None)
-            profs = dict(cfg.profiles.profiles)
-            if classes:
-                for label, values in classes.items():
-                    values = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
-                    profs[VehicleClass.from_label(label)] = ClassProfile(**values)
-            cfg.profiles = ProfileTable(profiles=profs, **pd)
-        if "train" in d:
-            cfg.train = TrainConfig(**d["train"])
-        for key in known:
-            if key in d:
-                value = d[key]
-                if key == "freq_range" and value is not None:
-                    value = tuple(value)
-                setattr(cfg, key, value)
+        try:
+            if "radar" in d:
+                cfg.radar = RadarParams.from_dict(d["radar"])
+            if "profiles" in d:
+                pd = {
+                    k: tuple(v) if isinstance(v, list) else v
+                    for k, v in d["profiles"].items()
+                }
+                classes = pd.pop("classes", None)
+                profs = dict(cfg.profiles.profiles)
+                if classes:
+                    for label, values in classes.items():
+                        values = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+                        profs[VehicleClass.from_label(label)] = ClassProfile(**values)
+                cfg.profiles = ProfileTable(profiles=profs, **pd)
+            if "train" in d:
+                cfg.train = TrainConfig(**d["train"])
+        except TypeError as exc:    # a nested field that is unknown or of the wrong type
+            raise ConfigError(f"bad config field: {exc}") from exc
+        for key, value in d.items():
+            if key not in NESTED:
+                setattr(cfg, key, tuple(value) if key == "freq_range" and value is not None else value)
         return cfg
 
     def to_json(self) -> str:

@@ -278,7 +278,10 @@ def load_dataset(root) -> Dataset:
     root = Path(root)
     path = root / "manifest.json"
     where = str(path)
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ManifestError(f"{where}: not a UTF-8 JSON document ({exc})") from exc
     version = _manifest_field(manifest, "format_version", int, where)
     if version != 1:
         raise ManifestError(f"{where}: format version {version}, expected 1")

@@ -13,7 +13,7 @@ row, and only Dropout reads it.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 # float64 values drawn per chunk of the He init (8 MB of scratch)
 INIT_CHUNK = 1 << 20
@@ -37,7 +37,11 @@ def normal_init(rng, std, shape, dtype):
 
 
 class Conv2d:
-    """2-D convolution (cross-correlation) via an im2col matrix product."""
+    """2-D convolution (cross-correlation) via an im2col matrix product.
+
+    With padding, forward copies the input once into a zeroed buffer in the
+    input's own memory order; the windows are then a read-only strided view of
+    that buffer (of the input itself without padding), gathered into the columns."""
 
     kind = "conv"
 
@@ -74,13 +78,19 @@ class Conv2d:
     def forward(self, x, rng=None):
         k, s, p = self.kernel, self.stride, self.padding
         if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]   # [N, C, OH, OW, k, k]
-        n, _, oh, ow = win.shape[:4]
+            xp = np.zeros_like(x, shape=x.shape[:2] + (x.shape[2] + 2 * p, x.shape[3] + 2 * p))
+            xp[:, :, p:-p, p:-p] = x
+            x = xp
+        n, c, h, w = x.shape
+        oh, ow = (h - k) // s + 1, (w - k) // s + 1
+        sn, sc, sh, sw = x.strides
+        win = as_strided(x, (n, c, oh, ow, k, k), (sn, sc, s * sh, s * sw, sh, sw),
+                         writeable=False)                                     # [N, C, OH, OW, k, k]
         # channel-major columns (c, kh, kw) x (n, ow, oh): the output keeps height fastest
         # in memory, so the ops downstream run along the long axis of these tall maps
         cols = win.transpose(1, 4, 5, 0, 3, 2).reshape(self.in_channels * k * k, n * ow * oh)
-        y = self.W.reshape(self.out_channels, -1) @ cols + self.b[:, None]
+        y = self.W.reshape(self.out_channels, -1) @ cols
+        y += self.b[:, None]
         return y.reshape(self.out_channels, n, ow, oh).transpose(1, 0, 3, 2), (cols, x.shape)
 
     def backward(self, dy, cache, input_grad=True):

@@ -51,6 +51,10 @@ class StaleCacheError(RuntimeError):
     """backward() called with a cache from before a parameter update."""
 
 
+class ConfigError(ValueError):
+    """A run-configuration field of the wrong type or out of range."""
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.0001
@@ -61,14 +65,19 @@ class TrainConfig:
     dropout_rate: float = 0.5
 
     def __post_init__(self):
+        for name in ("learning_rate", "momentum", "weight_decay", "epochs", "seed", "dropout_rate"):
+            value = getattr(self, name)
+            whole = name in ("epochs", "seed")
+            if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
+                raise ConfigError(f"{name} must be {'an integer' if whole else 'a number'}, got {value!r}")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
         if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
+            raise ConfigError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+            raise ConfigError("weight_decay must be >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must lie in [0, 1)")
+            raise ConfigError("dropout_rate must lie in [0, 1)")
 
 
 @dataclass

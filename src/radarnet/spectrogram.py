@@ -88,13 +88,15 @@ def build_spectrograms(sig: BeatSignal, p: RadarParams):
     modulus of the j-th window of that polarity."""
     up_windows, down_windows = segment_ramps(sig)
     bin_hz = sig.sample_rate / p.fft_size
+    # one transform over both polarities: each row is transformed on its own
+    moduli = fft_modulus(np.concatenate([up_windows, down_windows]), p.fft_size)
     up = Spectrogram(
-        values=fft_modulus(up_windows, p.fft_size).T.copy(),
+        values=moduli[: len(up_windows)].T.copy(),
         bin_hz=bin_hz,
         ramp_polarity=RampPolarity.UP,
     )
     down = Spectrogram(
-        values=fft_modulus(down_windows, p.fft_size).T.copy(),
+        values=moduli[len(up_windows) :].T.copy(),
         bin_hz=bin_hz,
         ramp_polarity=RampPolarity.DOWN,
     )

@@ -47,3 +47,31 @@ def spectrogram_peak_frequencies(sig, params):
     if sig.first_ramp is RampPolarity.UP:
         return freqs[0::2], freqs[1::2]
     return freqs[1::2], freqs[0::2]
+
+
+def naive_conv2d(x, w, b, stride, padding):
+    """Cross-correlation of an [N, C, H, W] batch with [F, C, k, k] kernels plus a
+    per-filter bias, by explicit loops in float64.  Positions outside the input
+    count as zero: they are skipped by their index, no padded copy is made."""
+    x, w, b = (np.asarray(a, dtype=np.float64) for a in (x, w, b))
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (wd + 2 * padding - k) // stride + 1
+    y = np.zeros((n, f, oh, ow))
+    for i in range(n):
+        for o in range(f):
+            for r in range(oh):
+                for q in range(ow):
+                    acc = b[o]
+                    for kh in range(k):
+                        row = r * stride + kh - padding
+                        if not 0 <= row < h:
+                            continue
+                        for kw in range(k):
+                            col = q * stride + kw - padding
+                            if 0 <= col < wd:
+                                for ch in range(c):
+                                    acc += x[i, ch, row, col] * w[o, ch, kh, kw]
+                    y[i, o, r, q] = acc
+    return y

@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes and artifact reproducibility."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from radarnet.cli import main
+from radarnet.config import JSON_TYPES, RunConfig
 from radarnet.dataset import save_signal, save_tensor
 from radarnet.radar import (
     PointTarget,
@@ -240,6 +242,24 @@ class TestConfig:
         bad.write_text('{"no_such_field": 1}')
         assert main(["config", "--config", str(bad), "--dump"]) == 1
         assert "no_such_field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"target_width": "x"}', "target_width"),
+        ('{"counts_per_class": 5}', "counts_per_class"),
+        ('{"train": {"epochs": "3"}}', "epochs"),
+        ('{"train": {"learning_rate": "x"}}', "learning_rate"),
+    ])
+    def test_mistyped_config_field_exits_1(self, tmp_path, capsys, text, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "ds"
+        assert main(["generate", "--config", str(bad), "-o", str(out), *GEN_ARGS]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    def test_config_types_cover_every_field(self):
+        assert set(JSON_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

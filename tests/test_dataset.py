@@ -75,6 +75,13 @@ class TestTensorFormat:
         with pytest.raises(TruncatedFileError):
             load_tensor(path)
 
+    def test_every_truncation_raises_typed_error(self, tmp_path):
+        blob = tensor_to_bytes(_random_tensor())
+        for n in range(len(blob)):
+            (tmp_path / "cut.rdt").write_bytes(blob[:n])
+            with pytest.raises(TruncatedFileError):
+                load_tensor(tmp_path / "cut.rdt")
+
     def test_dimension_overflow(self, tmp_path):
         path = tmp_path / "huge.rdt"
         path.write_bytes(b"RDT1" + struct.pack("<III", 3, 1 << 24, 1 << 24))
@@ -309,6 +316,21 @@ class TestManifest:
     def test_non_object_manifest_rejected(self, tmp_path):
         with pytest.raises(ManifestError):
             self._load(tmp_path, [])
+
+    def test_every_truncation_raises_manifest_error(self, tmp_path):
+        root = tmp_path / "ds"
+        generate_dataset({c: 1 for c in "ABCDEG"}, 1, ProfileTable(), P, root, target_width=32)
+        text = (root / "manifest.json").read_text(encoding="utf-8")
+        assert load_dataset(root).class_counts == {c: 1 for c in "ABCDEG"}
+        for n in range(len(text.rstrip())):   # every cut inside the JSON object
+            (root / "manifest.json").write_text(text[:n], encoding="utf-8")
+            with pytest.raises(ManifestError):
+                load_dataset(root)
+
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        (tmp_path / "manifest.json").write_bytes(json.dumps(_manifest()).encode() + b"\xff")
+        with pytest.raises(ManifestError):
+            load_dataset(tmp_path)
 
     def test_repeated_sample_id_rejected(self, tmp_path):
         manifest = _manifest()

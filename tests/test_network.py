@@ -6,6 +6,7 @@ import pytest
 from radarnet.layers import INIT_CHUNK, Conv2d, Dropout, Linear, MaxPool2d, normal_init
 from radarnet.network import (
     SGD_BLOCK,
+    ConfigError,
     Network,
     StaleCacheError,
     TrainConfig,
@@ -21,6 +22,8 @@ from radarnet.network import (
     sgd_step,
 )
 from radarnet.radar import VehicleClass
+
+from _oracles import naive_conv2d
 
 MINI_SHAPE = (3, 257, 32)
 
@@ -142,6 +145,28 @@ class TestForward:
         x = np.random.default_rng(1).normal(size=(1, 5, 7)).astype(np.float32)
         y, _ = conv.forward(x[None])
         np.testing.assert_allclose(y[0], x, rtol=1e-6)
+
+    @pytest.mark.parametrize("kernel, stride, padding, h, w", [
+        (5, 2, 2, 13, 10),      # conv1 of the mini preset
+        (3, 1, 1, 9, 7),        # conv2-5 of both presets
+        (11, 4, 0, 23, 19),     # conv1 of the full preset
+    ])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_conv_matches_naive_loops(self, kernel, stride, padding, h, w, n):
+        rng = np.random.default_rng(kernel + n)
+        conv = Conv2d("c", 3, 4, kernel, stride, padding, dtype=np.float64, rng=rng)
+        conv.b[...] = rng.normal(size=4)
+        x = rng.normal(size=(n, 3, h, w))
+        expected = naive_conv2d(x, conv.W, conv.b, stride, padding)
+        # (C, N, W, H) in memory, as pool and norm outputs are stored
+        swapped = np.ascontiguousarray(x.transpose(1, 0, 3, 2)).transpose(1, 0, 3, 2)
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        for fed in (x.copy(), swapped, frozen):
+            before = fed.copy()
+            y, _ = conv.forward(fed)
+            np.testing.assert_allclose(y, expected, rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(fed, before)
 
     def test_shape_mismatch_rejected(self):
         net = _mini()
@@ -424,6 +449,9 @@ class TestSgdStep:
             TrainConfig(momentum=1.0)
         with pytest.raises(ValueError):
             TrainConfig(weight_decay=-1.0)
+        for bad in ({"epochs": 3.0}, {"epochs": "3"}, {"seed": True}, {"momentum": "0.9"}):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad)
 
 
 class TestGradientCheck:
