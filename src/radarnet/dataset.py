@@ -333,19 +333,20 @@ def generate_dataset(
     worker count.
     """
     out_dir = Path(out_dir)
-    if not out_dir.parent.exists():
-        raise FileNotFoundError(f"parent directory {out_dir.parent} does not exist")
-    (out_dir / "tensors").mkdir(parents=True, exist_ok=True)
-    if keep_signals:
-        (out_dir / "signals").mkdir(parents=True, exist_ok=True)
-
     counts = {VehicleClass.from_label(k).value: int(v) for k, v in counts_per_class.items()}
+    if not counts:
+        raise ValueError("no class requested: the class-count table is empty")
     requested = []
     for label in CLASS_ORDER:
         if label in counts:
             if counts[label] < 1:
                 raise ValueError(f"class {label} requested with count {counts[label]}")
             requested.append((VehicleClass(label), counts[label]))
+    if not out_dir.parent.exists():
+        raise FileNotFoundError(f"parent directory {out_dir.parent} does not exist")
+    (out_dir / "tensors").mkdir(parents=True, exist_ok=True)
+    if keep_signals:
+        (out_dir / "signals").mkdir(parents=True, exist_ok=True)
 
     jobs = []
     i = 0

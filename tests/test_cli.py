@@ -258,6 +258,15 @@ class TestConfig:
         assert err.startswith("error: ") and field in err
         assert not out.exists()
 
+    def test_empty_class_counts_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.json"
+        cfg.write_text('{"counts_per_class": {}}')
+        out = tmp_path / "ds"
+        assert main(["generate", "--config", str(cfg), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "empty" in err
+        assert not out.exists()
+
     def test_config_types_cover_every_field(self):
         assert set(JSON_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}
 

@@ -219,6 +219,11 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             generate_dataset({"A": 0}, 0, ProfileTable(), P, tmp_path / "ds")
 
+    def test_empty_count_table_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="empty"):
+            generate_dataset({}, 0, ProfileTable(), P, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
     def test_unknown_class_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             generate_dataset({"Q": 3}, 0, ProfileTable(), P, tmp_path / "ds")
