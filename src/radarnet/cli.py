@@ -76,7 +76,6 @@ def cmd_generate(args) -> int:
         args.out_dir,
         target_width=cfg.target_width,
         freq_range=cfg.freq_range,
-        workers=args.workers,
         keep_signals=args.keep_signals,
     )
     print(f"wrote {len(ds)} samples to {args.out_dir}")
@@ -292,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-width", type=int, dest="target_width")
     p.add_argument("--freq-range", dest="freq_range",
                    help="crop frequency bins to LO:HI (e.g. 0:227 for square inputs)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="threads that simulate samples; the output is byte-identical for any count")
     p.add_argument("--keep-signals", action="store_true",
                    help="also write raw beat signals (.rbs)")
     p.set_defaults(func=cmd_generate)

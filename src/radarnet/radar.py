@@ -26,6 +26,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, fixed
 
 CLASS_ORDER = "ABCDEG"
 
+RAMP_BLOCK = 4  # ramps whose cosines synthesize_beat_signal holds at once
+
 
 class VehicleClass(enum.Enum):
     """Vehicle categories, keyed by their single-letter labels."""
@@ -298,9 +300,19 @@ def synthesize_beat_signal(
     weights = amps[None, :] * footprint_envelope(d, scenario.entry_distance, scenario.footprint_length)
     weights = np.where(np.abs(f_beat) < nyquist, weights, 0.0)
 
+    # Cosines are taken RAMP_BLOCK ramps at a time, in place: the whole
+    # [r, k, spr] array would be several MB per signal in flight.  Each output
+    # row depends on its own ramp only, so the values do not change.
     t_local = np.arange(spr) / fs
-    args = 2.0 * np.pi * f_beat[:, :, None] * t_local[None, None, :] + phases[None, :, None]
-    samples = np.einsum("rk,rks->rs", weights, np.cos(args)).reshape(-1)
+    omega = 2.0 * np.pi * f_beat                                       # [r, k]
+    samples = np.empty((n_ramps, spr))
+    for r0 in range(0, n_ramps, RAMP_BLOCK):
+        block = slice(r0, r0 + RAMP_BLOCK)
+        waves = omega[block, :, None] * t_local                        # [b, k, s]
+        waves += phases[:, None]
+        np.cos(waves, out=waves)
+        samples[block] = np.einsum("rk,rks->rs", weights[block], waves)
+    samples = samples.reshape(-1)
 
     if scenario.noise_sigma > 0:
         samples = samples + rng.normal(0.0, scenario.noise_sigma, samples.shape)

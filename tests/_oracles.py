@@ -49,6 +49,43 @@ def spectrogram_peak_frequencies(sig, params):
     return freqs[1::2], freqs[0::2]
 
 
+def naive_beat_signal(scenario, params, first_ramp_up=True):
+    """Samples of a vehicle pass from the one-shot formula: every ramp's
+    cosines at once in one [ramps, scatterers, samples] array, summed by one
+    einsum, with the same geometry arithmetic as radar.synthesize_beat_signal."""
+    fs = params.sample_rate
+    h = params.geometry.h
+    spr = params.samples_per_ramp
+    n_ramps = int(np.ceil(scenario.footprint_length / scenario.speed / params.t_ramp))
+    n_ramps = max(n_ramps + n_ramps % 2, 2)
+    offsets = np.array([s.along_track_offset for s in scenario.scatterers])
+    amps = np.array([s.amplitude for s in scenario.scatterers])
+    rng = np.random.default_rng(scenario.seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, offsets.size)
+
+    t_mid = (np.arange(n_ramps) + 0.5) * params.t_ramp
+    d = scenario.entry_distance + offsets[None, :] + scenario.speed * t_mid[:, None]
+    slant = np.hypot(h, d)
+    v_radial = scenario.speed * d / slant
+    f_range = params.ramp_slope * (2.0 * slant / params.c)
+    f_doppler = 2.0 * v_radial / params.wavelength
+    up = np.arange(n_ramps) % 2 == (0 if first_ramp_up else 1)
+    signs = np.where(up, 1.0, -1.0)
+    f_beat = f_range + signs[:, None] * f_doppler
+
+    u = (d - scenario.entry_distance) / scenario.footprint_length
+    envelope = np.where((u > 0.0) & (u < 1.0), 0.5 - 0.5 * np.cos(2.0 * np.pi * u), 0.0)
+    weights = amps[None, :] * envelope
+    weights = np.where(np.abs(f_beat) < fs / 2.0, weights, 0.0)
+
+    t_local = np.arange(spr) / fs
+    args = 2.0 * np.pi * f_beat[:, :, None] * t_local[None, None, :] + phases[None, :, None]
+    samples = np.einsum("rk,rks->rs", weights, np.cos(args)).reshape(-1)
+    if scenario.noise_sigma > 0:
+        samples = samples + rng.normal(0.0, scenario.noise_sigma, samples.shape)
+    return samples
+
+
 def naive_conv2d(x, w, b, stride, padding):
     """Cross-correlation of an [N, C, H, W] batch with [F, C, k, k] kernels plus a
     per-filter bias, by explicit loops in float64.  Positions outside the input

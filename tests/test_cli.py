@@ -271,9 +271,10 @@ class TestConfig:
         assert set(JSON_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", "--frobnicate"])
-        assert exc.value.code == 2
+        for flag in ["--frobnicate", "--workers"]:
+            with pytest.raises(SystemExit) as exc:
+                main(["generate", flag, "2"])
+            assert exc.value.code == 2
 
     def test_help_available_for_all_subcommands(self, capsys):
         for cmd in ["generate", "plot", "train", "eval", "cv", "predict", "config"]:

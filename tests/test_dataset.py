@@ -2,11 +2,13 @@
 
 import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radarnet.dataset as dataset_mod
 from radarnet.dataset import (
     BadMagicError,
     Dataset,
@@ -29,11 +31,15 @@ from radarnet.dataset import (
 )
 from radarnet.radar import (
     BeatSignal,
+    NyquistError,
     ProfileTable,
     RadarParams,
     RampPolarity,
     VehicleClass,
+    sample_vehicle_scenario,
+    synthesize_beat_signal,
 )
+from radarnet.spectrogram import signal_to_tensor
 
 P = RadarParams()
 
@@ -195,15 +201,53 @@ class TestGenerateDataset:
             tmp_path / "ds2" / "manifest.json"
         ).read_text()
 
-    def test_parallel_matches_serial(self, small_dataset, tmp_path):
-        par = generate_dataset(
-            {c: 10 for c in "ABCDEG"}, 1, ProfileTable(), P, tmp_path / "dsp",
-            target_width=32, workers=4,
-        )
-        for rec in small_dataset.records:
-            assert (small_dataset.root / rec.path).read_bytes() == (
-                tmp_path / "dsp" / rec.path
+    @pytest.mark.parametrize("cores", [1, 8])
+    def test_files_match_serial_reference(self, tmp_path, monkeypatch, cores):
+        # the thread count follows the affinity mask; 8 threads, switching
+        # every microsecond, is more than the cores of a usual test host
+        monkeypatch.setattr(dataset_mod.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        saved = []
+
+        def save_once(values, path):
+            saved.append(Path(path).name)
+            save_tensor(values, path)
+
+        monkeypatch.setattr(dataset_mod, "save_tensor", save_once)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ds = generate_dataset({c: 3 for c in "ABCDEG"}, 5, ProfileTable(), P, tmp_path / "ds",
+                                  target_width=32, keep_signals=True)
+        finally:
+            sys.setswitchinterval(interval)
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        ids = [s["id"] for s in manifest["samples"]]
+        assert ids == [f"{c}{k:04d}" for c in "ABCDEG" for k in range(3)]
+        for i, sample_id in enumerate(ids):
+            scenario = sample_vehicle_scenario(sample_id[0], 5 + i, ProfileTable())
+            sig = synthesize_beat_signal(scenario, P)
+            tensor = signal_to_tensor(sig, P, 32).values
+            assert (tmp_path / "ds" / f"tensors/{sample_id}.rdt").read_bytes() == tensor_to_bytes(tensor)
+            save_signal(sig, tmp_path / "ref.rbs")
+            assert (tmp_path / "ds" / f"signals/{sample_id}.rbs").read_bytes() == (
+                tmp_path / "ref.rbs"
             ).read_bytes()
+            assert manifest["samples"][i]["seed"] == 5 + i
+            assert manifest["samples"][i]["speed"] == scenario.speed
+        assert sorted(saved) == sorted(f"{sample_id}.rdt" for sample_id in ids)
+        assert len(ds) == 18
+
+    def test_failing_sample_stops_generation(self, tmp_path, monkeypatch):
+        def synthesize(scenario, radar):
+            if scenario.seed == 2:
+                raise NyquistError("sample 2 fails")
+            return synthesize_beat_signal(scenario, radar)
+
+        monkeypatch.setattr(dataset_mod, "synthesize_beat_signal", synthesize)
+        with pytest.raises(NyquistError, match="sample 2"):
+            generate_dataset({"A": 300}, 0, ProfileTable(), P, tmp_path / "ds")
+        assert len(list((tmp_path / "ds" / "tensors").iterdir())) < 30
+        assert not (tmp_path / "ds" / "manifest.json").exists()
 
     def test_every_id_loads_with_manifest_shape(self, small_dataset):
         for rec in small_dataset.records:

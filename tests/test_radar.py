@@ -10,6 +10,7 @@ from radarnet.radar import (
     PointTarget,
     ProfileTable,
     RadarParams,
+    RampPolarity,
     Scatterer,
     Scenario,
     VehicleClass,
@@ -20,7 +21,7 @@ from radarnet.radar import (
     synthesize_point_targets,
 )
 
-from _oracles import spectrogram_peak_frequencies
+from _oracles import naive_beat_signal, spectrogram_peak_frequencies
 
 P = RadarParams()
 
@@ -218,6 +219,33 @@ class TestSynthesizeBeatSignal:
         s = _single_scatterer_scenario(speed=37.0, footprint_length=120.0, entry_distance=40.0)
         with pytest.raises(NyquistError):
             synthesize_beat_signal(s, P)
+
+    # (scenario, first ramp): every class with its noise, a down-first pass,
+    # the 2-ramp minimum and ramp counts on both sides of a multiple of 4
+    ORACLE_CASES = [
+        *[(lambda c=c: sample_vehicle_scenario(c, 41, ProfileTable()), RampPolarity.UP)
+          for c in "ABCDEG"],
+        (lambda: sample_vehicle_scenario("B", 42, ProfileTable()), RampPolarity.DOWN),
+        (lambda: _single_scatterer_scenario(footprint_length=1.0), RampPolarity.UP),
+        (lambda: _single_scatterer_scenario(footprint_length=1.0), RampPolarity.DOWN),
+        (lambda: _single_scatterer_scenario(footprint_length=5.5, noise_sigma=0.1), RampPolarity.UP),
+        (lambda: _single_scatterer_scenario(footprint_length=8.0), RampPolarity.DOWN),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+    def test_matches_one_shot_oracle_bit_for_bit(self, case):
+        make, first = self.ORACLE_CASES[case]
+        scenario = make()
+        sig = synthesize_beat_signal(scenario, P, first_ramp=first)
+        expected = naive_beat_signal(scenario, P, first_ramp_up=first is RampPolarity.UP)
+        assert sig.samples.tobytes() == expected.tobytes()
+
+    def test_oracle_cases_cover_the_ramp_counts(self):
+        counts = {
+            synthesize_beat_signal(make(), P).num_full_ramps for make, _ in self.ORACLE_CASES
+        }
+        assert 2 in counts and 8 in counts
+        assert any(n % 4 == 2 and n > 2 for n in counts)
 
     def test_scenario_invariants(self):
         with pytest.raises(ValueError):
