@@ -142,13 +142,19 @@ def _save_model(weights_path, net, mean_tensor, cfg: RunConfig):
     metapath.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _split_fold(ds, cfg: RunConfig, index):
+    """Fold index of the run's stratified split; an index outside it is a ValueError."""
+    if not 0 <= index < cfg.folds:
+        raise ValueError(f"fold {index} does not exist: the split has {cfg.folds} folds, 0 to {cfg.folds - 1}")
+    return ds_mod.stratified_fold_split(
+        ds, cfg.folds, cfg.train_per_class, cfg.val_per_class, cfg.split_seed
+    )[index]
+
+
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     ds = ds_mod.load_dataset(args.data)
-    folds = ds_mod.stratified_fold_split(
-        ds, cfg.folds, cfg.train_per_class, cfg.val_per_class, cfg.split_seed
-    )
-    fold = folds[args.fold]
+    fold = _split_fold(ds, cfg, args.fold)
     init = None
     if args.init_weights:
         init = args.init_weights
@@ -196,8 +202,8 @@ def _load_model(weights_path, cfg: RunConfig):
     network.load_weights(net, wpath)
     cfg.radar = RadarParams.from_dict(meta["radar"])
     cfg.target_width = meta["target_width"]
-    if meta.get("freq_range"):
-        cfg.freq_range = tuple(meta["freq_range"])
+    # the model's crop, or its lack of one, wins over a --config value
+    cfg.freq_range = tuple(meta["freq_range"]) if meta["freq_range"] is not None else None
     return net, mean
 
 
@@ -213,10 +219,7 @@ def cmd_eval(args) -> int:
     if args.all:
         ids = [r.sample_id for r in ds.records]
     else:
-        folds = ds_mod.stratified_fold_split(
-            ds, cfg.folds, cfg.train_per_class, cfg.val_per_class, cfg.split_seed
-        )
-        ids = list(folds[args.fold].test_ids)
+        ids = list(_split_fold(ds, cfg, args.fold).test_ids)
     matrix = evaluation.evaluate(net, *evaluation._normalized(ds, ids, mean))
     print(f"samples: {matrix.total}  accuracy: {matrix.accuracy:.4f}")
     print("rows=true, cols=predicted, order " + " ".join(CLASS_ORDER))

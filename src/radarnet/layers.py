@@ -98,7 +98,9 @@ class Conv2d:
         k, s, p = self.kernel, self.stride, self.padding
         _, _, oh, ow = dy.shape
         dy_mat = dy.transpose(1, 0, 3, 2).reshape(self.out_channels, -1)
-        grads = {f"{self.name}.W": (dy_mat @ cols.T).reshape(self.W.shape),
+        # cols @ dy_mat.T walks both operands along their contiguous rows, the orientation
+        # BLAS runs fastest for this short-and-wide product; the values are the same
+        grads = {f"{self.name}.W": (cols @ dy_mat.T).T.reshape(self.W.shape),
                  f"{self.name}.b": dy_mat.sum(axis=1)}
         if not input_grad:
             return None, grads
@@ -112,7 +114,13 @@ class Conv2d:
 
 class MaxPool2d:
     """Overlapping max pooling; the backward pass routes each output gradient
-    to the single argmax input position (the first in window order on ties)."""
+    to the single argmax input position (the first in window order on ties).
+
+    Forward is a running maximum over the k*k strided slices.  Backward copies x
+    into its s*s stride-parity planes, flat [C, N, W, H] images padded to
+    (ow + r) x (oh + r), so each window is one contiguous flat shift of a plane
+    against y and dy padded alike.  Windows run in window order, so every input
+    cell sums its gradients in that order; the planes are interleaved into dx once."""
 
     kind = "maxpool"
 
@@ -149,24 +157,52 @@ class MaxPool2d:
 
     def backward(self, dy, cache):
         x, y = cache
-        dx = np.zeros_like(x, dtype=dy.dtype)
-        pending = np.ones_like(y, dtype=bool)    # windows whose first maximum is not yet seen
-        for win in self._windows(x.shape):
-            first = (x[win] == y) & pending
+        k, s = self.kernel, self.stride
+        n, c, oh, ow = y.shape
+        r = (k - 1) // s                      # the farthest plane shift of a window
+        shape = (c, n, ow + r, oh + r)        # a plane, or y and dy padded like one
+        length = c * n * (ow + r) * (oh + r) - r * (oh + r) - r
+
+        def flat(a, fill):                    # [N, C, H, W] into `shape`, height fastest
+            out = np.full(shape, fill, dtype=a.dtype)
+            out[:, :, : a.shape[3], : a.shape[2]] = a.transpose(1, 0, 3, 2)
+            return out.reshape(-1)
+
+        # the pad is NaN in y and 0 in dy, so it routes nothing
+        y_p, dy_p = flat(y, np.nan)[:length], flat(dy, 0)[:length]
+        planes, dplanes = {}, {}
+        for p, q in np.ndindex(min(k, s), min(k, s)):     # plane (p, q) holds x[..., p::s, q::s]
+            planes[p, q] = flat(x[:, :, p::s, q::s][:, :, : oh + r, : ow + r], 0)
+            dplanes[p, q] = np.zeros(planes[p, q].size, dtype=dy.dtype)
+        pending = np.ones(length, dtype=bool)     # windows whose first maximum is not yet seen
+        for kh, kw in np.ndindex(k, k):
+            (a, p), (b, q) = divmod(kh, s), divmod(kw, s)
+            win = slice(b * (oh + r) + a, b * (oh + r) + a + length)
+            first = (planes[p, q][win] == y_p) & pending
             pending ^= first
-            dx[win] += dy * first
+            dplanes[p, q][win] += dy_p * first
+        dx = np.zeros_like(x, dtype=dy.dtype)
+        for (p, q), d in dplanes.items():
+            part = dx[:, :, p::s, q::s][:, :, : oh + r, : ow + r]
+            part[...] = d.reshape(shape).transpose(1, 0, 3, 2)[:, :, : part.shape[2], : part.shape[3]]
         return dx, {}
 
 
 def _box_sum_channels(x, radius):
-    """Sum over a clamped window of +-radius positions along the channel axis."""
-    cs = np.cumsum(x, axis=1)
+    """Sum over a clamped window of +-radius positions along the channel axis.
+
+    The running sum is built one channel slab at a time, the same float sequence as
+    np.cumsum; each window is then the difference of two slices of it."""
     c = x.shape[1]
-    hi = np.minimum(np.arange(c) + radius, c - 1)
-    lo = np.arange(c) - radius - 1
-    out = cs[:, hi]
-    valid = lo >= 0
-    out[:, valid] -= cs[:, lo[valid]]
+    cs = np.empty_like(x)
+    cs[:, 0] = x[:, 0]
+    for i in range(1, c):
+        np.add(cs[:, i - 1], x[:, i], out=cs[:, i])
+    out = np.empty_like(cs)
+    out[:, : max(c - radius, 0)] = cs[:, radius:]
+    out[:, max(c - radius, 0) :] = cs[:, c - 1 :]
+    lo = max(c - radius - 1, 0)
+    out[:, c - lo :] -= cs[:, :lo]
     return out
 
 
@@ -193,12 +229,11 @@ class ChannelResponseNorm:
     def forward(self, x, rng=None):
         ssum = _box_sum_channels(x * x, self.n // 2)
         scale = (self.k + self.alpha * ssum).astype(x.dtype)
-        y = x * scale ** (-self.beta)
-        return y, (x, scale)
+        pow_term = scale ** (-self.beta)
+        return x * pow_term, (x, scale, pow_term)
 
     def backward(self, dy, cache):
-        x, scale = cache
-        pow_term = scale ** (-self.beta)
+        x, scale, pow_term = cache
         inner = _box_sum_channels(dy * x * scale ** (-self.beta - 1.0), self.n // 2)
         dx = dy * pow_term - 2.0 * self.alpha * self.beta * x * inner
         return dx.astype(dy.dtype), {}

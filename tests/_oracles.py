@@ -112,3 +112,89 @@ def naive_conv2d(x, w, b, stride, padding):
                                     acc += x[i, ch, row, col] * w[o, ch, kh, kw]
                     y[i, o, r, q] = acc
     return y
+
+
+def naive_conv2d_weight_grad(x, dy, kernel, stride, padding):
+    """Gradient of the summed conv output with respect to the [F, C, k, k] kernels,
+    given the [N, F, OH, OW] output gradient, by explicit loops in float64:
+    dW[f, c, kh, kw] = sum over n, r, q of dy[n, f, r, q] * x[n, c, r*s + kh - p, q*s + kw - p],
+    skipping positions outside the input."""
+    x, dy = (np.asarray(a, dtype=np.float64) for a in (x, dy))
+    _, c, h, wd = x.shape
+    _, f, oh, ow = dy.shape
+    dw = np.zeros((f, c, kernel, kernel))
+    for kh in range(kernel):
+        for kw in range(kernel):
+            for r in range(oh):
+                row = r * stride + kh - padding
+                if not 0 <= row < h:
+                    continue
+                for q in range(ow):
+                    col = q * stride + kw - padding
+                    if 0 <= col < wd:
+                        # one tap at one output position: the batch's outer products
+                        dw[:, :, kh, kw] += np.einsum("nf,nc->fc", dy[:, :, r, q], x[:, :, row, col])
+    return dw
+
+
+def naive_maxpool_backward(x, dy, kernel, stride):
+    """Input gradient of max pooling in float32, window by window in window order.
+
+    Each output cell's gradient belongs to the first maximum of its window, scanning
+    kh then kw.  The k*k window offsets are then visited in that order, and every
+    output cell whose maximum sits at the current offset adds its gradient into dx,
+    so an input cell that is the maximum of several windows sums their gradients in
+    window order."""
+    x = np.asarray(x)
+    dy = np.asarray(dy, dtype=np.float32)
+    k, s = kernel, stride
+    first = np.zeros(dy.shape, dtype=int)
+    for idx in np.ndindex(dy.shape):
+        n, c, i, j = idx
+        first[idx] = int(np.argmax(x[n, c, i * s : i * s + k, j * s : j * s + k]))
+    dx = np.zeros(x.shape, dtype=np.float32)
+    for offset in range(k * k):
+        kh, kw = divmod(offset, k)
+        for n, c, i, j in np.argwhere(first == offset):
+            dx[n, c, i * s + kh, j * s + kw] += dy[n, c, i, j]
+    return dx
+
+
+def naive_response_norm(x, dy, k, size, alpha, beta):
+    """Forward output and input gradient of across-channel response normalization
+    by explicit loops over channels and their clamped windows, in float64:
+    y_c = x_c * S_c^-beta with S_c = k + alpha * sum_{|j-c| <= size//2} x_j^2, and
+    dx_j = dy_j * S_j^-beta - 2 alpha beta x_j * sum_{|c-j| <= size//2} dy_c x_c S_c^(-beta-1)."""
+    x, dy = (np.asarray(a, dtype=np.float64) for a in (x, dy))
+    channels, radius = x.shape[1], size // 2
+
+    def window(c):
+        return range(max(c - radius, 0), min(c + radius, channels - 1) + 1)
+
+    scale = np.empty_like(x)
+    for c in range(channels):
+        acc = np.zeros_like(x[:, 0])
+        for j in window(c):
+            acc += x[:, j] ** 2
+        scale[:, c] = k + alpha * acc
+    y = x * scale ** -beta
+    dx = np.empty_like(x)
+    for j in range(channels):
+        acc = np.zeros_like(x[:, 0])
+        for c in window(j):
+            acc += dy[:, c] * x[:, c] * scale[:, c] ** (-beta - 1.0)
+        dx[:, j] = dy[:, j] * scale[:, j] ** -beta - 2.0 * alpha * beta * x[:, j] * acc
+    return y, dx
+
+
+def cumsum_box_sum_channels(x, radius):
+    """The clamped channel-window sum as differences of one np.cumsum, gathered
+    with fancy indices."""
+    cs = np.cumsum(x, axis=1)
+    c = x.shape[1]
+    hi = np.minimum(np.arange(c) + radius, c - 1)
+    lo = np.arange(c) - radius - 1
+    out = cs[:, hi]
+    valid = lo >= 0
+    out[:, valid] -= cs[:, lo[valid]]
+    return out

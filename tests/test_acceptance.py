@@ -157,6 +157,7 @@ def desk_dataset(tmp_path_factory):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_benchmark(desk_dataset):
     start = time.perf_counter()
     cfg = rn.TrainConfig()   # lr 0.0001, momentum 0.9, weight decay 0.0005, 15 epochs

@@ -133,6 +133,27 @@ class TestTrainEvalPredict:
         assert math.isclose(sum(scores), 1.0, abs_tol=1e-6)
         assert len(scores) == 6
 
+    def test_predict_keeps_the_models_null_crop(self, workspace, tmp_path, capsys):
+        # the model was trained on uncropped tensors, so a --config crop must not cut its input
+        config = tmp_path / "crop.json"
+        config.write_text(json.dumps({"freq_range": [0, 100]}))
+        signal = str(workspace / "ds" / "signals" / "C0003.rbs")
+        assert main(["predict", "-w", str(workspace / "model.rdw"), signal]) == 0
+        plain = capsys.readouterr().out
+        rc = main(["predict", "-w", str(workspace / "model.rdw"), "--config", str(config), signal])
+        assert rc == 0, capsys.readouterr().err
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("fold", [-1, 2])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_fold_out_of_range_exits_1(self, workspace, tmp_path, capsys, command, fold):
+        target = ["-o", str(tmp_path / "m.rdw")] if command == "train" else ["-w", str(workspace / "model.rdw")]
+        rc = main([command, "-d", str(workspace / "ds"), *target, "--fold", str(fold), *SPLIT_ARGS])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"fold {fold} " in err and "2 folds" in err
+        assert not (tmp_path / "m.rdw").exists()
+
     def test_predict_rejects_tensor_of_another_width(self, workspace, tmp_path, capsys):
         # a (3, 257, 1) tensor would broadcast silently against the (3, 257, 32) mean
         save_tensor(np.ones((3, 257, 1), dtype=np.float32), tmp_path / "narrow.rdt")

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from radarnet.layers import INIT_CHUNK, Conv2d, Dropout, Linear, MaxPool2d, normal_init
+from radarnet.layers import (
+    INIT_CHUNK,
+    ChannelResponseNorm,
+    Conv2d,
+    Dropout,
+    Linear,
+    MaxPool2d,
+    _box_sum_channels,
+    normal_init,
+)
 from radarnet.network import (
     SGD_BLOCK,
     ConfigError,
@@ -23,7 +32,13 @@ from radarnet.network import (
 )
 from radarnet.radar import VehicleClass
 
-from _oracles import naive_conv2d
+from _oracles import (
+    cumsum_box_sum_channels,
+    naive_conv2d,
+    naive_conv2d_weight_grad,
+    naive_maxpool_backward,
+    naive_response_norm,
+)
 
 MINI_SHAPE = (3, 257, 32)
 
@@ -287,6 +302,70 @@ class TestBackward:
         # every output gradient lands on exactly one input cell
         ones_dx, _ = pool.backward(np.ones_like(dy), cache)
         assert ones_dx.sum() == pytest.approx(y.size)
+
+    @pytest.mark.parametrize("h, w", [(11, 9), (10, 9), (129, 16), (64, 7), (31, 3)])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_maxpool_backward_bit_for_bit(self, h, w, n):
+        # non-integer gradients, so a cell that is the maximum of 3-4 windows shows the
+        # order its sum was taken in; ReLU-style inputs add ties on zero
+        pool = MaxPool2d("p", kernel=3, stride=2)
+        rng = np.random.default_rng(h * w + n)
+        for relu in (False, True):
+            x = rng.normal(size=(n, 3, h, w)).astype(np.float32)
+            if relu:
+                x = np.maximum(x, 0)
+            swapped = np.ascontiguousarray(x.transpose(1, 0, 3, 2)).transpose(1, 0, 3, 2)
+            frozen = x.copy()
+            frozen.flags.writeable = False
+            for fed in (x, swapped, frozen):
+                y, cache = pool.forward(fed)
+                dy = rng.normal(size=y.shape).astype(np.float32)
+                dx, _ = pool.backward(dy, cache)
+                want = naive_maxpool_backward(x, dy, 3, 2)
+                assert dx.dtype == np.float32 and dx.shape == x.shape
+                assert dx.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cin, cout, kernel, stride, padding, h, w", [
+        (3, 16, 5, 2, 2, 13, 10),     # conv1 of the mini preset
+        (16, 32, 3, 1, 1, 9, 7),      # conv2
+        (32, 32, 3, 1, 1, 5, 4),      # conv3
+    ])
+    def test_conv_weight_grad_matches_naive_loops(self, cin, cout, kernel, stride, padding, h, w):
+        rng = np.random.default_rng(cin + cout)
+        conv = Conv2d("c", cin, cout, kernel, stride, padding, dtype=np.float64, rng=rng)
+        x = rng.normal(size=(3, cin, h, w))
+        y, cache = conv.forward(x)
+        # (C, N, W, H) in memory, as the gradients of pool and norm outputs are stored
+        dy = np.ascontiguousarray(rng.normal(size=y.shape).transpose(1, 0, 3, 2)).transpose(1, 0, 3, 2)
+        _, grads = conv.backward(dy, cache)
+        expected = naive_conv2d_weight_grad(x, dy, kernel, stride, padding)
+        np.testing.assert_allclose(grads["c.W"], expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(grads["c.b"], dy.sum(axis=(0, 2, 3)), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("channels", [1, 3, 5, 16])
+    def test_response_norm_matches_naive_loops(self, channels):
+        norm = ChannelResponseNorm("n")
+        rng = np.random.default_rng(channels)
+        # a large spread of x makes the window sums, not k, dominate the scale
+        x = rng.normal(scale=30.0, size=(2, channels, 6, 5))
+        dy = rng.normal(size=x.shape)
+        y, cache = norm.forward(x)
+        dx, _ = norm.backward(dy, cache)
+        want_y, want_dx = naive_response_norm(x, dy, norm.k, norm.n, norm.alpha, norm.beta)
+        np.testing.assert_allclose(y, want_y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 5, 16])
+    def test_box_sum_channels_equals_the_cumsum_formula(self, dtype, channels):
+        x = np.random.default_rng(channels).random((3, channels, 9, 4)).astype(dtype)
+        swapped = np.ascontiguousarray(x.transpose(1, 0, 3, 2)).transpose(1, 0, 3, 2)
+        for radius in (0, 1, 2, 3):
+            want = cumsum_box_sum_channels(x, radius)
+            for fed in (x, swapped):
+                got = _box_sum_channels(fed, radius)
+                assert got.dtype == want.dtype
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 class TestBatch:
