@@ -30,7 +30,13 @@ def _parse_counts(text):
     counts = {}
     for part in text.split(","):
         label, _, num = part.partition("=")
-        counts[label.strip().upper()] = int(num)
+        label = label.strip().upper()
+        if label in counts:
+            raise ValueError(f"--counts: class {label} is given twice")
+        try:
+            counts[label] = int(num)
+        except ValueError:
+            raise ValueError(f"--counts: {part!r} is not CLASS=COUNT") from None
     return counts
 
 
@@ -67,7 +73,10 @@ def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
     if args.freq_range:
         lo, _, hi = args.freq_range.partition(":")
-        cfg.freq_range = (int(lo), int(hi))
+        try:
+            cfg.freq_range = (int(lo), int(hi))
+        except ValueError:
+            raise ValueError(f"--freq-range: {args.freq_range!r} is not LO:HI") from None
     ds = ds_mod.generate_dataset(
         cfg.counts_per_class,
         cfg.base_seed,

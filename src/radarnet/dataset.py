@@ -337,6 +337,11 @@ def generate_dataset(
             if counts[label] < 1:
                 raise ValueError(f"class {label} requested with count {counts[label]}")
             requested.append((VehicleClass(label), counts[label]))
+    if target_width < 1:
+        raise ValueError(f"target width must be at least 1, got {target_width}")
+    n_bins = radar.fft_size // 2 + 1
+    if freq_range is not None and not 0 <= freq_range[0] < freq_range[1] <= n_bins:
+        raise ValueError(f"frequency window {tuple(freq_range)} outside 0..{n_bins}")
     if not out_dir.parent.exists():
         raise FileNotFoundError(f"parent directory {out_dir.parent} does not exist")
     (out_dir / "tensors").mkdir(parents=True, exist_ok=True)

@@ -26,8 +26,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, fixed
 
 CLASS_ORDER = "ABCDEG"
 
-RAMP_BLOCK = 4  # ramps whose cosines synthesize_beat_signal holds at once
-
 
 class VehicleClass(enum.Enum):
     """Vehicle categories, keyed by their single-letter labels."""
@@ -244,6 +242,28 @@ def _ramp_polarity_signs(n_ramps: int, first_ramp: RampPolarity) -> np.ndarray:
     return signs
 
 
+def _tone_sum(f_beat, weights, phases, spr: int, fs: float) -> np.ndarray:
+    """Ramps of sum_k w[r, k] cos(2 pi f_beat[r, k] n / fs + phases[k]), n < spr,
+    end to end; the weights w are [r, k], or [k] for the same on every ramp.
+
+    n = a*B + b with B the least power of two >= sqrt(spr), so each ramp is one
+    product [w cos O | -w sin O] @ [cos I ; sin I] with O_a = omega aB/fs + phase
+    and I_b = omega b/fs: 2(A + B) cosines and sines per tone instead of spr,
+    and the samples past spr are dropped.  A sample moves from the direct sum
+    by a few ulps of its phase times sum_k |w|.
+    """
+    block = 1 << ((spr - 1).bit_length() + 1) // 2
+    n_outer = -(-spr // block)
+    omega = 2.0 * np.pi * f_beat[:, :, None]
+    outer = omega * (np.arange(n_outer) * block / fs) + phases[:, None]   # O [r, k, A]
+    inner = omega * (np.arange(block) / fs)                               # I [r, k, B]
+    w = weights[..., None]
+    lhs = np.concatenate((w * np.cos(outer), -w * np.sin(outer)), axis=1)
+    rhs = np.concatenate((np.cos(inner), np.sin(inner)), axis=1)
+    samples = np.matmul(lhs.transpose(0, 2, 1), rhs)                      # [r, A, B]
+    return samples.reshape(len(f_beat), -1)[:, :spr].reshape(-1)
+
+
 def synthesize_beat_signal(
     scenario: Scenario,
     p: RadarParams,
@@ -300,19 +320,7 @@ def synthesize_beat_signal(
     weights = amps[None, :] * footprint_envelope(d, scenario.entry_distance, scenario.footprint_length)
     weights = np.where(np.abs(f_beat) < nyquist, weights, 0.0)
 
-    # Cosines are taken RAMP_BLOCK ramps at a time, in place: the whole
-    # [r, k, spr] array would be several MB per signal in flight.  Each output
-    # row depends on its own ramp only, so the values do not change.
-    t_local = np.arange(spr) / fs
-    omega = 2.0 * np.pi * f_beat                                       # [r, k]
-    samples = np.empty((n_ramps, spr))
-    for r0 in range(0, n_ramps, RAMP_BLOCK):
-        block = slice(r0, r0 + RAMP_BLOCK)
-        waves = omega[block, :, None] * t_local                        # [b, k, s]
-        waves += phases[:, None]
-        np.cos(waves, out=waves)
-        samples[block] = np.einsum("rk,rks->rs", weights[block], waves)
-    samples = samples.reshape(-1)
+    samples = _tone_sum(f_beat, weights, phases, spr, fs)
 
     if scenario.noise_sigma > 0:
         samples = samples + rng.normal(0.0, scenario.noise_sigma, samples.shape)
@@ -369,9 +377,7 @@ def synthesize_point_targets(
 
     signs = _ramp_polarity_signs(n_ramps, first_ramp)
     f_beat = np.where(signs[:, None] > 0, up[None, :], down[None, :])    # [r, k]
-    t_local = np.arange(spr) / fs
-    args = 2.0 * np.pi * f_beat[:, :, None] * t_local[None, None, :] + phases[None, :, None]
-    samples = np.einsum("k,rks->rs", amps, np.cos(args)).reshape(-1)
+    samples = _tone_sum(f_beat, amps, phases, spr, fs)
     if noise_sigma > 0:
         samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
     return BeatSignal(samples=samples, sample_rate=fs, first_ramp=first_ramp, samples_per_ramp=spr)

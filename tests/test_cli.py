@@ -57,6 +57,24 @@ class TestGenerate:
         assert rc == 1
         assert str(tmp_path / "a" / "b") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, words", [
+        (["--target-width", "0"], ["target width", "0"]),
+        (["--freq-range", "10:5"], ["(10, 5)"]),
+        (["--freq-range", "0:258"], ["(0, 258)"]),
+        (["--freq-range", "5"], ["--freq-range", "'5'"]),
+        (["--freq-range", "a:9"], ["--freq-range", "'a:9'"]),
+        (["--counts", "A"], ["--counts", "'A'"]),
+        (["--counts", "A=1,B=x"], ["--counts", "'B=x'"]),
+        (["--counts", "A=1,a=2"], ["--counts", "class A", "twice"]),
+    ])
+    def test_bad_argument_exits_1_before_writing(self, tmp_path, capsys, args, words):
+        out = tmp_path / "ds"
+        assert main(["generate", "-o", str(out), *GEN_ARGS, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert all(w in err for w in words), err
+        assert not out.exists()
+
     def test_desk_preset_writes_600(self, tmp_path):
         rc = main(["generate", "-o", str(tmp_path / "desk"), "--preset", "desk", "--seed", "1"])
         assert rc == 0

@@ -268,6 +268,24 @@ class TestGenerateDataset:
             generate_dataset({}, 0, ProfileTable(), P, tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("kwargs", [
+        {"target_width": 0},
+        {"target_width": -3},
+        {"freq_range": (10, 5)},
+        {"freq_range": (4, 4)},
+        {"freq_range": (-1, 5)},
+        {"freq_range": (0, P.fft_size // 2 + 2)},
+    ])
+    def test_bad_tensor_shape_rejected_before_any_directory(self, tmp_path, kwargs):
+        with pytest.raises(ValueError):
+            generate_dataset({"A": 1}, 0, ProfileTable(), P, tmp_path / "ds", **kwargs)
+        assert not (tmp_path / "ds").exists()
+
+    def test_full_frequency_window_accepted(self, tmp_path):
+        ds = generate_dataset({"A": 1}, 0, ProfileTable(), P, tmp_path / "ds",
+                              freq_range=(0, P.fft_size // 2 + 1))
+        assert ds.tensor_shape == (3, P.fft_size // 2 + 1, 32)
+
     def test_unknown_class_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             generate_dataset({"Q": 3}, 0, ProfileTable(), P, tmp_path / "ds")
