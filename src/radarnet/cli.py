@@ -251,13 +251,13 @@ def cmd_cv(args) -> int:
         cfg=cfg.train,
         split_seed=cfg.split_seed,
         preset=cfg.preset,
-        report_path=args.output,
         progress=lambda i, acc: print(f"fold {i}: accuracy {acc:.4f}"),
     )
     print(f"mean accuracy over {cfg.folds} folds: {report.mean_accuracy:.4f}")
     for label, acc in report.per_class_accuracy.items():
         print(f"  class {label}: {acc:.4f}")
     if args.output:
+        Path(args.output).write_text(report.to_json(), encoding="utf-8")
         print(f"wrote {args.output}")
     if args.matrix_pgm:
         Path(args.matrix_pgm).write_bytes(export_pgm(report.mean_row_rates))

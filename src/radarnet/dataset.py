@@ -206,10 +206,15 @@ class Dataset:
     @cached_property
     def tensors(self) -> np.ndarray:
         """Every sample as one read-only float32 [N, *tensor_shape] array, rows
-        in record order, read from the .rdt files on first use."""
+        in record order, read from the .rdt files on first use; ManifestError if a
+        file resolves, through a symlink, to a place outside the root."""
         out = np.empty((len(self.records), *self.tensor_shape), dtype=np.float32)
+        root = self.root.resolve()
         for row, rec in enumerate(self.records):
-            values = load_tensor(self.root / rec.path)
+            path = (root / rec.path).resolve()
+            if not path.is_relative_to(root):
+                raise ManifestError(f"sample {rec.sample_id}: path {rec.path!r} leaves the dataset root")
+            values = load_tensor(path)
             if values.shape != self.tensor_shape:
                 raise TensorFormatError(
                     f"sample {rec.sample_id} has shape {values.shape}, "

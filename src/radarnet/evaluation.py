@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -235,7 +234,6 @@ def cross_validate(
     *,
     split_seed: int = 0,
     preset: str = "mini",
-    report_path=None,
     progress=None,
 ) -> CvReport:
     """Run the full k-fold protocol and aggregate confusion matrices.
@@ -265,6 +263,4 @@ def cross_validate(
         val_per_class=val_per_class,
         histories=histories,
     )
-    if report_path is not None:
-        Path(report_path).write_text(report.to_json(), encoding="utf-8")
     return report

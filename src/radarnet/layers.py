@@ -22,8 +22,7 @@ INIT_CHUNK = 1 << 20
 def normal_init(rng, std, shape, dtype):
     """rng.normal(0.0, std, shape).astype(dtype), drawn in float64 chunks straight into
     the result, so no full-size float64 temporary exists; the values and the generator's
-    state afterwards are identical.  rng None draws from a fresh generator."""
-    rng = rng if rng is not None else np.random.default_rng()
+    state afterwards are identical."""
     w = np.empty(shape, dtype=dtype)
     flat = w.reshape(-1)
     buf = np.empty(min(flat.size, INIT_CHUNK))
@@ -45,17 +44,15 @@ class Conv2d:
 
     kind = "conv"
 
-    def __init__(self, name, in_channels, out_channels, kernel, stride, padding,
-                 dtype=np.float32, rng=None, weight_std=None):
+    def __init__(self, name, in_channels, out_channels, kernel, stride, padding, *,
+                 rng, dtype=np.float32):
         self.name = name
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        fan_in = in_channels * kernel * kernel
-        if weight_std is None:
-            weight_std = np.sqrt(2.0 / fan_in)
+        weight_std = np.sqrt(2.0 / (in_channels * kernel * kernel))
         self.W = normal_init(rng, weight_std, (out_channels, in_channels, kernel, kernel), dtype)
         self.b = np.zeros(out_channels, dtype=dtype)
 
@@ -297,7 +294,7 @@ class Linear:
 
     kind = "fc"
 
-    def __init__(self, name, in_features, out_features, dtype=np.float32, rng=None, weight_std=None):
+    def __init__(self, name, in_features, out_features, *, rng, dtype=np.float32, weight_std=None):
         self.name = name
         self.in_features = in_features
         self.out_features = out_features

@@ -240,6 +240,18 @@ class TestMalformedManifest:
         assert rc == 1
         assert "manifest.json" in capsys.readouterr().err
 
+    def test_train_on_a_symlink_out_of_the_root_exits_1(self, workspace, tmp_path, capsys):
+        src = workspace / "ds"
+        (tmp_path / "ds" / "tensors").mkdir(parents=True)
+        (tmp_path / "ds" / "manifest.json").write_bytes((src / "manifest.json").read_bytes())
+        for f in (src / "tensors").glob("*.rdt"):
+            (tmp_path / "ds" / "tensors" / f.name).symlink_to(f)
+        rc = main(["train", "-d", str(tmp_path / "ds"), "-o", str(tmp_path / "m.rdw"), *SPLIT_ARGS])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "leaves the dataset root" in err
+        assert not (tmp_path / "m.rdw").exists()
+
 
 class TestCv:
     def test_cv_runs_and_reports(self, workspace, tmp_path, capsys):

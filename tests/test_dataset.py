@@ -405,6 +405,23 @@ class TestManifest:
         with pytest.raises(ManifestError, match="repeat"):
             self._load(tmp_path, manifest)
 
+    def test_symlink_out_of_the_root_rejected(self, tmp_path):
+        outside = tmp_path / "outside.rdt"
+        save_tensor(_random_tensor(0, (3, 7, 5)), outside)
+        root = tmp_path / "ds"
+        (root / "tensors").mkdir(parents=True)
+        (root / "tensors" / "A0000.rdt").symlink_to(outside)
+        ds = self._load(root, _manifest())
+        with pytest.raises(ManifestError, match="A0000.*leaves the dataset root"):
+            ds.tensors
+
+    def test_symlink_within_the_root_accepted(self, tmp_path):
+        (tmp_path / "tensors").mkdir()
+        values = _random_tensor(0, (3, 7, 5))
+        save_tensor(values, tmp_path / "real.rdt")
+        (tmp_path / "tensors" / "A0000.rdt").symlink_to(tmp_path / "real.rdt")
+        np.testing.assert_array_equal(self._load(tmp_path, _manifest()).tensors[0], values)
+
 
 def _fake_dataset(per_class):
     """In-memory dataset, no files: enough for split logic."""

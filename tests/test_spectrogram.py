@@ -1,5 +1,11 @@
 """Ramp segmentation, FFT modulus, tensor construction and PGM export."""
 
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,10 +133,63 @@ class TestFftModulus:
             fourier.fft(np.zeros(500))
 
     def test_fft_matches_naive_on_other_sizes(self):
+        # both split shapes: n1 = n2 (n an even power of two) and n2 = 2*n1
         rng = np.random.default_rng(33)
-        for n in (1, 2, 8, 64, 256, 1024):
+        for n in (1, 2, 4, 8, 32, 64, 256, 512, 1024, 2048):
             x = rng.normal(size=n) + 1j * rng.normal(size=n)
             np.testing.assert_allclose(fourier.fft(x), naive_dft(x), atol=1e-8 * max(n, 1))
+
+    def test_fft_of_a_stack_is_the_fft_of_each_row(self):
+        x = np.random.default_rng(34).normal(size=(2, 3, 64))
+        spectrum = fourier.fft(x)
+        assert spectrum.shape == x.shape
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(spectrum[i, j], naive_dft(x[i, j]), atol=1e-8 * 64)
+
+    def test_fft_plans_built_by_racing_threads(self, monkeypatch):
+        # 8 threads, switching every microsecond, all filling the same empty plan cache
+        sizes = (64, 128, 256, 512, 1024)
+        x = np.random.default_rng(36).normal(size=(4, 1024))
+        expected = [fourier.fft(x[:, :n]).tobytes() for n in sizes]
+        monkeypatch.setattr(fourier, "_PLANS", {})
+
+        def work(shift):
+            order = sizes[shift:] + sizes[:shift]
+            return [fourier.fft(x[:, :n]).tobytes() for n in order], order
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(work, i % len(sizes)) for i in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for spectra, order in results:
+            assert spectra == [expected[sizes.index(n)] for n in order]
+        assert sorted(fourier._PLANS) == list(sizes)
+
+    def test_fft_bytes_do_not_depend_on_blas_threads(self):
+        child = (
+            "import hashlib, numpy as np\n"
+            "from radarnet import fourier\n"
+            "x = np.random.default_rng(35).normal(size=(454, 512))\n"
+            "for rows in (1, 38, 454):\n"
+            "    print(hashlib.sha256(fourier.fft(x[:rows]).tobytes()).hexdigest())\n"
+        )
+        src = str(Path(fourier.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", child],
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout.split()
+            for threads in ("1", "2")
+        ]
+        assert len(digests[0]) == 3
+        assert digests[0] == digests[1]
 
 
 class TestBuildSpectrograms:
