@@ -22,7 +22,7 @@ from .config import (
     apply_quota_preset,
     load_config,
 )
-from .radar import CLASS_ORDER, RadarParams
+from .radar import CLASS_ORDER
 from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor
 
 
@@ -164,16 +164,8 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     ds = ds_mod.load_dataset(args.data)
     fold = _split_fold(ds, cfg, args.fold)
-    init = None
-    if args.init_weights:
-        init = args.init_weights
-
-    # same per-fold seeding as cross_validate, so a standalone fold-k train
-    # reproduces the cv fold-k model bit for bit
     trained = evaluation.train_fold(
-        ds, fold, cfg.train, preset=cfg.preset,
-        net_seed=cfg.train.seed + fold.fold_index,
-        init_weights=init, reinit_fc=args.reinit_fc,
+        ds, fold, cfg.train, preset=cfg.preset, init_weights=args.init_weights, reinit_fc=args.reinit_fc
     )
     _save_model(args.output, trained.net, trained.mean_tensor, cfg)
     history_path = Path(args.output).with_suffix(".history.json")
@@ -182,10 +174,7 @@ def cmd_train(args) -> int:
             {
                 "fold": fold.fold_index,
                 "best_epoch": trained.best_epoch,
-                "epochs": [
-                    {"epoch": h.epoch, "train_loss": h.train_loss, "val_accuracy": h.val_accuracy}
-                    for h in trained.history
-                ],
+                "epochs": evaluation.epoch_records(trained.history),
             },
             indent=2,
             sort_keys=True,
@@ -206,13 +195,18 @@ def _load_model(weights_path, cfg: RunConfig):
     if not metapath.exists():
         raise FileNotFoundError(f"model meta {metapath} not found beside the weights")
     meta = json.loads(metapath.read_text(encoding="utf-8"))
+    keys = ("preset", "radar", "target_width", "freq_range")
+    if not isinstance(meta, dict) or not all(key in meta for key in keys):
+        raise ValueError(f"model meta {metapath} is not a JSON object holding {', '.join(keys)}")
+    try:
+        model = RunConfig.from_dict({key: meta[key] for key in keys})
+    except network.ConfigError as exc:
+        raise network.ConfigError(f"model meta {metapath}: {exc}") from None
     mean = ds_mod.load_tensor(mpath)
-    net = network.build_network(meta["preset"], input_shape=mean.shape)
+    net = network.build_network(model.preset, input_shape=mean.shape)
     network.load_weights(net, wpath)
-    cfg.radar = RadarParams.from_dict(meta["radar"])
-    cfg.target_width = meta["target_width"]
     # the model's crop, or its lack of one, wins over a --config value
-    cfg.freq_range = tuple(meta["freq_range"]) if meta["freq_range"] is not None else None
+    cfg.radar, cfg.target_width, cfg.freq_range = model.radar, model.target_width, model.freq_range
     return net, mean
 
 

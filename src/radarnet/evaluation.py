@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,6 +81,11 @@ class EpochStats:
     val_accuracy: float
 
 
+def epoch_records(history) -> list:
+    """A fold's EpochStats as the JSON records of model.history.json and the cv report."""
+    return [asdict(h) for h in history]
+
+
 @dataclass
 class FoldTraining:
     net: Network
@@ -116,11 +121,12 @@ def train_fold(
 
     The mean tensor comes from this fold's training samples only and is
     applied to every split.  Batch order, dropout masks and initialization
-    all derive from (cfg.seed, fold index), so identical calls produce
+    all derive from (cfg.seed, fold index): fold f initializes from net seed
+    cfg.seed + f unless net_seed says otherwise, so identical calls produce
     bit-identical networks.  init_weights warm-starts from a saved .rdw
     (optionally keeping the fully connected layers at random init).
     """
-    net_seed = cfg.seed if net_seed is None else net_seed
+    net_seed = cfg.seed + fold.fold_index if net_seed is None else net_seed
 
     train_rows = ds.rows(fold.train_ids)
     mean = compute_mean_tensor(ds.tensors, train_rows)
@@ -185,7 +191,7 @@ class CvReport:
     split_seed: int
     train_per_class: int
     val_per_class: int
-    histories: list = field(default_factory=list)
+    histories: list
 
     @property
     def fold_accuracies(self) -> list:
@@ -213,7 +219,8 @@ class CvReport:
             "train_per_class": self.train_per_class,
             "val_per_class": self.val_per_class,
             "folds": [
-                {"fold_index": i, "best_epoch": self.fold_best_epochs[i], **m.to_dict()}
+                {"fold_index": i, "best_epoch": self.fold_best_epochs[i],
+                 "epochs": epoch_records(self.histories[i]), **m.to_dict()}
                 for i, m in enumerate(self.fold_matrices)
             ],
             "mean_accuracy": self.mean_accuracy,
@@ -238,14 +245,13 @@ def cross_validate(
 ) -> CvReport:
     """Run the full k-fold protocol and aggregate confusion matrices.
 
-    Fold f trains with net seed cfg.seed + f.  The emitted report is a
-    deterministic function of the dataset and the seeds.
+    The emitted report is a deterministic function of the dataset and the seeds.
     """
     cfg = cfg if cfg is not None else TrainConfig()
     folds = stratified_fold_split(ds, k, train_per_class, val_per_class, split_seed)
     matrices, best_epochs, histories = [], [], []
     for fold in folds:
-        trained = train_fold(ds, fold, cfg, preset=preset, net_seed=cfg.seed + fold.fold_index)
+        trained = train_fold(ds, fold, cfg, preset=preset)
         test_tensors, test_labels = _normalized(ds, fold.test_ids, trained.mean_tensor)
         matrix = evaluate(trained.net, test_tensors, test_labels)
         matrices.append(matrix)

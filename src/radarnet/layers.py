@@ -109,7 +109,22 @@ class Conv2d:
         return dx_pad[:, :, p : wp - p, p : hp - p].transpose(1, 0, 3, 2), grads
 
 
-class MaxPool2d:
+class ParamFree:
+    """A layer without parameters whose output, unless it says otherwise, has its
+    input's shape."""
+
+    def __init__(self, name):
+        self.name = name
+
+    @property
+    def params(self):
+        return {}
+
+    def output_shape(self, in_shape):
+        return in_shape
+
+
+class MaxPool2d(ParamFree):
     """Overlapping max pooling; the backward pass routes each output gradient
     to the single argmax input position (the first in window order on ties).
 
@@ -122,13 +137,9 @@ class MaxPool2d:
     kind = "maxpool"
 
     def __init__(self, name, kernel=3, stride=2):
-        self.name = name
+        super().__init__(name)
         self.kernel = kernel
         self.stride = stride
-
-    @property
-    def params(self):
-        return {}
 
     def output_shape(self, in_shape):
         c, h, w = in_shape
@@ -203,25 +214,18 @@ def _box_sum_channels(x, radius):
     return out
 
 
-class ChannelResponseNorm:
+class ChannelResponseNorm(ParamFree):
     """Across-channel response normalization:
     y_c = x_c / (k + alpha * sum_{|j-c| <= n/2} x_j^2)^beta."""
 
     kind = "response_norm"
 
     def __init__(self, name, k=2.0, n=5, alpha=1e-4, beta=0.75):
-        self.name = name
+        super().__init__(name)
         self.k = k
         self.n = n
         self.alpha = alpha
         self.beta = beta
-
-    @property
-    def params(self):
-        return {}
-
-    def output_shape(self, in_shape):
-        return in_shape
 
     def forward(self, x, rng=None):
         ssum = _box_sum_channels(x * x, self.n // 2)
@@ -236,18 +240,8 @@ class ChannelResponseNorm:
         return dx.astype(dy.dtype), {}
 
 
-class ReLU:
+class ReLU(ParamFree):
     kind = "relu"
-
-    def __init__(self, name):
-        self.name = name
-
-    @property
-    def params(self):
-        return {}
-
-    def output_shape(self, in_shape):
-        return in_shape
 
     def forward(self, x, rng=None):
         mask = x > 0
@@ -257,7 +251,7 @@ class ReLU:
         return dy * cache, {}
 
 
-class Dropout:
+class Dropout(ParamFree):
     """Inverted dropout: in training, row j keeps each unit with probability
     1-rate, drawn from generator rng[j], and scales it by 1/(1-rate); with
     rng None (evaluation) it is the identity."""
@@ -265,15 +259,8 @@ class Dropout:
     kind = "dropout"
 
     def __init__(self, name, rate=0.5):
-        self.name = name
+        super().__init__(name)
         self.rate = rate
-
-    @property
-    def params(self):
-        return {}
-
-    def output_shape(self, in_shape):
-        return in_shape
 
     def forward(self, x, rng=None):
         if rng is None or self.rate <= 0.0:
@@ -325,7 +312,7 @@ class Linear:
         return ((dy @ self.W).reshape(x_shape) if input_grad else None), grads
 
 
-class Softmax:
+class Softmax(ParamFree):
     """Shift-invariant softmax over the class scores.
 
     The backward pass expects the gradient already taken with respect to the
@@ -333,16 +320,6 @@ class Softmax:
     """
 
     kind = "softmax"
-
-    def __init__(self, name):
-        self.name = name
-
-    @property
-    def params(self):
-        return {}
-
-    def output_shape(self, in_shape):
-        return in_shape
 
     def forward(self, x, rng=None):
         e = np.exp(x - x.max(axis=-1, keepdims=True))

@@ -32,7 +32,53 @@ from .spectrogram import RdTensor
 
 WEIGHTS_MAGIC = b"RDW1"
 
-PRESETS = ("full", "mini")
+# One row per layer: its class, its name and what the shape chain cannot give, that is
+# a conv's out channels, kernel, stride and padding and a hidden fc's units.  The fc row
+# without units is the output layer, one unit per class.
+PRESETS = {
+    "full": (
+        (Conv2d, "conv1", 96, 11, 4, 0),
+        (ReLU, "relu1"),
+        (MaxPool2d, "pool1"),
+        (ChannelResponseNorm, "norm1"),
+        (Conv2d, "conv2", 256, 5, 1, 2),
+        (ReLU, "relu2"),
+        (MaxPool2d, "pool2"),
+        (ChannelResponseNorm, "norm2"),
+        (Conv2d, "conv3", 384, 3, 1, 1),
+        (ReLU, "relu3"),
+        (Conv2d, "conv4", 384, 3, 1, 1),
+        (ReLU, "relu4"),
+        (Conv2d, "conv5", 256, 3, 1, 1),
+        (ReLU, "relu5"),
+        (MaxPool2d, "pool5"),
+        (Linear, "fc6", 4096),
+        (ReLU, "relu6"),
+        (Dropout, "drop6"),
+        (Linear, "fc7", 4096),
+        (ReLU, "relu7"),
+        (Dropout, "drop7"),
+        (Linear, "fc8"),
+        (Softmax, "softmax"),
+    ),
+    "mini": (
+        (Conv2d, "conv1", 16, 5, 2, 2),
+        (ReLU, "relu1"),
+        (MaxPool2d, "pool1"),
+        (ChannelResponseNorm, "norm1"),
+        (Conv2d, "conv2", 32, 3, 1, 1),
+        (ReLU, "relu2"),
+        (MaxPool2d, "pool2"),
+        (Conv2d, "conv3", 32, 3, 1, 1),
+        (ReLU, "relu3"),
+        (MaxPool2d, "pool3"),
+        (Linear, "fc1", 128),
+        (ReLU, "relu4"),
+        (Dropout, "drop1"),
+        (Linear, "fc2"),
+        (Softmax, "softmax"),
+    ),
+}
 
 # values per sgd_step block: w, g, v and the temporary take 1 MB in float32 (cache-sized);
 # every mini-net tensor fits in one block
@@ -90,20 +136,15 @@ class Network:
     """Ordered layer stack with named parameters and a version counter that
     invalidates forward caches whenever parameters change."""
 
-    def __init__(self, layers, input_shape, num_classes, precision="standard"):
+    def __init__(self, layers, input_shape, precision="standard"):
         self.layers = layers
         self.input_shape = tuple(input_shape)
-        self.num_classes = num_classes
         self.precision = precision
         self._version = 0
 
     @property
     def dtype(self):
         return np.float64 if self.precision == "high" else np.float32
-
-    @property
-    def version(self) -> int:
-        return self._version
 
     def bump_version(self) -> None:
         self._version += 1
@@ -176,104 +217,24 @@ class Network:
         # deepcopy each layer with its parameters pre-mapped to their cast copies
         twins = [copy.deepcopy(layer, {id(a): a.astype(dtype) for a in layer.params.values()})
                  for layer in self.layers]
-        return Network(twins, self.input_shape, self.num_classes, precision=precision)
-
-
-def _instantiate_layer(kind, name, args, shape, dtype, rng):
-    if kind == "conv":
-        expect_in = args["in_channels"]
-        if shape[0] != expect_in:
-            raise ValueError(
-                f"layer {name}: receptive-field depth {expect_in} != chain channels {shape[0]}"
-            )
-        return Conv2d(
-            name, expect_in, args["out_channels"],
-            args["kernel"], args["stride"], args["padding"],
-            dtype=dtype, rng=rng,
-        )
-    if kind == "maxpool":
-        return MaxPool2d(name, kernel=3, stride=2)
-    if kind == "response_norm":
-        return ChannelResponseNorm(name)
-    if kind == "relu":
-        return ReLU(name)
-    if kind == "dropout":
-        return Dropout(name, rate=args["rate"])
-    if kind == "fc":
-        flat = int(np.prod(shape))
-        # the output layer feeds the softmax, not a rectifier
-        std = np.sqrt(1.0 / flat) if args.get("is_output") else np.sqrt(2.0 / flat)
-        return Linear(name, flat, args["units"], dtype=dtype, rng=rng, weight_std=std)
-    if kind == "softmax":
-        return Softmax(name)
-    raise ValueError(f"unknown layer kind {kind!r}")
-
-
-def _full_plan(num_classes, dropout_rate):
-    return [
-        ("conv", "conv1", {"in_channels": 3, "out_channels": 96, "kernel": 11, "stride": 4, "padding": 0}),
-        ("relu", "relu1", {}),
-        ("maxpool", "pool1", {}),
-        ("response_norm", "norm1", {}),
-        ("conv", "conv2", {"in_channels": 96, "out_channels": 256, "kernel": 5, "stride": 1, "padding": 2}),
-        ("relu", "relu2", {}),
-        ("maxpool", "pool2", {}),
-        ("response_norm", "norm2", {}),
-        ("conv", "conv3", {"in_channels": 256, "out_channels": 384, "kernel": 3, "stride": 1, "padding": 1}),
-        ("relu", "relu3", {}),
-        ("conv", "conv4", {"in_channels": 384, "out_channels": 384, "kernel": 3, "stride": 1, "padding": 1}),
-        ("relu", "relu4", {}),
-        ("conv", "conv5", {"in_channels": 384, "out_channels": 256, "kernel": 3, "stride": 1, "padding": 1}),
-        ("relu", "relu5", {}),
-        ("maxpool", "pool5", {}),
-        ("fc", "fc6", {"units": 4096}),
-        ("relu", "relu6", {}),
-        ("dropout", "drop6", {"rate": dropout_rate}),
-        ("fc", "fc7", {"units": 4096}),
-        ("relu", "relu7", {}),
-        ("dropout", "drop7", {"rate": dropout_rate}),
-        ("fc", "fc8", {"units": num_classes, "is_output": True}),
-        ("softmax", "softmax", {}),
-    ]
-
-
-def _mini_plan(num_classes, dropout_rate):
-    return [
-        ("conv", "conv1", {"in_channels": 3, "out_channels": 16, "kernel": 5, "stride": 2, "padding": 2}),
-        ("relu", "relu1", {}),
-        ("maxpool", "pool1", {}),
-        ("response_norm", "norm1", {}),
-        ("conv", "conv2", {"in_channels": 16, "out_channels": 32, "kernel": 3, "stride": 1, "padding": 1}),
-        ("relu", "relu2", {}),
-        ("maxpool", "pool2", {}),
-        ("conv", "conv3", {"in_channels": 32, "out_channels": 32, "kernel": 3, "stride": 1, "padding": 1}),
-        ("relu", "relu3", {}),
-        ("maxpool", "pool3", {}),
-        ("fc", "fc1", {"units": 128}),
-        ("relu", "relu4", {}),
-        ("dropout", "drop1", {"rate": dropout_rate}),
-        ("fc", "fc2", {"units": num_classes, "is_output": True}),
-        ("softmax", "softmax", {}),
-    ]
+        return Network(twins, self.input_shape, precision=precision)
 
 
 def build_network(
     preset: str,
     input_shape,
-    num_classes: int = 6,
     seed: int = 0,
     *,
     precision: str = "standard",
     dropout_rate: float = 0.5,
 ) -> Network:
     """Construct a preset network with seed-deterministic He initialization
-    (the output layer uses std sqrt(1/fan_in) since nothing rectifies it)."""
-    if preset == "full":
-        plan = _full_plan(num_classes, dropout_rate)
-    elif preset == "mini":
-        plan = _mini_plan(num_classes, dropout_rate)
-    else:
-        raise ValueError(f"unknown preset {preset!r}, expected one of {PRESETS}")
+    (the output layer uses std sqrt(1/fan_in) since nothing rectifies it).
+
+    Input channels and features come from the running shape; the output fc has
+    one unit per class of CLASS_ORDER and every dropout the given rate."""
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}, expected one of {sorted(PRESETS)}")
     if len(input_shape) != 3 or input_shape[0] != 3:
         raise ValueError(f"input shape must be (3, H, W), got {tuple(input_shape)}")
     if precision not in ("standard", "high"):
@@ -283,16 +244,21 @@ def build_network(
 
     layers = []
     shape = tuple(input_shape)
-    for kind, name, args in plan:
-        layer = _instantiate_layer(kind, name, args, shape, dtype, rng)
+    for cls, name, *args in PRESETS[preset]:
+        if cls is Conv2d:
+            layer = Conv2d(name, shape[0], *args, dtype=dtype, rng=rng)
+        elif cls is Linear:
+            fan_in = math.prod(shape)
+            # a row without units is the output layer: it feeds the softmax, not a rectifier
+            units, gain = (args[0], 2.0) if args else (len(CLASS_ORDER), 1.0)
+            layer = Linear(name, fan_in, units, dtype=dtype, rng=rng, weight_std=np.sqrt(gain / fan_in))
+        elif cls is Dropout:
+            layer = Dropout(name, rate=dropout_rate)
+        else:
+            layer = cls(name)
         shape = layer.output_shape(shape)
         layers.append(layer)
-
-    net = Network(layers, input_shape, num_classes, precision=precision)
-    final = net.shape_chain()[-1][1]
-    if final != (num_classes,):
-        raise ValueError(f"network emits {final}, expected ({num_classes},)")
-    return net
+    return Network(layers, input_shape, precision=precision)
 
 
 def loss_and_grad(scores, labels):
@@ -377,11 +343,12 @@ def gradient_check(
 
     probe = net if net.dtype == np.float64 else net.with_precision("high")
     params = probe.params()
-    universe = []
-    for name in sorted(params):
-        universe.extend((name, i) for i in range(params[name].size))
+    # draw j is value j - offsets[k] of parameter names[k], where offsets[k] <= j < offsets[k + 1]
+    names = sorted(params)
+    offsets = np.cumsum([0] + [params[name].size for name in names])
+    total = int(offsets[-1])
     rng = np.random.default_rng(seed)
-    chosen_idx = rng.choice(len(universe), size=min(num_params, len(universe)), replace=False)
+    chosen_idx = rng.choice(total, size=min(num_params, total), replace=False)
 
     x64 = x.astype(np.float64)
 
@@ -391,7 +358,8 @@ def gradient_check(
 
     worst = 0.0
     for j in chosen_idx:
-        name, flat_idx = universe[j]
+        k = int(np.searchsorted(offsets, j, side="right")) - 1
+        name, flat_idx = names[k], int(j - offsets[k])
         arr = params[name].reshape(-1)
         old = arr[flat_idx]
         arr[flat_idx] = old + epsilon

@@ -221,6 +221,31 @@ class TestTrainEvalPredict:
         assert (tmp_path / "m1.rdw").read_bytes() == (tmp_path / "m2.rdw").read_bytes()
 
 
+class TestMalformedModelMeta:
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("edit, words", [
+        (lambda m: {**m, "radar": {**m["radar"], "no_such_field": 1}}, ["no_such_field"]),
+        (lambda m: {**m, "radar": {**m["radar"], "samples_per_ramp": "512"}}, ["bad config field"]),
+        (lambda m: {**m, "freq_range": 5}, ["freq_range"]),
+        (lambda m: [m], ["JSON object"]),
+        (lambda m: {k: v for k, v in m.items() if k != "preset"}, ["preset"]),
+    ], ids=["unknown-radar-field", "string-samples-per-ramp", "scalar-freq-range", "list", "no-preset"])
+    def test_exits_1(self, workspace, tmp_path, capsys, command, edit, words):
+        for suffix in (".rdw", ".mean.rdt"):
+            (tmp_path / f"model{suffix}").write_bytes((workspace / f"model{suffix}").read_bytes())
+        meta = json.loads((workspace / "model.meta.json").read_text())
+        (tmp_path / "model.meta.json").write_text(json.dumps(edit(meta)))
+        weights = ["-w", str(tmp_path / "model.rdw")]
+        if command == "predict":
+            rc = main(["predict", *weights, str(workspace / "ds" / "tensors" / "A0000.rdt")])
+        else:
+            rc = main(["eval", "-d", str(workspace / "ds"), *weights, "--fold", "0", *SPLIT_ARGS])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model.meta.json" in err
+        assert all(w in err for w in words), err
+
+
 class TestMalformedManifest:
     @pytest.mark.parametrize("key, value", [
         ("samples", 5),
@@ -265,6 +290,12 @@ class TestCv:
         report = json.loads((tmp_path / "cv.json").read_text())
         assert len(report["folds"]) == 2
         assert (tmp_path / "cv.pgm").read_bytes().startswith(b"P5\n6 6\n255\n")
+        # a standalone train of fold 1 repeats the cv fold's epochs
+        assert main(["train", "-d", str(workspace / "ds"), "-o", str(tmp_path / "m.rdw"),
+                     "--fold", "1", *SPLIT_ARGS, "--epochs", "1"]) == 0
+        history = json.loads((tmp_path / "m.history.json").read_text())
+        assert len(history["epochs"]) == 1
+        assert report["folds"][1]["epochs"] == history["epochs"]
 
 
 class TestConfig:

@@ -205,6 +205,12 @@ class TestCrossValidate:
         b = cross_validate(marker_dataset, k=2, train_per_class=4, val_per_class=2, cfg=cfg, split_seed=5)
         assert a.to_json() == b.to_json()
 
+    def test_fold_f_is_train_fold_with_its_default_seed(self, marker_dataset):
+        cfg = TrainConfig(learning_rate=0.01, epochs=2, seed=3)
+        report = cross_validate(marker_dataset, k=2, train_per_class=4, val_per_class=2, cfg=cfg, split_seed=5)
+        fold = stratified_fold_split(marker_dataset, 2, 4, 2, seed=5)[1]
+        assert train_fold(marker_dataset, fold, cfg).history == report.histories[1]
+
     def test_report_carries_per_class_rows(self, marker_dataset):
         cfg = TrainConfig(learning_rate=0.01, epochs=2, seed=0)
         report = cross_validate(marker_dataset, k=1, train_per_class=4, val_per_class=2, cfg=cfg)

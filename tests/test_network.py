@@ -127,7 +127,7 @@ class TestWithPrecision:
     def test_structure_and_hyperparameters_kept(self):
         net = _mini(seed=2, precision="high")
         twin = net.with_precision("standard")
-        assert twin.input_shape == net.input_shape and twin.num_classes == net.num_classes
+        assert twin.input_shape == net.input_shape
         assert twin.shape_chain() == net.shape_chain()
         for layer, cast in zip(net.layers, twin.layers, strict=True):
             assert type(cast) is type(layer) and cast is not layer
@@ -557,10 +557,31 @@ class TestGradientCheck:
             Linear("fc2", 16, 6, dtype=np.float64, rng=rng),
             Softmax("softmax"),
         ]
-        net = Network(layers, (3, 9, 7), 6, precision="high")
+        net = Network(layers, (3, 9, 7), precision="high")
         x = np.random.default_rng(6).normal(size=(3, 9, 7))
         err = gradient_check(net, x, 4, epsilon=1e-5, num_params=200, seed=9)
         assert err < 1e-7
+
+    def test_memory_stays_near_one_gradient_copy(self):
+        # 3.6 M parameters: a list of every (name, index) pair would hold about 360 MB
+        import tracemalloc
+
+        from radarnet.layers import Softmax
+
+        rng = np.random.default_rng(0)
+        layers = [Linear("fc1", 48, 1 << 16, dtype=np.float64, rng=rng),
+                  Linear("fc2", 1 << 16, 6, dtype=np.float64, rng=rng), Softmax("softmax")]
+        net = Network(layers, (3, 4, 4), precision="high")
+        param_bytes = sum(a.nbytes for a in net.params().values())
+        x = np.random.default_rng(1).normal(size=(3, 4, 4))
+        tracemalloc.start()
+        try:
+            err = gradient_check(net, x, 2, num_params=20, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err < 1e-5
+        assert peak < 2 * param_bytes, f"peak {peak / 2**20:.0f} MB"
 
 
 class TestPredict:
@@ -646,7 +667,7 @@ class TestWeightPersistence:
         net = _mini(seed=7)
         save_weights(net, tmp_path / "w.rdw")
         extra = Linear("fc9", 2, 3, rng=np.random.default_rng(0))
-        save_weights(Network([*net.layers, extra], MINI_SHAPE, 6), tmp_path / "extra.rdw")
+        save_weights(Network([*net.layers, extra], MINI_SHAPE), tmp_path / "extra.rdw")
         target = _mini(seed=8)
         before = target.snapshot()
         for reinit_fc in (False, True):
@@ -704,7 +725,7 @@ class TestWeightPersistence:
 
         rng = np.random.default_rng(0)
         layers = [Conv2d("c", 1, 2, 1, 1, 0, rng=rng), Linear("f", 8, 3, rng=rng), Softmax("s")]
-        save_weights(Network(layers, (1, 2, 2), 3), tmp_path / "w.rdw")
+        save_weights(Network(layers, (1, 2, 2)), tmp_path / "w.rdw")
         blob = (tmp_path / "w.rdw").read_bytes()
         assert len(read_weight_records(tmp_path / "w.rdw")) == 4
         cut = tmp_path / "cut.rdw"
