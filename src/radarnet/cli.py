@@ -153,11 +153,10 @@ def _save_model(weights_path, net, mean_tensor, cfg: RunConfig):
 
 def _split_fold(ds, cfg: RunConfig, index):
     """Fold index of the run's stratified split; an index outside it is a ValueError."""
+    folds = ds_mod.stratified_fold_split(ds, cfg.folds, cfg.train_per_class, cfg.val_per_class, cfg.split_seed)
     if not 0 <= index < cfg.folds:
         raise ValueError(f"fold {index} does not exist: the split has {cfg.folds} folds, 0 to {cfg.folds - 1}")
-    return ds_mod.stratified_fold_split(
-        ds, cfg.folds, cfg.train_per_class, cfg.val_per_class, cfg.split_seed
-    )[index]
+    return folds[index]
 
 
 def cmd_train(args) -> int:

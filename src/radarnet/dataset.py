@@ -14,10 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path, PurePath
@@ -25,6 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .cores import run_on_cores
 from .radar import (
     CLASS_ORDER,
     BeatSignal,
@@ -328,9 +326,8 @@ def generate_dataset(
 
     Sample i (class-major, classes in A..G order) uses seed base_seed + i, so
     regeneration under the same seed is byte-identical on any number of
-    cores.  One thread per usable core, the caller's among them, takes the
-    next sample and simulates, tensorizes and writes it.  When a sample
-    fails, no thread starts another one and its error is raised.
+    cores.  Each sample is simulated, tensorized and written as one job of
+    run_on_cores, so the first failure stops the rest and is raised.
     """
     out_dir = Path(out_dir)
     counts = {VehicleClass.from_label(k).value: int(v) for k, v in counts_per_class.items()}
@@ -368,33 +365,7 @@ def generate_dataset(
             save_signal(sig, out_dir / f"signals/{sample_id}.rbs")
         return SampleRecord(sample_id, vclass, rel, scenario.speed, seed), tensor.shape
 
-    written = [None] * len(jobs)
-    pending = iter(range(len(jobs)))
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                written[i] = write_sample(i)
-            except BaseException:
-                with lock:
-                    for _ in pending:   # no thread starts another sample
-                        pass
-                raise
-
-    # One thread per core this process may run on (its affinity mask where the
-    # platform has one), the calling thread among them: on glibc every other
-    # thread keeps a malloc arena of about 1.5 MB for the life of the process.
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=max(cores - 1, 1)) as pool:
-        helpers = [pool.submit(work) for _ in range(cores - 1)]
-        work()
-        for helper in helpers:
-            helper.result()
+    written = run_on_cores(len(jobs), write_sample)
 
     ds = Dataset(
         root=out_dir,
@@ -425,8 +396,13 @@ def stratified_fold_split(
 
     Each fold reshuffles every class (seeded by (seed, fold)), takes
     train_per_class then val_per_class samples, and sends the remainder to
-    test.  Test sets of different folds therefore overlap.
+    test.  Test sets of different folds therefore overlap.  A negative quota
+    would put samples in two sets and an empty validation set scores every epoch 0,
+    so k and both quotas must be at least 1.
     """
+    if min(k, train_per_class, val_per_class) < 1:
+        raise ValueError(f"folds and quotas must be at least 1, got k={k}, "
+                         f"train_per_class={train_per_class}, val_per_class={val_per_class}")
     by_class = ds.ids_by_class()
     folds = []
     need = train_per_class + val_per_class + 1

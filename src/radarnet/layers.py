@@ -15,23 +15,31 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-# float64 values drawn per chunk of the He init (8 MB of scratch)
+from .cores import run_on_cores
+
+# float64 values drawn per chunk of the He init (8 MB of scratch per thread)
 INIT_CHUNK = 1 << 20
 
 
 def normal_init(rng, std, shape, dtype):
-    """rng.normal(0.0, std, shape).astype(dtype), drawn in float64 chunks straight into
-    the result, so no full-size float64 temporary exists; the values and the generator's
-    state afterwards are identical."""
+    """Normal(0, std) values drawn in float64 chunks of INIT_CHUNK straight into the
+    result, one thread per usable core.  Chunk 0 comes from rng, so up to one chunk
+    equals rng.normal(0.0, std, shape).astype(dtype) and leaves rng where that draw does;
+    chunk j >= 1 comes from child j - 1 of rng.spawn(n_chunks - 1), which does not
+    advance rng.  The values do not depend on the number of cores."""
     w = np.empty(shape, dtype=dtype)
     flat = w.reshape(-1)
-    buf = np.empty(min(flat.size, INIT_CHUNK))
-    for i in range(0, flat.size, INIT_CHUNK):
-        z = buf[: min(INIT_CHUNK, flat.size - i)]
-        rng.standard_normal(out=z)
+    n_chunks = max(-(-flat.size // INIT_CHUNK), 1)
+    generators = [rng, *rng.spawn(n_chunks - 1)]
+
+    def draw(j):
+        part = flat[j * INIT_CHUNK : (j + 1) * INIT_CHUNK]
+        z = generators[j].standard_normal(part.size)
         z *= std
         # rng.normal computes loc + scale*z, which turns a -0.0 draw into +0.0
-        np.add(0.0, z, out=flat[i : i + z.size], casting="unsafe")
+        np.add(0.0, z, out=part, casting="unsafe")
+
+    run_on_cores(n_chunks, draw)
     return w
 
 

@@ -333,7 +333,10 @@ def gradient_check(
     parameter values, so the measured error is the float32 backprop error
     rather than float32 finite-difference noise.  The relative-error
     denominator is floored (1e-6 in high precision, 1e-2 in standard) so
-    parameters with negligible gradients compare absolutely.
+    parameters with negligible gradients compare absolutely.  Where the two
+    perturbed forwards differ in a ReLU mask or a max-pool winner, the step
+    crosses a kink, so that parameter is measured again at epsilon / 100, then
+    epsilon / 10**4.
     """
     denom_floor = 1e-6 if net.dtype == np.float64 else 1e-2
     x = _batch_of_one(tensor)
@@ -353,8 +356,12 @@ def gradient_check(
     x64 = x.astype(np.float64)
 
     def loss_at():
-        s, _ = probe.forward(x64)
-        return loss_and_grad(s, [true_class])[0]
+        """The loss, the ReLU masks and, per max-pool window offset, where the maxima lie."""
+        s, cache = probe.forward(x64)
+        switches = [c for layer, c in cache.entries if isinstance(layer, ReLU)]
+        switches += [c[0][win] == c[1] for layer, c in cache.entries if isinstance(layer, MaxPool2d)
+                     for win in layer._windows(c[0].shape)]
+        return loss_and_grad(s, [true_class])[0], switches
 
     worst = 0.0
     for j in chosen_idx:
@@ -362,12 +369,15 @@ def gradient_check(
         name, flat_idx = names[k], int(j - offsets[k])
         arr = params[name].reshape(-1)
         old = arr[flat_idx]
-        arr[flat_idx] = old + epsilon
-        loss_hi = loss_at()
-        arr[flat_idx] = old - epsilon
-        loss_lo = loss_at()
+        for step in (epsilon, epsilon * 1e-2, epsilon * 1e-4):
+            arr[flat_idx] = old + step
+            loss_hi, switches_hi = loss_at()
+            arr[flat_idx] = old - step
+            loss_lo, switches_lo = loss_at()
+            if all(np.array_equal(a, b) for a, b in zip(switches_hi, switches_lo)):
+                break
         arr[flat_idx] = old
-        numeric = (loss_hi - loss_lo) / (2.0 * epsilon)
+        numeric = (loss_hi - loss_lo) / (2.0 * step)
         a = float(analytic[name].reshape(-1)[flat_idx])
         err = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
         worst = max(worst, err)

@@ -297,6 +297,16 @@ class TestCv:
         assert len(history["epochs"]) == 1
         assert report["folds"][1]["epochs"] == history["epochs"]
 
+    @pytest.mark.parametrize("quotas", [["--train-per-class", "-3"], ["--val-per-class", "-1"],
+                                        ["--val-per-class", "0"], ["--folds", "0"]])
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_quota_below_one_exits_1(self, workspace, tmp_path, capsys, command, quotas):
+        rc = main([command, "-d", str(workspace / "ds"), "-o", str(tmp_path / "out"),
+                   *SPLIT_ARGS, *quotas, "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: folds and quotas must be at least 1")
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfig:
     def test_dump_round_trips(self, tmp_path, capsys):

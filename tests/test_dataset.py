@@ -1,6 +1,7 @@
 """Tensor/signal file formats, generation, fold splitting and batching."""
 
 import json
+import os
 import struct
 import sys
 from pathlib import Path
@@ -205,7 +206,7 @@ class TestGenerateDataset:
     def test_files_match_serial_reference(self, tmp_path, monkeypatch, cores):
         # the thread count follows the affinity mask; 8 threads, switching
         # every microsecond, is more than the cores of a usual test host
-        monkeypatch.setattr(dataset_mod.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         saved = []
 
         def save_once(values, path):
@@ -477,6 +478,13 @@ class TestStratifiedFoldSplit:
         ds = _fake_dataset({"A": 50, "B": 50, "C": 50, "D": 50, "E": 50, "G": 12})
         with pytest.raises(ValueError, match="class G"):
             stratified_fold_split(ds, 1, 10, 2, seed=0)
+
+    @pytest.mark.parametrize("k, train, val", [(0, 10, 2), (2, 0, 2), (2, -3, 2), (2, 10, -1), (2, 10, 0)])
+    def test_quotas_below_one_rejected(self, k, train, val):
+        # a negative quota would put samples in two sets; no validation set scores every epoch 0
+        ds = _fake_dataset({c: 100 for c in "ABCDEG"})
+        with pytest.raises(ValueError, match="at least 1"):
+            stratified_fold_split(ds, k, train, val, seed=0)
 
     def test_per_class_quota_in_train(self):
         ds = _fake_dataset({"A": 30, "B": 24, "C": 25, "D": 40, "E": 22, "G": 21})

@@ -1,5 +1,9 @@
 """Layer mechanics, presets, training step algebra and weight persistence."""
 
+import hashlib
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -96,14 +100,44 @@ class TestBuildNetwork:
         )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_chunked_init_equals_one_normal_draw(self, dtype):
-        shape = (3, INIT_CHUNK // 2 + 11)    # two chunks and a ragged tail
+    @pytest.mark.parametrize("shape", [(3, 5), (INIT_CHUNK // 4, 4)], ids=["small", "one-whole-chunk"])
+    def test_init_of_one_chunk_equals_one_normal_draw(self, dtype, shape):
         a, b = np.random.default_rng(9), np.random.default_rng(9)
         w = normal_init(a, 0.02, shape, dtype)
         expected = b.normal(0.0, 0.02, shape).astype(dtype)
         assert w.dtype == dtype and w.shape == shape
         assert w.tobytes() == expected.tobytes()
         assert a.random() == b.random()      # the generator ends in the same state
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_of_many_chunks_equals_serial_reference(self, dtype, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        shape = (5, INIT_CHUNK // 2)         # two whole chunks and a half
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        w = normal_init(a, 0.02, shape, dtype)
+        parts = [b.normal(0.0, 0.02, INIT_CHUNK)]
+        children = b.spawn(2)
+        parts += [children[0].normal(0.0, 0.02, INIT_CHUNK), children[1].normal(0.0, 0.02, INIT_CHUNK // 2)]
+        expected = np.concatenate(parts).astype(dtype).reshape(shape)
+        assert w.dtype == dtype and w.tobytes() == expected.tobytes()
+        assert a.random() == b.random()      # spawning does not advance the parent stream
+
+    def test_full_preset_bytes_do_not_depend_on_the_core_count(self, monkeypatch):
+        digests = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2, 8):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+                net = build_network("full", (3, 227, 227), seed=3)
+                digest = hashlib.sha256()
+                for name, arr in sorted(net.params().items()):
+                    digest.update(arr.tobytes())
+                digests[cores] = digest.hexdigest()
+                del net
+        finally:
+            sys.setswitchinterval(interval)
+        assert digests[1] == digests[2] == digests[8]
 
 
 class TestWithPrecision:
@@ -545,6 +579,20 @@ class TestGradientCheck:
         x = _x32(3)
         err = gradient_check(net, x, 2, epsilon=1e-4, num_params=200, seed=5)
         assert err < 1e-3
+
+    def test_parameter_next_to_a_kink_passes(self):
+        # draw seed 7 holds conv1.W[407], whose eps-1e-4 quotient crosses a rectifier switch
+        net = _mini(seed=1, precision="high")
+        x = np.random.default_rng(3).normal(size=MINI_SHAPE)
+        assert gradient_check(net, x, 2, epsilon=1e-4, num_params=60, seed=7) < 1e-5
+
+    def test_wrong_backward_still_fails(self, monkeypatch):
+        from radarnet.layers import ReLU
+
+        net = _mini(seed=1, precision="high")
+        x = np.random.default_rng(3).normal(size=MINI_SHAPE)
+        monkeypatch.setattr(ReLU, "backward", lambda self, dy, mask: (dy * mask * 1.001, {}))
+        assert gradient_check(net, x, 2, epsilon=1e-4, num_params=60, seed=7) > 1e-4
 
     def test_smooth_network(self):
         # no rectifier, no pooling: conv -> fc -> fc -> softmax stays smooth
