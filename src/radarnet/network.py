@@ -80,6 +80,9 @@ PRESETS = {
     ),
 }
 
+# the dtype of each precision name; `_dtype` raises ValueError for any other name
+PRECISIONS = {"standard": np.float32, "high": np.float64}
+
 # values per sgd_step block: w, g, v and the temporary take 1 MB in float32 (cache-sized);
 # every mini-net tensor fits in one block
 SGD_BLOCK = 1 << 16
@@ -122,8 +125,16 @@ class TrainConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must lie in [0, 1)")
+
+
+def _dtype(precision: str):
+    if precision not in PRECISIONS:
+        raise ValueError(f"unknown precision {precision!r}, expected one of {sorted(PRECISIONS)}")
+    return PRECISIONS[precision]
 
 
 @dataclass
@@ -140,11 +151,8 @@ class Network:
         self.layers = layers
         self.input_shape = tuple(input_shape)
         self.precision = precision
+        self.dtype = _dtype(precision)
         self._version = 0
-
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == "high" else np.float32
 
     def bump_version(self) -> None:
         self._version += 1
@@ -213,7 +221,7 @@ class Network:
 
     def with_precision(self, precision: str) -> "Network":
         """Structural copy carrying the same parameter values in a new dtype."""
-        dtype = np.float64 if precision == "high" else np.float32
+        dtype = _dtype(precision)
         # deepcopy each layer with its parameters pre-mapped to their cast copies
         twins = [copy.deepcopy(layer, {id(a): a.astype(dtype) for a in layer.params.values()})
                  for layer in self.layers]
@@ -237,9 +245,7 @@ def build_network(
         raise ValueError(f"unknown preset {preset!r}, expected one of {sorted(PRESETS)}")
     if len(input_shape) != 3 or input_shape[0] != 3:
         raise ValueError(f"input shape must be (3, H, W), got {tuple(input_shape)}")
-    if precision not in ("standard", "high"):
-        raise ValueError(f"unknown precision {precision!r}")
-    dtype = np.float64 if precision == "high" else np.float32
+    dtype = _dtype(precision)
     rng = np.random.default_rng(seed)
 
     layers = []
@@ -284,6 +290,8 @@ def predict(net: Network, tensor):
     batch of one with dropout off: the argmax class, ties going to the lowest
     index, and the (classes,) scores."""
     scores = net.forward(_batch_of_one(tensor))[0][0]
+    if not np.isfinite(scores).all():
+        raise FloatingPointError(f"non-finite class scores {scores}; no class can be picked")
     return VehicleClass(CLASS_ORDER[int(np.argmax(scores))]), scores
 
 

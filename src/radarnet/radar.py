@@ -171,14 +171,11 @@ class Scatterer:
     """One reflecting point of a vehicle."""
 
     along_track_offset: float   # position along the vehicle from the front [m]
-    height: float = 0.0         # above road [m]; carried with the layout, not in the range model
     amplitude: float = 1.0      # dimensionless reflectivity
 
     def __post_init__(self):
         if self.amplitude < 0:
             raise ValueError("scatterer amplitude must be >= 0")
-        if self.height < 0:
-            raise ValueError("scatterer height must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -390,7 +387,6 @@ class ClassProfile:
     length_range: tuple     # vehicle length [m]
     speed_range: tuple      # [m/s]
     reflectivity_range: tuple
-    height_range: tuple = (0.3, 2.5)
     scatterer_spacing: float = 1.2   # ~1 scatterer per this many metres
     cluster_gap: float = 0.0         # fraction of length left empty mid-vehicle (cab/trailer gap)
     trailer_gain: float = 1.0        # reflectivity multiplier behind the gap
@@ -402,12 +398,12 @@ class ClassProfile:
 # trailer reflects faintly, a bus is one long bright slab, a cargo truck
 # carries a dense strong container).
 DEFAULT_PROFILES: Mapping[VehicleClass, ClassProfile] = {
-    VehicleClass.CAR: ClassProfile((3.5, 5.0), (25.0, 36.0), (0.10, 0.18), (0.3, 1.4), 1.0),
-    VehicleClass.CAR_TRAILER: ClassProfile((8.0, 12.0), (22.0, 33.0), (0.15, 0.28), (0.3, 2.4), 0.8, 0.28, 0.5),
-    VehicleClass.TRUCK: ClassProfile((10.0, 14.0), (20.0, 25.0), (0.18, 0.34), (0.5, 3.2), 1.05),
-    VehicleClass.CARGO_TRUCK: ClassProfile((14.0, 18.0), (20.0, 25.0), (0.24, 0.42), (0.5, 3.5), 0.85, 0.10),
-    VehicleClass.BUS: ClassProfile((11.0, 14.0), (22.0, 28.0), (0.45, 0.70), (0.5, 3.2), 0.7),
-    VehicleClass.MOTORCYCLE: ClassProfile((1.8, 2.5), (25.0, 38.0), (0.02, 0.05), (0.3, 1.2), 0.8),
+    VehicleClass.CAR: ClassProfile((3.5, 5.0), (25.0, 36.0), (0.10, 0.18), 1.0),
+    VehicleClass.CAR_TRAILER: ClassProfile((8.0, 12.0), (22.0, 33.0), (0.15, 0.28), 0.8, 0.28, 0.5),
+    VehicleClass.TRUCK: ClassProfile((10.0, 14.0), (20.0, 25.0), (0.18, 0.34), 1.05),
+    VehicleClass.CARGO_TRUCK: ClassProfile((14.0, 18.0), (20.0, 25.0), (0.24, 0.42), 0.85, 0.10),
+    VehicleClass.BUS: ClassProfile((11.0, 14.0), (22.0, 28.0), (0.45, 0.70), 0.7),
+    VehicleClass.MOTORCYCLE: ClassProfile((1.8, 2.5), (25.0, 38.0), (0.02, 0.05), 0.8),
 }
 
 
@@ -462,12 +458,11 @@ def sample_vehicle_scenario(
     amplitudes = rng.uniform(*prof.reflectivity_range, offsets.size)
     if prof.trailer_gain != 1.0:
         amplitudes = np.where(offsets > length * 0.5, amplitudes * prof.trailer_gain, amplitudes)
-    heights = rng.uniform(*prof.height_range, offsets.size)
 
     noise_sigma = float(np.sum(amplitudes)) * 10.0 ** (-table.snr_db / 20.0)
     scatterers = tuple(
-        Scatterer(along_track_offset=float(o), height=float(h), amplitude=float(a))
-        for o, h, a in zip(offsets, heights, amplitudes)
+        Scatterer(along_track_offset=float(o), amplitude=float(a))
+        for o, a in zip(offsets, amplitudes)
     )
     return Scenario(
         class_label=vclass,

@@ -22,23 +22,6 @@ class PadOverflowError(ValueError):
 
 
 @dataclass
-class Spectrogram:
-    """One-sided FFT moduli of the ramp windows of one polarity."""
-
-    values: np.ndarray          # [freq_bins, num_columns], nonnegative
-    bin_hz: float
-    ramp_polarity: RampPolarity
-
-    @property
-    def freq_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_columns(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
 class RdTensor:
     """Fixed-shape network input: channels (up, down, average) x bins x width."""
 
@@ -84,74 +67,53 @@ def fft_modulus(window, fft_size: int) -> np.ndarray:
 
 
 def build_spectrograms(sig: BeatSignal, p: RadarParams):
-    """Up- and down-ramp spectrograms of a beat signal; column j is the FFT
-    modulus of the j-th window of that polarity."""
+    """Up- and down-ramp spectrograms of a beat signal as [bins, windows] arrays;
+    column j is the FFT modulus of the j-th window of that polarity.  A signal
+    framed by another radar (ramp length or sample rate) is refused."""
+    if (sig.samples_per_ramp, sig.sample_rate) != (p.samples_per_ramp, p.sample_rate):
+        raise ValueError(
+            f"signal of {sig.samples_per_ramp} samples per ramp at {sig.sample_rate:g} Hz, "
+            f"radar takes {p.samples_per_ramp} at {p.sample_rate:g} Hz"
+        )
     up_windows, down_windows = segment_ramps(sig)
-    bin_hz = sig.sample_rate / p.fft_size
     # one transform over both polarities: each row is transformed on its own
-    moduli = fft_modulus(np.concatenate([up_windows, down_windows]), p.fft_size)
-    up = Spectrogram(
-        values=moduli[: len(up_windows)].T.copy(),
-        bin_hz=bin_hz,
-        ramp_polarity=RampPolarity.UP,
-    )
-    down = Spectrogram(
-        values=moduli[len(up_windows) :].T.copy(),
-        bin_hz=bin_hz,
-        ramp_polarity=RampPolarity.DOWN,
-    )
-    return up, down
+    moduli = fft_modulus(np.concatenate([up_windows, down_windows]), p.fft_size).T
+    return moduli[:, : len(up_windows)], moduli[:, len(up_windows) :]
 
 
 def build_tensor(
-    up: Spectrogram,
-    down: Spectrogram,
+    up: np.ndarray,
+    down: np.ndarray,
     target_width: int,
     *,
     allow_crop: bool = False,
     freq_range: tuple | None = None,
-    label: VehicleClass | None = None,
-) -> RdTensor:
-    """Stack up/down/average channels and zero-pad columns to target_width.
-
-    Widths may differ by one (the shorter side gets a zero column); larger
-    mismatches are an error.  Inputs wider than the target raise
-    PadOverflowError unless cropping is explicitly allowed.  freq_range,
-    a (lo, hi) bin window, crops rows first; this is how square network
+) -> np.ndarray:
+    """Stack up/down/average channels into a zeroed float32 [3, bins, target_width]
+    array; the zeros pad the time axis, the shorter side's last column too when
+    the widths differ by one.  Larger mismatches are an error, and inputs wider
+    than the target raise PadOverflowError unless cropping is explicitly allowed.
+    freq_range, a (lo, hi) bin window, crops rows; this is how square network
     inputs (e.g. 227x227) are produced from the 257-bin spectra.
     """
-    a, b = up.values, down.values
-    if a.shape[0] != b.shape[0]:
+    bins = up.shape[0]
+    if down.shape[0] != bins:
         raise ValueError("up/down spectrograms disagree on frequency bins")
-    if freq_range is not None:
-        lo, hi = freq_range
-        if not (0 <= lo < hi <= a.shape[0]):
-            raise ValueError(f"frequency window {freq_range} outside 0..{a.shape[0]}")
-        a = a[lo:hi]
-        b = b[lo:hi]
-    if abs(a.shape[1] - b.shape[1]) > 1:
+    lo, hi = (0, bins) if freq_range is None else freq_range
+    if not (0 <= lo < hi <= bins):
+        raise ValueError(f"frequency window {freq_range} outside 0..{bins}")
+    if abs(up.shape[1] - down.shape[1]) > 1:
         raise ValueError("up/down spectrograms differ by more than one column")
-    if a.shape[1] < b.shape[1]:
-        a = np.pad(a, ((0, 0), (0, 1)))
-    elif b.shape[1] < a.shape[1]:
-        b = np.pad(b, ((0, 0), (0, 1)))
+    width = max(up.shape[1], down.shape[1])
+    if width > target_width and not allow_crop:
+        raise PadOverflowError(f"spectrogram width {width} exceeds target {target_width}")
 
-    width = a.shape[1]
-    if width > target_width:
-        if not allow_crop:
-            raise PadOverflowError(
-                f"spectrogram width {width} exceeds target {target_width}"
-            )
-        a = a[:, :target_width]
-        b = b[:, :target_width]
-        width = target_width
-
-    height = a.shape[0]
-    values = np.zeros((3, height, target_width), dtype=np.float32)
-    values[0, :, :width] = a
-    values[1, :, :width] = b
+    values = np.zeros((3, hi - lo, target_width), dtype=np.float32)
+    for channel, spect in enumerate((up, down)):
+        window = spect[lo:hi, :target_width]
+        values[channel, :, : window.shape[1]] = window
     values[2] = 0.5 * (values[0] + values[1])
-    return RdTensor(values=values, label=label)
+    return values
 
 
 def signal_to_tensor(
@@ -162,12 +124,10 @@ def signal_to_tensor(
     allow_crop: bool = False,
     freq_range: tuple | None = None,
 ) -> RdTensor:
-    """Full signal-to-input pipeline: segment, transform, stack, pad."""
+    """Full signal-to-input pipeline: segment, transform, stack, pad, label."""
     up, down = build_spectrograms(sig, p)
-    return build_tensor(
-        up, down, target_width,
-        allow_crop=allow_crop, freq_range=freq_range, label=sig.label,
-    )
+    values = build_tensor(up, down, target_width, allow_crop=allow_crop, freq_range=freq_range)
+    return RdTensor(values, label=sig.label)
 
 
 def compute_mean_tensor(x, rows) -> np.ndarray:
@@ -196,8 +156,6 @@ def export_pgm(matrix, log_scale: bool = False) -> bytes:
     mapping); a constant matrix renders all-black.  Frequency bin 0 sits on
     the bottom pixel row.
     """
-    if isinstance(matrix, Spectrogram):
-        matrix = matrix.values
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("PGM export needs a 2-D matrix")

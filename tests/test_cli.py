@@ -9,7 +9,7 @@ import pytest
 
 from radarnet.cli import main
 from radarnet.config import JSON_TYPES, RunConfig
-from radarnet.dataset import save_signal, save_tensor
+from radarnet.dataset import load_tensor, save_signal, save_tensor
 from radarnet.radar import (
     PointTarget,
     RadarParams,
@@ -18,6 +18,10 @@ from radarnet.radar import (
 )
 
 P = RadarParams()
+
+# a radar of half the ramp length and sample count: the same rate, another framing
+FOREIGN = RadarParams(samples_per_ramp=256, fft_size=256, t_ramp=0.02)
+FOREIGN_WORDS = "signal of 256 samples per ramp at 12800 Hz, radar takes 512 at 12800 Hz"
 
 GEN_ARGS = ["--counts", "A=8,B=8,C=8,D=8,E=8,G=8", "--seed", "1"]
 SPLIT_ARGS = ["--folds", "2", "--train-per-class", "4", "--val-per-class", "2"]
@@ -118,6 +122,12 @@ class TestPlot:
         missing = tmp_path / "none.rdt"
         assert main(["plot", str(missing), "-o", str(tmp_path / "x.pgm")]) == 1
 
+    def test_signal_of_another_radar_exits_1(self, tmp_path, capsys):
+        save_signal(synthesize_point_targets([PointTarget(30.0)], 8, FOREIGN), tmp_path / "foreign.rbs")
+        assert main(["plot", str(tmp_path / "foreign.rbs"), "-o", str(tmp_path / "x.pgm")]) == 1
+        assert capsys.readouterr().err == f"error: {FOREIGN_WORDS}\n"
+        assert not (tmp_path / "x.pgm").exists()
+
 
 class TestTrainEvalPredict:
     def test_model_bundle_written(self, workspace):
@@ -178,6 +188,29 @@ class TestTrainEvalPredict:
         rc = main(["predict", "-w", str(workspace / "model.rdw"), str(tmp_path / "narrow.rdt")])
         assert rc == 1
         assert "shape" in capsys.readouterr().err
+
+    def test_predict_refuses_signal_of_another_radar(self, workspace, tmp_path, capsys):
+        save_signal(synthesize_point_targets([PointTarget(30.0)], 8, FOREIGN), tmp_path / "foreign.rbs")
+        rc = main(["predict", "-w", str(workspace / "model.rdw"), str(tmp_path / "foreign.rbs")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {FOREIGN_WORDS}\n"
+
+    def test_predict_refuses_nan_scores(self, workspace, tmp_path, capsys):
+        tensor = load_tensor(workspace / "ds" / "tensors" / "C0003.rdt").copy()
+        tensor[0, 0, 0] = np.nan
+        save_tensor(tensor, tmp_path / "nan.rdt")
+        rc = main(["predict", "-w", str(workspace / "model.rdw"), str(tmp_path / "nan.rdt")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: non-finite class scores")
+
+    def test_negative_epochs_exit_1(self, workspace, tmp_path, capsys):
+        rc = main(["train", "-d", str(workspace / "ds"), "-o", str(tmp_path / "m.rdw"),
+                   "--fold", "0", *SPLIT_ARGS, "--epochs", "-3"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: epochs must be >= 0\n"
+        assert not (tmp_path / "m.rdw").exists()
 
     def test_predict_missing_mean_exits_1(self, workspace, tmp_path, capsys):
         orphan = tmp_path / "orphan.rdw"

@@ -169,6 +169,14 @@ class TestWithPrecision:
             settings = {k: v for k, v in vars(layer).items() if not isinstance(v, np.ndarray)}
             assert settings == {k: v for k, v in vars(cast).items() if not isinstance(v, np.ndarray)}
 
+    def test_unknown_precision_rejected_everywhere(self):
+        net = _mini()
+        for make in (lambda: net.with_precision("hgh"),
+                     lambda: _mini(precision="hgh"),
+                     lambda: Network(net.layers, MINI_SHAPE, precision="hgh")):
+            with pytest.raises(ValueError, match="'hgh'"):
+                make()
+
 
 class TestForward:
     def test_probabilities(self):
@@ -566,6 +574,11 @@ class TestSgdStep:
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
 
+    def test_negative_epochs_rejected_zero_kept(self):
+        with pytest.raises(ConfigError, match="epochs"):
+            TrainConfig(epochs=-3)
+        assert TrainConfig(epochs=0).epochs == 0
+
 
 class TestGradientCheck:
     def test_high_precision(self):
@@ -659,6 +672,12 @@ class TestPredict:
         label2, s2 = predict(net, x)
         assert label1 == label2
         np.testing.assert_allclose(s1, s2, atol=1e-6)
+
+    def test_nan_scores_refused(self):
+        x = _x32()
+        x[0, 0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            predict(_mini(), x)
 
 
 class TestWeightPersistence:

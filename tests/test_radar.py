@@ -153,7 +153,7 @@ def _single_scatterer_scenario(**overrides):
         speed=25.0,
         entry_distance=5.0,
         footprint_length=30.0,
-        scatterers=(Scatterer(0.0, 0.5, 1.0),),
+        scatterers=(Scatterer(0.0, 1.0),),
         noise_sigma=0.0,
         seed=3,
     )
@@ -161,7 +161,7 @@ def _single_scatterer_scenario(**overrides):
     return Scenario(**base)
 
 
-_THREE_SCATTERERS = (Scatterer(0.0, 0.5, 1.0), Scatterer(2.0, 1.0, 0.5), Scatterer(4.0, 0.3, 0.25))
+_THREE_SCATTERERS = (Scatterer(0.0, 1.0), Scatterer(2.0, 0.5), Scatterer(4.0, 0.25))
 
 
 class TestSynthesizeBeatSignal:
@@ -174,7 +174,7 @@ class TestSynthesizeBeatSignal:
         from radarnet.spectrogram import build_spectrograms
 
         up, down = build_spectrograms(sig, P)
-        assert up.num_columns == down.num_columns
+        assert up.shape[1] == down.shape[1]
 
     def test_duration_covers_pass(self):
         s = _single_scatterer_scenario(speed=20.0)
@@ -185,7 +185,7 @@ class TestSynthesizeBeatSignal:
 
     def test_zero_amplitudes_zero_signal(self):
         s = _single_scatterer_scenario(
-            scatterers=(Scatterer(0.0, 0.0, 0.0), Scatterer(2.0, 0.0, 0.0))
+            scatterers=(Scatterer(0.0, 0.0), Scatterer(2.0, 0.0))
         )
         sig = synthesize_beat_signal(s, P)
         assert np.all(sig.samples == 0.0)
@@ -269,7 +269,7 @@ class TestSynthesizeBeatSignal:
         with pytest.raises(ValueError):
             _single_scatterer_scenario(scatterers=())
         with pytest.raises(ValueError):
-            Scatterer(0.0, 0.0, -1.0)
+            Scatterer(0.0, -1.0)
 
 
 class TestScenarioSampling:

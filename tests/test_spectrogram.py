@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 
 from radarnet import fourier
-from radarnet.radar import BeatSignal, PointTarget, RadarParams, RampPolarity, synthesize_point_targets
+from radarnet.radar import (
+    BeatSignal,
+    PointTarget,
+    RadarParams,
+    RampPolarity,
+    VehicleClass,
+    synthesize_point_targets,
+)
 from radarnet.spectrogram import (
     PadOverflowError,
     RdTensor,
-    Spectrogram,
     build_spectrograms,
     build_tensor,
     compute_mean_tensor,
@@ -196,46 +202,52 @@ class TestBuildSpectrograms:
     def test_shapes_and_column_definition(self):
         sig = _signal(5120)
         up, down = build_spectrograms(sig, P)
-        assert up.values.shape == (257, 5)
-        assert down.values.shape == (257, 5)
-        assert up.bin_hz == pytest.approx(25.0)
+        assert up.shape == (257, 5)
+        assert down.shape == (257, 5)
         up_w, down_w = segment_ramps(sig)
         for j in range(5):
-            np.testing.assert_array_equal(up.values[:, j], fft_modulus(up_w[j], 512))
-            np.testing.assert_array_equal(down.values[:, j], fft_modulus(down_w[j], 512))
+            np.testing.assert_array_equal(up[:, j], fft_modulus(up_w[j], 512))
+            np.testing.assert_array_equal(down[:, j], fft_modulus(down_w[j], 512))
 
     def test_zero_signal(self):
         up, down = build_spectrograms(_signal(2048, fill=0.0), P)
-        assert np.all(up.values == 0.0)
-        assert np.all(down.values == 0.0)
+        assert np.all(up == 0.0)
+        assert np.all(down == 0.0)
 
     def test_nonnegative(self):
         up, down = build_spectrograms(_signal(4096), P)
-        assert np.all(up.values >= 0.0)
-        assert np.all(down.values >= 0.0)
+        assert np.all(up >= 0.0)
+        assert np.all(down >= 0.0)
+
+    @pytest.mark.parametrize("radar, words", [
+        (RadarParams(samples_per_ramp=256, fft_size=256, t_ramp=0.02),
+         "signal of 256 samples per ramp at 12800 Hz, radar takes 512 at 12800 Hz"),
+        (RadarParams(t_ramp=0.08), "signal of 512 samples per ramp at 6400 Hz"),
+    ])
+    def test_signal_of_another_radar_refused(self, radar, words):
+        sig = synthesize_point_targets([PointTarget(30.0)], 4, radar)
+        with pytest.raises(ValueError, match=words):
+            build_spectrograms(sig, P)
 
 
-def _spect(width, height=257, fill=1.0, polarity=RampPolarity.UP):
-    return Spectrogram(values=np.full((height, width), fill), bin_hz=25.0, ramp_polarity=polarity)
+def _spect(width, height=257, fill=1.0):
+    return np.full((height, width), fill)
 
 
 class TestBuildTensor:
     def test_padding_layout(self):
         rng = np.random.default_rng(40)
-        up = Spectrogram(rng.random((257, 12)), 25.0, RampPolarity.UP)
-        down = Spectrogram(rng.random((257, 12)), 25.0, RampPolarity.DOWN)
+        up, down = rng.random((257, 12)), rng.random((257, 12))
         t = build_tensor(up, down, 32)
-        assert t.values.shape == (3, 257, 32)
-        np.testing.assert_allclose(t.values[0, :, :12], up.values, rtol=1e-6)
-        np.testing.assert_allclose(t.values[1, :, :12], down.values, rtol=1e-6)
-        assert np.all(t.values[:, :, 12:] == 0.0)
+        assert t.shape == (3, 257, 32) and t.dtype == np.float32
+        np.testing.assert_allclose(t[0, :, :12], up, rtol=1e-6)
+        np.testing.assert_allclose(t[1, :, :12], down, rtol=1e-6)
+        assert np.all(t[:, :, 12:] == 0.0)
 
     def test_average_channel(self):
         rng = np.random.default_rng(41)
-        up = Spectrogram(rng.random((257, 8)), 25.0, RampPolarity.UP)
-        down = Spectrogram(rng.random((257, 8)), 25.0, RampPolarity.DOWN)
-        t = build_tensor(up, down, 16)
-        np.testing.assert_array_equal(t.values[2], (t.values[0] + t.values[1]) / 2)
+        t = build_tensor(rng.random((257, 8)), rng.random((257, 8)), 16)
+        np.testing.assert_array_equal(t[2], (t[0] + t[1]) / 2)
 
     def test_overflow_without_crop(self):
         with pytest.raises(PadOverflowError):
@@ -243,12 +255,12 @@ class TestBuildTensor:
 
     def test_explicit_crop(self):
         t = build_tensor(_spect(40), _spect(40), 32, allow_crop=True)
-        assert t.values.shape == (3, 257, 32)
+        assert t.shape == (3, 257, 32)
 
     def test_width_mismatch_by_one_padded(self):
         t = build_tensor(_spect(5), _spect(4), 8)
-        assert np.all(t.values[1, :, 4] == 0.0)
-        assert np.all(t.values[0, :, 4] == 1.0)
+        assert np.all(t[1, :, 4] == 0.0)
+        assert np.all(t[0, :, 4] == 1.0)
 
     def test_width_mismatch_beyond_one_rejected(self):
         with pytest.raises(ValueError):
@@ -258,8 +270,15 @@ class TestBuildTensor:
         sig = synthesize_point_targets([PointTarget(30.0, 20.0)], 10, P)
         up, down = build_spectrograms(sig, P)
         t = build_tensor(up, down, 8)
-        np.testing.assert_array_equal(t.values[0, :, :5], up.values.astype(np.float32))
-        np.testing.assert_array_equal(t.values[1, :, :5], down.values.astype(np.float32))
+        np.testing.assert_array_equal(t[0, :, :5], up.astype(np.float32))
+        np.testing.assert_array_equal(t[1, :, :5], down.astype(np.float32))
+
+    def test_signal_label_carried(self):
+        sig = synthesize_point_targets([PointTarget(30.0, 20.0)], 10, P)
+        sig.label = VehicleClass.BUS
+        t = signal_to_tensor(sig, P, 8)
+        assert isinstance(t, RdTensor) and t.label is VehicleClass.BUS
+        np.testing.assert_array_equal(t.values, build_tensor(*build_spectrograms(sig, P), 8))
 
     def test_pipeline_determinism(self):
         sig = synthesize_point_targets([PointTarget(30.0, 20.0)], 10, P, noise_sigma=0.1, seed=4)
@@ -273,7 +292,7 @@ class TestBuildTensor:
         t = signal_to_tensor(sig, P, 227, freq_range=(0, 227))
         assert t.values.shape == (3, 227, 227)
         up, down = build_spectrograms(sig, P)
-        np.testing.assert_array_equal(t.values[0, :, :5], up.values[:227].astype(np.float32))
+        np.testing.assert_array_equal(t.values[0, :, :5], up[:227].astype(np.float32))
 
     def test_frequency_window_validated(self):
         with pytest.raises(ValueError):
