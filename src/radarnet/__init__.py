@@ -10,7 +10,6 @@ from .radar import (
     ProfileTable,
     RadarParams,
     RampPolarity,
-    Scatterer,
     Scenario,
     VehicleClass,
     beat_frequencies,

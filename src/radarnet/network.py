@@ -119,12 +119,12 @@ class TrainConfig:
             whole = name in ("epochs", "seed")
             if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
                 raise ConfigError(f"{name} must be {'an integer' if whole else 'a number'}, got {value!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:   # NaN fails both comparisons
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):

@@ -84,16 +84,15 @@ class RadarParams:
     geometry: Geometry = field(default_factory=Geometry)
 
     def __post_init__(self):
-        if self.f0 <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.delta_f <= 0:
-            raise ValueError("sweep bandwidth must be positive")
-        if self.t_ramp <= 0:
-            raise ValueError("ramp duration must be positive")
+        for name in ("f0", "delta_f", "t_ramp"):   # NaN fails both comparisons
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"radar {name} must be positive and finite, got {getattr(self, name)}")
         if self.samples_per_ramp < 2:
             raise ValueError("need at least 2 samples per ramp")
         if self.fft_size < self.samples_per_ramp:
             raise ValueError("fft_size must be >= samples_per_ramp")
+        if self.fft_size & (self.fft_size - 1):
+            raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
 
     @property
     def sample_rate(self) -> float:
@@ -167,18 +166,6 @@ def invert_beat(f_b_up, f_b_down, p: RadarParams):
 
 
 @dataclass(frozen=True)
-class Scatterer:
-    """One reflecting point of a vehicle."""
-
-    along_track_offset: float   # position along the vehicle from the front [m]
-    amplitude: float = 1.0      # dimensionless reflectivity
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("scatterer amplitude must be >= 0")
-
-
-@dataclass(frozen=True)
 class Scenario:
     """One vehicle pass: constant speed, point scatterers, additive noise."""
 
@@ -186,20 +173,27 @@ class Scenario:
     speed: float                # [m/s], > 0
     entry_distance: float       # horizontal distance behind the radar at t=0 [m]
     footprint_length: float     # illuminated stretch of lane [m]
-    scatterers: tuple
+    offsets: tuple              # each scatterer's distance behind the vehicle's front [m]
+    amplitudes: tuple           # each scatterer's reflectivity, dimensionless
     noise_sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("offsets", "amplitudes"):   # tuples of floats, so == compares values
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if self.speed <= 0:
             raise ValueError("scenario speed must be positive")
         if self.footprint_length <= 0:
             raise ValueError("footprint length must be positive")
-        if len(self.scatterers) == 0:
-            raise ValueError("scenario needs at least one scatterer")
+        if not self.offsets or len(self.offsets) != len(self.amplitudes):
+            raise ValueError("scenario needs at least one scatterer and one amplitude per offset")
+        if min(self.amplitudes) < 0:
+            raise ValueError("scatterer amplitude must be >= 0")
+        if self.entry_distance < 0 or min(self.offsets) < 0:
+            raise ValueError(f"scatterers must sit at or behind the radar, got entry distance "
+                             f"{self.entry_distance} and offsets from {min(self.offsets)}")
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be >= 0")
-        object.__setattr__(self, "scatterers", tuple(self.scatterers))
 
 
 @dataclass
@@ -231,17 +225,9 @@ def footprint_envelope(d, entry_distance: float, footprint_length: float):
     return np.where((u > 0.0) & (u < 1.0), w, 0.0)
 
 
-def _ramp_polarity_signs(n_ramps: int, first_ramp: RampPolarity) -> np.ndarray:
-    """+1 for up ramps, -1 for down ramps."""
-    signs = np.ones(n_ramps)
-    start = 0 if first_ramp is RampPolarity.UP else 1
-    signs[(np.arange(n_ramps) + start) % 2 == 1] = -1.0
-    return signs
-
-
 def _tone_sum(f_beat, weights, phases, spr: int, fs: float) -> np.ndarray:
-    """Ramps of sum_k w[r, k] cos(2 pi f_beat[r, k] n / fs + phases[k]), n < spr,
-    end to end; the weights w are [r, k], or [k] for the same on every ramp.
+    """Ramps of sum_k w[r, k] cos(2 pi f_beat[r, k] n / fs + phases[k]) for
+    n < spr, laid end to end.
 
     n = a*B + b with B the least power of two >= sqrt(spr), so each ramp is one
     product [w cos O | -w sin O] @ [cos I ; sin I] with O_a = omega aB/fs + phase
@@ -261,6 +247,23 @@ def _tone_sum(f_beat, weights, phases, spr: int, fs: float) -> np.ndarray:
     return samples.reshape(len(f_beat), -1)[:, :spr].reshape(-1)
 
 
+def _beat_signal(f_up, f_down, weights, seed, noise_sigma, p: RadarParams, first_ramp, label=None):
+    """Ramps alternating between the up and the down tones from first_ramp on,
+    plus white noise; f_up and f_down are [ramps, tones], the weights the same
+    or [tones].  default_rng(seed) draws the tone phases, then the noise.  A tone
+    at or above Nyquist gets weight 0, standing in for the anti-alias lowpass."""
+    fs = p.sample_rate
+    up_ramp = np.arange(len(f_up)) % 2 == (0 if first_ramp is RampPolarity.UP else 1)
+    f_beat = np.where(up_ramp[:, None], f_up, f_down)                 # [r, k]
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, f_beat.shape[1])
+    weights = np.where(np.abs(f_beat) < fs / 2.0, weights, 0.0)
+    samples = _tone_sum(f_beat, weights, phases, p.samples_per_ramp, fs)
+    if noise_sigma > 0:
+        samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
+    return BeatSignal(samples, fs, first_ramp, p.samples_per_ramp, label)
+
+
 def synthesize_beat_signal(
     scenario: Scenario,
     p: RadarParams,
@@ -272,14 +275,11 @@ def synthesize_beat_signal(
     within one ramp is far below the range resolution).  For scatterer k at
     horizontal distance d_k(t) = entry + offset_k + speed*t the slant range is
     R = sqrt(h^2 + d^2) and the radial speed speed*d/R, receding positive.
-    Each ramp gets the polarity-matched beat tone per scatterer, weighted by
-    reflectivity and the footprint envelope; contributions whose beat
-    frequency would alias are suppressed, standing in for the receiver's
-    anti-alias lowpass.  Duration is the smallest even ramp count covering
-    footprint_length / speed.
+    Each ramp gets the polarity-matched beat_frequencies tone per scatterer,
+    weighted by reflectivity and the footprint envelope; contributions whose
+    beat frequency would alias are suppressed.  Duration is the smallest even
+    ramp count covering footprint_length / speed.
     """
-    fs = p.sample_rate
-    nyquist = fs / 2.0
     h = p.geometry.h
 
     # Guard on the dominant response: at the envelope peak the up-beat must be
@@ -287,48 +287,24 @@ def synthesize_beat_signal(
     d_peak = scenario.entry_distance + scenario.footprint_length / 2.0
     r_peak = math.hypot(h, d_peak)
     f_up_peak, _ = beat_frequencies(r_peak, scenario.speed * d_peak / r_peak, p)
+    nyquist = p.sample_rate / 2.0
     if f_up_peak >= nyquist:
         raise NyquistError(
             f"up-ramp beat {f_up_peak:.0f} Hz at the footprint center exceeds "
             f"the Nyquist limit {nyquist:.0f} Hz; reduce speed or footprint"
         )
 
-    spr = p.samples_per_ramp
     pass_duration = scenario.footprint_length / scenario.speed
     n_ramps = int(math.ceil(pass_duration / p.t_ramp))
-    n_ramps += n_ramps % 2
-    n_ramps = max(n_ramps, 2)
-
-    offsets = np.array([s.along_track_offset for s in scenario.scatterers])
-    amps = np.array([s.amplitude for s in scenario.scatterers])
-
-    rng = np.random.default_rng(scenario.seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, offsets.size)
+    n_ramps = max(n_ramps + n_ramps % 2, 2)
 
     t_mid = (np.arange(n_ramps) + 0.5) * p.t_ramp                      # [r]
-    d = scenario.entry_distance + offsets[None, :] + scenario.speed * t_mid[:, None]  # [r, k]
+    d = scenario.entry_distance + np.array(scenario.offsets) + scenario.speed * t_mid[:, None]  # [r, k]
     slant = np.hypot(h, d)
-    v_radial = scenario.speed * d / slant
-    f_range = p.ramp_slope * (2.0 * slant / p.c)
-    f_doppler = 2.0 * v_radial / p.wavelength
-    signs = _ramp_polarity_signs(n_ramps, first_ramp)
-    f_beat = f_range + signs[:, None] * f_doppler                      # [r, k]
-
-    weights = amps[None, :] * footprint_envelope(d, scenario.entry_distance, scenario.footprint_length)
-    weights = np.where(np.abs(f_beat) < nyquist, weights, 0.0)
-
-    samples = _tone_sum(f_beat, weights, phases, spr, fs)
-
-    if scenario.noise_sigma > 0:
-        samples = samples + rng.normal(0.0, scenario.noise_sigma, samples.shape)
-
-    return BeatSignal(
-        samples=samples,
-        sample_rate=fs,
-        first_ramp=first_ramp,
-        samples_per_ramp=spr,
-        label=scenario.class_label,
-    )
+    f_up, f_down = beat_frequencies(slant, scenario.speed * d / slant, p)
+    weights = np.array(scenario.amplitudes) * footprint_envelope(d, scenario.entry_distance, scenario.footprint_length)
+    return _beat_signal(f_up, f_down, weights, scenario.seed, scenario.noise_sigma, p, first_ramp,
+                        scenario.class_label)
 
 
 @dataclass(frozen=True)
@@ -359,25 +335,12 @@ def synthesize_point_targets(
         raise ValueError("need at least one up/down ramp pair")
     if not targets:
         raise ValueError("need at least one point target")
-    fs = p.sample_rate
-    spr = p.samples_per_ramp
-
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, len(targets))
-
-    ranges = np.array([t.target_range for t in targets])
-    vels = np.array([t.v_radial for t in targets])
-    amps = np.array([t.amplitude for t in targets])
-    up, down = beat_frequencies(ranges, vels, p)
-    if np.any(np.maximum(np.abs(up), np.abs(down)) >= fs / 2.0):
+    up, down = beat_frequencies([t.target_range for t in targets], [t.v_radial for t in targets], p)
+    if np.any(np.maximum(np.abs(up), np.abs(down)) >= p.sample_rate / 2.0):
         raise NyquistError("point-target beat frequency exceeds the Nyquist limit")
-
-    signs = _ramp_polarity_signs(n_ramps, first_ramp)
-    f_beat = np.where(signs[:, None] > 0, up[None, :], down[None, :])    # [r, k]
-    samples = _tone_sum(f_beat, amps, phases, spr, fs)
-    if noise_sigma > 0:
-        samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
-    return BeatSignal(samples=samples, sample_rate=fs, first_ramp=first_ramp, samples_per_ramp=spr)
+    f_up, f_down = (np.broadcast_to(f, (n_ramps, len(targets))) for f in (up, down))
+    amps = np.array([t.amplitude for t in targets])
+    return _beat_signal(f_up, f_down, amps, seed, noise_sigma, p, first_ramp)
 
 
 @dataclass(frozen=True)
@@ -390,6 +353,10 @@ class ClassProfile:
     scatterer_spacing: float = 1.2   # ~1 scatterer per this many metres
     cluster_gap: float = 0.0         # fraction of length left empty mid-vehicle (cab/trailer gap)
     trailer_gain: float = 1.0        # reflectivity multiplier behind the gap
+
+    def __post_init__(self):
+        if not self.scatterer_spacing > 0:
+            raise ValueError(f"scatterer_spacing must be positive, got {self.scatterer_spacing}")
 
 
 # Invented simulation knobs, not measured truth: lengths and speeds are
@@ -460,16 +427,13 @@ def sample_vehicle_scenario(
         amplitudes = np.where(offsets > length * 0.5, amplitudes * prof.trailer_gain, amplitudes)
 
     noise_sigma = float(np.sum(amplitudes)) * 10.0 ** (-table.snr_db / 20.0)
-    scatterers = tuple(
-        Scatterer(along_track_offset=float(o), amplitude=float(a))
-        for o, a in zip(offsets, amplitudes)
-    )
     return Scenario(
         class_label=vclass,
         speed=speed,
         entry_distance=entry,
         footprint_length=table.footprint_length,
-        scatterers=scatterers,
+        offsets=offsets,
+        amplitudes=amplitudes,
         noise_sigma=noise_sigma,
         seed=int(seed),
     )

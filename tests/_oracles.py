@@ -52,14 +52,16 @@ def spectrogram_peak_frequencies(sig, params):
 def naive_beat_signal(scenario, params, first_ramp_up=True):
     """Samples of a vehicle pass from the one-shot formula: every ramp's
     cosines at once in one [ramps, scatterers, samples] array, summed by one
-    einsum, with the same geometry arithmetic as radar.synthesize_beat_signal."""
+    einsum.  The Doppler term is its own signed 2 v_radial / wavelength, added on
+    up ramps and subtracted on down ramps; for a scatterer behind the radar it
+    equals radar.beat_frequencies' magnitude form."""
     fs = params.sample_rate
     h = params.geometry.h
     spr = params.samples_per_ramp
     n_ramps = int(np.ceil(scenario.footprint_length / scenario.speed / params.t_ramp))
     n_ramps = max(n_ramps + n_ramps % 2, 2)
-    offsets = np.array([s.along_track_offset for s in scenario.scatterers])
-    amps = np.array([s.amplitude for s in scenario.scatterers])
+    offsets = np.array(scenario.offsets)
+    amps = np.array(scenario.amplitudes)
     rng = np.random.default_rng(scenario.seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, offsets.size)
 

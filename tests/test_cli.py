@@ -79,6 +79,14 @@ class TestGenerate:
         assert all(w in err for w in words), err
         assert not out.exists()
 
+    def test_scatterers_ahead_of_the_radar_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.json"
+        cfg.write_text('{"profiles": {"entry_range": [-20, -18]}}')
+        rc = main(["generate", "-o", str(tmp_path / "g"), "--counts", "A=2", "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scatterers must sit at or behind the radar"), err
+
     def test_desk_preset_writes_600(self, tmp_path):
         rc = main(["generate", "-o", str(tmp_path / "desk"), "--preset", "desk", "--seed", "1"])
         assert rc == 0
@@ -210,6 +218,18 @@ class TestTrainEvalPredict:
                    "--fold", "0", *SPLIT_ARGS, "--epochs", "-3"])
         assert rc == 1
         assert capsys.readouterr().err == "error: epochs must be >= 0\n"
+        assert not (tmp_path / "m.rdw").exists()
+
+    @pytest.mark.parametrize("flag, value, words", [
+        ("--lr", "nan", "learning_rate must be positive and finite, got nan"),
+        ("--weight-decay", "inf", "weight_decay must be >= 0 and finite, got inf"),
+    ])
+    def test_non_finite_rate_exits_1_before_training(self, workspace, tmp_path, capsys, flag, value, words):
+        rc = main(["train", "-d", str(workspace / "ds"), "-o", str(tmp_path / "m.rdw"),
+                   "--fold", "0", *SPLIT_ARGS, flag, value])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {words}\n"
         assert not (tmp_path / "m.rdw").exists()
 
     def test_predict_missing_mean_exits_1(self, workspace, tmp_path, capsys):
@@ -382,6 +402,31 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not out.exists()
+
+    # configs that no generation can run: refused as the config is built,
+    # before any directory is made
+    @pytest.mark.parametrize("text, words", [
+        ('{"profiles": {"classes": {"A": {"length_range": [3.5, 5.0], "speed_range": [25, 36], '
+         '"reflectivity_range": [0.1, 0.18], "scatterer_spacing": 0}}}}', "scatterer_spacing must be positive"),
+        ('{"radar": {"fft_size": 600}}', "fft_size must be a power of two, got 600"),
+        ('{"radar": {"f0": NaN}}', "radar f0 must be positive and finite, got nan"),
+        ('{"radar": {"t_ramp": Infinity}}', "radar t_ramp must be positive and finite, got inf"),
+    ], ids=["zero-spacing", "fft-600", "nan-f0", "inf-t-ramp"])
+    def test_config_that_can_never_run_exits_1(self, tmp_path, capsys, text, words):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        out = tmp_path / "ds"
+        assert main(["generate", "--config", str(cfg), "-o", str(out), *GEN_ARGS]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {words}")
+        assert not out.exists()
+        assert main(["config", "--config", str(cfg), "--dump"]) == 1
+
+    def test_non_finite_learning_rate_in_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"train": {"learning_rate": NaN}}')
+        assert main(["config", "--config", str(cfg), "--dump"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: learning_rate must be positive and finite, got nan\n"
 
     def test_empty_class_counts_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "empty.json"

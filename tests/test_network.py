@@ -574,6 +574,12 @@ class TestSgdStep:
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be .* finite, got {value}"):
+            TrainConfig(**{name: value})
+
     def test_negative_epochs_rejected_zero_kept(self):
         with pytest.raises(ConfigError, match="epochs"):
             TrainConfig(epochs=-3)

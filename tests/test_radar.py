@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from radarnet.radar import (
+    ClassProfile,
     NyquistError,
     PointTarget,
     ProfileTable,
     RadarParams,
     RampPolarity,
-    Scatterer,
     Scenario,
     VehicleClass,
     beat_frequencies,
@@ -43,6 +43,10 @@ class TestRadarParams:
             {"t_ramp": 0.0},
             {"samples_per_ramp": 1},
             {"fft_size": 256},
+            {"fft_size": 600},
+            {"f0": float("nan")},
+            {"delta_f": float("inf")},
+            {"t_ramp": float("nan")},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -153,7 +157,8 @@ def _single_scatterer_scenario(**overrides):
         speed=25.0,
         entry_distance=5.0,
         footprint_length=30.0,
-        scatterers=(Scatterer(0.0, 1.0),),
+        offsets=(0.0,),
+        amplitudes=(1.0,),
         noise_sigma=0.0,
         seed=3,
     )
@@ -161,7 +166,7 @@ def _single_scatterer_scenario(**overrides):
     return Scenario(**base)
 
 
-_THREE_SCATTERERS = (Scatterer(0.0, 1.0), Scatterer(2.0, 0.5), Scatterer(4.0, 0.25))
+_THREE_SCATTERERS = {"offsets": (0.0, 2.0, 4.0), "amplitudes": (1.0, 0.5, 0.25)}
 
 
 class TestSynthesizeBeatSignal:
@@ -184,9 +189,7 @@ class TestSynthesizeBeatSignal:
         assert sig.num_full_ramps == expected
 
     def test_zero_amplitudes_zero_signal(self):
-        s = _single_scatterer_scenario(
-            scatterers=(Scatterer(0.0, 0.0), Scatterer(2.0, 0.0))
-        )
+        s = _single_scatterer_scenario(offsets=(0.0, 2.0), amplitudes=(0.0, 0.0))
         sig = synthesize_beat_signal(s, P)
         assert np.all(sig.samples == 0.0)
 
@@ -224,9 +227,10 @@ class TestSynthesizeBeatSignal:
             synthesize_beat_signal(s, P)
 
     # (scenario, first ramp, radar): every class with its noise, a down-first
-    # pass, the 2-ramp minimum, and ramp lengths whose sample index split
+    # pass, the 2-ramp minimum, ramp lengths whose sample index split
     # (n = a*B + b, B a power of two >= sqrt(spr)) leaves a partial last row:
-    # 300 samples (B = 32) and the prime 37 (B = 8)
+    # 300 samples (B = 32) and the prime 37 (B = 8), and a front entering
+    # right under the radar, the nearest scatterer a Scenario accepts
     ORACLE_CASES = [
         *[(lambda c=c: sample_vehicle_scenario(c, 41, ProfileTable()), RampPolarity.UP, P)
           for c in "ABCDEG"],
@@ -235,10 +239,11 @@ class TestSynthesizeBeatSignal:
         (lambda: _single_scatterer_scenario(footprint_length=1.0), RampPolarity.DOWN, P),
         (lambda: _single_scatterer_scenario(footprint_length=5.5, noise_sigma=0.1), RampPolarity.UP, P),
         (lambda: _single_scatterer_scenario(footprint_length=8.0), RampPolarity.DOWN, P),
-        (lambda: _single_scatterer_scenario(speed=10.0, scatterers=_THREE_SCATTERERS, noise_sigma=0.05),
+        (lambda: _single_scatterer_scenario(speed=10.0, **_THREE_SCATTERERS, noise_sigma=0.05),
          RampPolarity.UP, RadarParams(samples_per_ramp=300, fft_size=512)),
-        (lambda: _single_scatterer_scenario(speed=2.0, footprint_length=1.0, scatterers=_THREE_SCATTERERS),
+        (lambda: _single_scatterer_scenario(speed=2.0, footprint_length=1.0, **_THREE_SCATTERERS),
          RampPolarity.DOWN, RadarParams(samples_per_ramp=37, fft_size=64)),
+        (lambda: _single_scatterer_scenario(entry_distance=0.0, footprint_length=2.0), RampPolarity.DOWN, P),
     ]
 
     @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
@@ -251,7 +256,7 @@ class TestSynthesizeBeatSignal:
         # Kept under its old name; the check is a bound, not equality.  The
         # phase split moves a sample by a few ulps of its phase per unit of
         # amplitude, and 1e-11 is about 30x the largest move on the desk data.
-        bound = 1e-11 * sum(s.amplitude for s in scenario.scatterers)
+        bound = 1e-11 * sum(scenario.amplitudes)
         assert np.max(np.abs(sig.samples - expected)) <= bound
 
     def test_oracle_cases_cover_partial_split_rows(self):
@@ -267,9 +272,26 @@ class TestSynthesizeBeatSignal:
         with pytest.raises(ValueError):
             _single_scatterer_scenario(speed=0.0)
         with pytest.raises(ValueError):
-            _single_scatterer_scenario(scatterers=())
-        with pytest.raises(ValueError):
-            Scatterer(0.0, -1.0)
+            _single_scatterer_scenario(offsets=(), amplitudes=())
+        with pytest.raises(ValueError, match="amplitude"):
+            _single_scatterer_scenario(amplitudes=(-1.0,))
+        with pytest.raises(ValueError, match="one amplitude per offset"):
+            _single_scatterer_scenario(offsets=(0.0, 2.0), amplitudes=(1.0,))
+
+    @pytest.mark.parametrize("overrides", [
+        {"entry_distance": -20.0},
+        {"entry_distance": -0.5, "offsets": (0.0, 1.0), "amplitudes": (1.0, 1.0)},
+        {"offsets": (0.0, -0.1), "amplitudes": (1.0, 1.0)},
+    ])
+    def test_scatterer_ahead_of_the_radar_rejected(self, overrides):
+        with pytest.raises(ValueError, match="at or behind the radar"):
+            _single_scatterer_scenario(**overrides)
+
+    def test_arrays_stored_as_float_tuples(self):
+        s = _single_scatterer_scenario(offsets=np.array([0.0, 2.0]), amplitudes=[1, 0.5])
+        assert s.offsets == (0.0, 2.0) and s.amplitudes == (1.0, 0.5)
+        assert s == _single_scatterer_scenario(offsets=(0.0, 2.0), amplitudes=(1.0, 0.5))
+        assert all(type(v) is float for v in s.offsets + s.amplitudes)
 
 
 class TestScenarioSampling:
@@ -293,7 +315,7 @@ class TestScenarioSampling:
         max_len = table.profiles[VehicleClass.MOTORCYCLE].length_range[1]
         for seed in range(25):
             s = sample_vehicle_scenario("G", seed, table)
-            length = max(sc.along_track_offset for sc in s.scatterers)
+            length = max(s.offsets)
             assert length <= max_len + 1e-9
 
     def test_unknown_class_rejected(self):
@@ -304,13 +326,16 @@ class TestScenarioSampling:
         assert sample_vehicle_scenario("A", 3) != sample_vehicle_scenario("B", 3)
 
     def test_global_clamp_applies(self):
-        from radarnet.radar import ClassProfile
-
         table = ProfileTable(
             profiles={VehicleClass.CAR: ClassProfile((3.5, 5.0), (50.0, 60.0), (0.1, 0.2))}
         )
         s = sample_vehicle_scenario("A", 1, table)
         assert s.speed == table.v_max
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, float("nan")])
+    def test_nonpositive_scatterer_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError, match="scatterer_spacing"):
+            ClassProfile((3.5, 5.0), (25.0, 36.0), (0.1, 0.2), spacing)
 
 
 class TestSingleTargetRecovery:
