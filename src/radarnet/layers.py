@@ -4,8 +4,10 @@ Every layer works on a batch: feature maps are [N, channels, height, width],
 fully connected activations are [N, features], and row n of the output
 depends on row n of the input alone.  forward returns the output plus an
 opaque cache; backward consumes that cache and returns the input gradient
-and the parameter gradients, summed over the batch.  The parametric layers'
-backward takes input_grad=False to skip the input gradient (returned as None).
+and the parameter gradients, summed over the batch.  A fully connected weight
+gradient stays as its batch factors, an OuterSum, and is never formed whole; every
+other gradient is an array.  The parametric layers' backward takes
+input_grad=False to skip the input gradient (returned as None).
 forward's rng is None in evaluation; in training it holds one generator per
 row, and only Dropout reads it.
 """
@@ -136,7 +138,9 @@ class MaxPool2d(ParamFree):
     """Overlapping max pooling; the backward pass routes each output gradient
     to the single argmax input position (the first in window order on ties).
 
-    Forward is a running maximum over the k*k strided slices.  Backward copies x
+    Forward is separable: a running maximum over the k taps along the width, then
+    over the k taps of that along the height, each pass in x's memory order; a
+    maximum is exact, so y is that of each k*k window.  Backward copies x
     into its s*s stride-parity planes, flat [C, N, W, H] images padded to
     (ow + r) x (oh + r), so each window is one contiguous flat shift of a plane
     against y and dy padded alike.  Windows run in window order, so every input
@@ -165,10 +169,15 @@ class MaxPool2d(ParamFree):
                 for kh in range(k) for kw in range(k)]
 
     def forward(self, x, rng=None):
-        windows = self._windows(x.shape)
-        y = x[windows[0]].copy(order="K")     # keep the input's memory order
-        for win in windows[1:]:
-            np.maximum(y, x[win], out=y)
+        k, s = self.kernel, self.stride
+        oh, ow = self.output_shape(x.shape[1:])[1:]
+        rows = x[..., : s * (oh - 1) + k, :]
+        t = rows[..., : s * (ow - 1) + 1 : s].copy(order="K")     # keep the input's memory order
+        for kw in range(1, k):
+            np.maximum(t, rows[..., kw : kw + s * (ow - 1) + 1 : s], out=t)
+        y = t[..., : s * (oh - 1) + 1 : s, :].copy(order="K")
+        for kh in range(1, k):
+            np.maximum(y, t[..., kh : kh + s * (oh - 1) + 1 : s, :], out=y)
         return y, (x, y)
 
     def backward(self, dy, cache):
@@ -284,8 +293,32 @@ class Dropout(ParamFree):
         return dy * cache, {}
 
 
+class OuterSum:
+    """The weight gradient dy.T @ flat of a fully connected layer, kept as its
+    factors: dy is [N, out] and flat is [N, in], held, not copied.  At batch N it
+    is a sum of N outer products, so N * (out + in) values stand for out * in.
+
+    rows(lo, hi) forms rows lo:hi of the matrix, each value as the whole product
+    gives it; np.asarray gives the whole [out, in] matrix."""
+
+    def __init__(self, dy, flat):
+        self.dy = dy
+        self.flat = flat
+        self.shape = (dy.shape[1], flat.shape[1])
+        self.size = self.shape[0] * self.shape[1]
+        self.dtype = np.result_type(dy, flat)
+
+    def rows(self, lo, hi):
+        return self.dy[:, lo:hi].T @ self.flat
+
+    def __array__(self, dtype=None, copy=None):
+        full = self.rows(0, self.shape[0])
+        return full if dtype is None else full.astype(dtype, copy=False)
+
+
 class Linear:
-    """Fully connected layer; flattens each row of a feature-map input."""
+    """Fully connected layer; flattens each row of a feature-map input.  Its
+    weight gradient is an OuterSum of the output gradient and the flat input."""
 
     kind = "fc"
 
@@ -316,7 +349,7 @@ class Linear:
 
     def backward(self, dy, cache, input_grad=True):
         flat, x_shape = cache
-        grads = {f"{self.name}.W": dy.T @ flat, f"{self.name}.b": dy.sum(axis=0)}
+        grads = {f"{self.name}.W": OuterSum(dy, flat), f"{self.name}.b": dy.sum(axis=0)}
         return ((dy @ self.W).reshape(x_shape) if input_grad else None), grads
 
 

@@ -24,6 +24,7 @@ from .layers import (
     Dropout,
     Linear,
     MaxPool2d,
+    OuterSum,
     ReLU,
     Softmax,
 )
@@ -84,7 +85,7 @@ PRESETS = {
 PRECISIONS = {"standard": np.float32, "high": np.float64}
 
 # values per sgd_step block: w, g, v and the temporary take 1 MB in float32 (cache-sized);
-# every mini-net tensor fits in one block
+# every mini-net tensor fits in one block; an OuterSum is cut into whole rows of about this many
 SGD_BLOCK = 1 << 16
 
 
@@ -206,7 +207,9 @@ class Network:
 
     def backward(self, cache: ForwardCache, dlogits):
         """Reverse pass from the [N, classes] logit gradient; returns parameter
-        gradients summed over the batch."""
+        gradients summed over the batch.  A fully connected weight gradient is an
+        OuterSum of that layer's output gradient and flat input, which sgd_step
+        forms block by block (np.asarray forms it whole); the rest are arrays."""
         if cache.version != self._version:
             raise StaleCacheError("parameters changed since this cache's forward pass")
         grads = {}
@@ -295,16 +298,32 @@ def predict(net: Network, tensor):
     return VehicleClass(CLASS_ORDER[int(np.argmax(scores))]), scores
 
 
+def _gradient_blocks(g):
+    """(slice of the flattened parameter, that slice of gradient g), covering g in order:
+    an OuterSum in blocks of whole rows, formed one at a time, an array in flat blocks
+    of SGD_BLOCK values."""
+    if isinstance(g, OuterSum):
+        width = g.shape[1]
+        per_block = max(SGD_BLOCK // width, 1)
+        for lo in range(0, g.shape[0], per_block):
+            block = g.rows(lo, lo + per_block).reshape(-1)
+            yield slice(lo * width, lo * width + block.size), block
+    else:
+        g = g.reshape(-1)
+        for i in range(0, g.size, SGD_BLOCK):
+            yield slice(i, i + SGD_BLOCK), g[i : i + SGD_BLOCK]
+
+
 def sgd_step(params: dict, grads: dict, velocity: dict, cfg: TrainConfig) -> None:
     """Classical momentum with L2 decay folded into the gradient:
     v <- mu*v - lr*(g + wd*w);  w <- w + v.  Updates params/velocity in place.
 
     Every gradient is checked finite before any parameter changes.  The update then
-    walks the flattened C-contiguous arrays in blocks of SGD_BLOCK values, so its one
-    temporary is block-sized; each value is as the whole-array formula gives it."""
+    walks the flattened C-contiguous arrays block by block (_gradient_blocks), so its
+    temporaries are block-sized; an OuterSum's blocks are formed once for the check and
+    once for the update.  Each value is as the whole-array formula gives it."""
     for name, w in params.items():
-        g = grads[name].reshape(-1)
-        if not all(np.isfinite(g[i : i + SGD_BLOCK]).all() for i in range(0, g.size, SGD_BLOCK)):
+        if not all(np.isfinite(gb).all() for _, gb in _gradient_blocks(grads[name])):
             raise FloatingPointError(f"non-finite gradient for {name}; aborting training")
         if not w.flags.c_contiguous:
             raise ValueError(f"parameter {name} is not C-contiguous")
@@ -312,9 +331,9 @@ def sgd_step(params: dict, grads: dict, velocity: dict, cfg: TrainConfig) -> Non
         v = velocity.get(name)
         if v is None:
             v = velocity[name] = np.zeros_like(w)
-        w, g, v = w.reshape(-1), grads[name].reshape(-1), v.reshape(-1)
-        for i in range(0, w.size, SGD_BLOCK):
-            wb, gb, vb = w[i : i + SGD_BLOCK], g[i : i + SGD_BLOCK], v[i : i + SGD_BLOCK]
+        w, v = w.reshape(-1), v.reshape(-1)
+        for block, gb in _gradient_blocks(grads[name]):
+            wb, vb = w[block], v[block]
             step = wb * cfg.weight_decay
             step += gb
             step *= cfg.learning_rate
@@ -386,7 +405,12 @@ def gradient_check(
                 break
         arr[flat_idx] = old
         numeric = (loss_hi - loss_lo) / (2.0 * step)
-        a = float(analytic[name].reshape(-1)[flat_idx])
+        g = analytic[name]
+        if isinstance(g, OuterSum):     # form the one row that holds the value
+            row, col = divmod(flat_idx, g.shape[1])
+            a = float(g.rows(row, row + 1)[0, col])
+        else:
+            a = float(g.reshape(-1)[flat_idx])
         err = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
         worst = max(worst, err)
     return worst

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -386,6 +387,27 @@ class ProfileTable:
     v_min: float = 10.0               # global clamps applied after the class draw
     v_max: float = 38.0
     snr_db: float = 20.0              # peak signal amplitude over noise sigma
+
+    def __post_init__(self):
+        def finite(*values):
+            return all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                       for v in values)
+
+        if not (isinstance(self.entry_range, Sequence) and len(self.entry_range) == 2
+                and finite(*self.entry_range)):
+            raise ValueError(f"entry_range must be two finite numbers, got {self.entry_range!r}")
+        lo, hi = self.entry_range
+        if min(lo, hi) < 0:
+            raise ValueError(f"scatterers must sit at or behind the radar, got entry_range {lo}, {hi}")
+        if lo > hi:
+            raise ValueError(f"entry_range must satisfy lo <= hi, got {lo}, {hi}")
+        if not (finite(self.footprint_length) and self.footprint_length > 0):
+            raise ValueError(f"footprint_length must be positive and finite, got {self.footprint_length}")
+        if not (finite(self.v_min, self.v_max) and 0 < self.v_min <= self.v_max):
+            raise ValueError(f"speed clamps must satisfy 0 < v_min <= v_max, both finite, "
+                             f"got {self.v_min}, {self.v_max}")
+        if not finite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
 
 def sample_vehicle_scenario(

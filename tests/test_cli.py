@@ -86,6 +86,7 @@ class TestGenerate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: scatterers must sit at or behind the radar"), err
+        assert not (tmp_path / "g").exists()
 
     def test_desk_preset_writes_600(self, tmp_path):
         rc = main(["generate", "-o", str(tmp_path / "desk"), "--preset", "desk", "--seed", "1"])

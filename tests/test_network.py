@@ -14,6 +14,7 @@ from radarnet.layers import (
     Dropout,
     Linear,
     MaxPool2d,
+    OuterSum,
     _box_sum_channels,
     normal_init,
 )
@@ -310,7 +311,7 @@ class TestBackward:
         net = _mini()
         _, cache = net.forward(_x32()[None])
         grads = net.backward(cache, np.zeros((1, 6)))
-        assert all(np.all(g == 0.0) for g in grads.values())
+        assert all(np.all(np.asarray(g) == 0.0) for g in grads.values())
 
     def test_stale_cache_rejected(self):
         net = _mini()
@@ -586,6 +587,96 @@ class TestSgdStep:
         assert TrainConfig(epochs=0).epochs == 0
 
 
+class TestOuterSum:
+    """A fully connected weight gradient kept as its batch factors."""
+
+    # 4000 values a row: SGD_BLOCK // 4000 = 16 rows a block, so 16*3 + 5 rows give
+    # three whole blocks and a ragged fourth
+    WIDE = (16 * 3 + 5, 4000)
+
+    @staticmethod
+    def _factors(out, width, n, dtype, seed=0):
+        rng = np.random.default_rng([seed, out, width, n])
+        return rng.normal(size=(n, out)).astype(dtype), rng.normal(size=(n, width)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("layer", ["fc1", "fc2", "wide"])
+    def test_dense_form_is_the_product(self, dtype, n, layer):
+        if layer == "wide":
+            out, width = self.WIDE
+            assert -(-out // (SGD_BLOCK // width)) >= 3 and out % (SGD_BLOCK // width)
+        else:
+            fc = _mini().layer_named(layer)
+            out, width = fc.out_features, fc.in_features
+        dy, flat = self._factors(out, width, n, dtype)
+        g = OuterSum(dy, flat)
+        assert g.shape == (out, width) and g.size == out * width and g.dtype == dtype
+        dense = np.asarray(g)
+        assert dense.dtype == dtype and dense.shape == g.shape
+        assert dense.tobytes() == (dy.T @ flat).tobytes()
+
+    def test_linear_backward_returns_the_factors(self):
+        fc = Linear("fc", 20, 7, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(6, 4, 5)).astype(np.float32)
+        _, cache = fc.forward(x)
+        dy = np.random.default_rng(2).normal(size=(6, 7)).astype(np.float32)
+        _, grads = fc.backward(dy, cache)
+        assert isinstance(grads["fc.W"], OuterSum)
+        assert np.asarray(grads["fc.W"]).tobytes() == (dy.T @ x.reshape(6, -1)).tobytes()
+
+    def _steps(self, n_steps=3, nan_at_step=None):
+        """sgd_step over [wide W as an OuterSum, its bias, a dense 3-block tensor]."""
+        out, width = self.WIDE
+        rng = np.random.default_rng(6)
+        params = {"fc.W": rng.normal(size=(out, width)).astype(np.float32),
+                  "fc.b": rng.normal(size=out).astype(np.float32),
+                  "z.W": rng.normal(size=3 * SGD_BLOCK + 9).astype(np.float32)}
+        steps = []
+        for i in range(n_steps):
+            dy, flat = self._factors(out, width, 6, np.float32, seed=i)
+            if i == nan_at_step:
+                dy[:, -1] = np.nan      # the last row, which only the ragged last block reads
+            steps.append({"fc.W": OuterSum(dy, flat), "fc.b": dy.sum(axis=0),
+                          "z.W": rng.normal(size=params["z.W"].shape).astype(np.float32)})
+        return params, steps
+
+    def test_sgd_step_matches_its_dense_twin(self):
+        cfg = TrainConfig(learning_rate=0.01, momentum=0.9, weight_decay=0.0005)
+        params, steps = self._steps()
+        twin = {n: w.copy() for n, w in params.items()}
+        vel, twin_vel = {}, {}
+        for grads in steps:
+            sgd_step(params, grads, vel, cfg)
+            sgd_step(twin, {n: np.asarray(g) for n, g in grads.items()}, twin_vel, cfg)
+        for n in params:
+            assert params[n].tobytes() == twin[n].tobytes(), n
+            assert vel[n].tobytes() == twin_vel[n].tobytes(), n
+
+    def test_nan_in_the_last_row_block_changes_nothing(self):
+        params, (first, bad) = self._steps(n_steps=2, nan_at_step=1)
+        vel = {}
+        sgd_step(params, first, vel, TrainConfig())
+        before_w = {n: w.copy() for n, w in params.items()}
+        before_v = {n: v.copy() for n, v in vel.items()}
+        bad["fc.b"] = np.zeros_like(bad["fc.b"])    # only the factored gradient is non-finite
+        with pytest.raises(FloatingPointError, match="fc.W"):
+            sgd_step(params, bad, vel, TrainConfig())
+        for n in params:
+            assert params[n].tobytes() == before_w[n].tobytes(), n
+            assert vel[n].tobytes() == before_v[n].tobytes(), n
+
+    def test_full_preset_fc_gradients_stay_small(self):
+        net = build_network("full", (3, 227, 227), seed=0)
+        x = np.random.default_rng(0).normal(size=(1, 3, 227, 227)).astype(np.float32)
+        scores, cache = net.forward(x, rng=[0])
+        grads = net.backward(cache, loss_and_grad(scores, [2])[1])
+        for name in ("fc6.W", "fc7.W"):
+            g = grads[name]
+            assert isinstance(g, OuterSum) and g.shape == net.params()[name].shape
+            assert g.dy.nbytes + g.flat.nbytes < 1 << 20, name
+
+
 class TestGradientCheck:
     def test_high_precision(self):
         net = _mini(seed=1, precision="high")
@@ -825,10 +916,10 @@ class TestTrainingSanity:
                 total += loss / len(batch)
                 g = net.backward(cache, dlogits)
                 if grads_acc is None:
-                    grads_acc = {k: v / len(batch) for k, v in g.items()}
+                    grads_acc = {k: np.asarray(v) / len(batch) for k, v in g.items()}
                 else:
                     for k in grads_acc:
-                        grads_acc[k] += g[k] / len(batch)
+                        grads_acc[k] += np.asarray(g[k]) / len(batch)
             return total, grads_acc
 
         losses = []

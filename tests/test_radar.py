@@ -332,6 +332,28 @@ class TestScenarioSampling:
         s = sample_vehicle_scenario("A", 1, table)
         assert s.speed == table.v_max
 
+    @pytest.mark.parametrize("fields, words", [
+        ({"entry_range": (-20.0, -18.0)}, "scatterers must sit at or behind the radar"),
+        ({"entry_range": (2.0, -1.0)}, "scatterers must sit at or behind the radar"),
+        ({"entry_range": (8.0, 3.0)}, "lo <= hi"),
+        ({"entry_range": (3.0, float("inf"))}, "entry_range must be two finite numbers"),
+        ({"entry_range": (3.0,)}, "entry_range must be two finite numbers"),
+        ({"entry_range": 3.0}, "entry_range must be two finite numbers"),
+        ({"footprint_length": 0.0}, "footprint_length"),
+        ({"footprint_length": float("nan")}, "footprint_length"),
+        ({"v_min": 0.0}, "v_min"),
+        ({"v_min": 40.0}, "v_min <= v_max"),
+        ({"v_max": float("inf")}, "v_max"),
+        ({"snr_db": float("nan")}, "snr_db"),
+    ])
+    def test_profile_table_ranges_checked_when_built(self, fields, words):
+        with pytest.raises(ValueError, match=words):
+            ProfileTable(**fields)
+
+    def test_profile_table_edges_accepted(self):
+        table = ProfileTable(entry_range=(0.0, 0.0), v_min=20.0, v_max=20.0, snr_db=-5.0)
+        assert sample_vehicle_scenario("A", 1, table).entry_distance == 0.0
+
     @pytest.mark.parametrize("spacing", [0.0, -1.0, float("nan")])
     def test_nonpositive_scatterer_spacing_rejected(self, spacing):
         with pytest.raises(ValueError, match="scatterer_spacing"):
