@@ -4,7 +4,6 @@ from .radar import (
     CLASS_ORDER,
     BeatSignal,
     ClassProfile,
-    Geometry,
     NyquistError,
     PointTarget,
     ProfileTable,

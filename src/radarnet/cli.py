@@ -22,7 +22,7 @@ from .config import (
     apply_quota_preset,
     load_config,
 )
-from .radar import CLASS_ORDER
+from .radar import CLASS_ORDER, radar_params_hash
 from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor
 
 
@@ -141,6 +141,7 @@ def _save_model(weights_path, net, mean_tensor, cfg: RunConfig):
     network.save_weights(net, wpath)
     ds_mod.save_tensor(mean_tensor, mpath)
     meta = {
+        "format_version": ds_mod.FORMAT_VERSION,
         "preset": cfg.preset,
         "input_shape": list(net.input_shape),
         "target_width": cfg.target_width,
@@ -197,6 +198,9 @@ def _load_model(weights_path, cfg: RunConfig):
     keys = ("preset", "radar", "target_width", "freq_range")
     if not isinstance(meta, dict) or not all(key in meta for key in keys):
         raise ValueError(f"model meta {metapath} is not a JSON object holding {', '.join(keys)}")
+    if meta.get("format_version") != ds_mod.FORMAT_VERSION:
+        raise network.ConfigError(f"model meta {metapath}: format version {meta.get('format_version')}, "
+                                  f"expected {ds_mod.FORMAT_VERSION}")
     try:
         model = RunConfig.from_dict({key: meta[key] for key in keys})
     except network.ConfigError as exc:
@@ -213,7 +217,7 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     ds = ds_mod.load_dataset(args.data)
     net, mean = _load_model(args.weights, cfg)
-    model_hash = ds_mod.radar_params_hash(cfg.radar)
+    model_hash = radar_params_hash(cfg.radar)
     if model_hash != ds.radar_hash:
         raise ValueError(
             f"the model was trained on radar {model_hash}, but {args.data} holds data from radar {ds.radar_hash}"

@@ -92,7 +92,7 @@ class RunConfig:
         cfg = cls()
         try:
             if "radar" in d:
-                cfg.radar = RadarParams.from_dict(d["radar"])
+                cfg.radar = RadarParams(**d["radar"])
             if "profiles" in d:
                 pd = {
                     k: tuple(v) if isinstance(v, list) else v

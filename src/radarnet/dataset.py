@@ -11,11 +11,11 @@ test set (so test sets overlap across folds by construction).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import shutil
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path, PurePath
 from typing import Mapping
@@ -30,13 +30,18 @@ from .radar import (
     RadarParams,
     RampPolarity,
     VehicleClass,
+    radar_params_hash,
     sample_vehicle_scenario,
     synthesize_beat_signal,
 )
 from .spectrogram import RdTensor, signal_to_tensor
 
 TENSOR_MAGIC = b"RDT1"
-SIGNAL_MAGIC = b"RBS1"
+SIGNAL_MAGIC = b"RBS2"
+# samples per ramp, first ramp, class index, fft size, f0, delta_f, t_ramp, mount height, sample count
+SIGNAL_HEADER = "<IBbIddddQ"
+# of manifest.json and of a model's meta.json
+FORMAT_VERSION = 2
 
 MAX_DIM = 1 << 20
 MAX_ELEMENTS = 1 << 26
@@ -115,13 +120,13 @@ def load_tensor(path) -> np.ndarray:
 
 
 def save_signal(sig: BeatSignal, path) -> None:
-    label_idx = -1 if sig.label is None else sig.label.index
+    r = sig.radar
     header = SIGNAL_MAGIC + struct.pack(
-        "<IBbdQ",
-        sig.samples_per_ramp,
+        SIGNAL_HEADER,
+        r.samples_per_ramp,
         0 if sig.first_ramp is RampPolarity.UP else 1,
-        label_idx,
-        sig.sample_rate,
+        -1 if sig.label is None else sig.label.index,
+        r.fft_size, r.f0, r.delta_f, r.t_ramp, r.mount_height,
         sig.samples.size,
     )
     Path(path).write_bytes(header + np.ascontiguousarray(sig.samples, dtype="<f8").tobytes())
@@ -129,30 +134,27 @@ def save_signal(sig: BeatSignal, path) -> None:
 
 def load_signal(path) -> BeatSignal:
     data = Path(path).read_bytes()
-    header_size = 4 + struct.calcsize("<IBbdQ")
+    header_size = 4 + struct.calcsize(SIGNAL_HEADER)
     _check_header(data, SIGNAL_MAGIC, header_size)
-    spr, first, label_idx, rate, count = struct.unpack("<IBbdQ", data[4:header_size])
-    if spr == 0:
-        raise HeaderFieldError("samples per ramp is 0")
+    spr, first, label_idx, fft_size, f0, delta_f, t_ramp, height, count = struct.unpack(
+        SIGNAL_HEADER, data[4:header_size])
     if first not in (0, 1):
         raise HeaderFieldError(f"first-ramp byte {first}, expected 0 (up) or 1 (down)")
     if not -1 <= label_idx < len(CLASS_ORDER):
         raise HeaderFieldError(f"class index {label_idx}, expected -1..{len(CLASS_ORDER) - 1}")
+    try:
+        radar = RadarParams(f0, delta_f, t_ramp, spr, fft_size, height)
+    except ValueError as exc:
+        raise HeaderFieldError(f"header radar: {exc}") from None
     _check_size(data, header_size + count * 8)
     samples = np.frombuffer(data, dtype="<f8", count=count, offset=header_size).copy()
     label = None if label_idx < 0 else VehicleClass(CLASS_ORDER[label_idx])
     return BeatSignal(
         samples=samples,
-        sample_rate=rate,
+        radar=radar,
         first_ramp=RampPolarity.UP if first == 0 else RampPolarity.DOWN,
-        samples_per_ramp=spr,
         label=label,
     )
-
-
-def radar_params_hash(p: RadarParams) -> str:
-    blob = json.dumps(asdict(p), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,6 @@ class Dataset:
     records: list
     radar_hash: str
     tensor_shape: tuple
-    format_version: int = 1
     _index: dict = field(init=False, repr=False)     # sample id -> row
 
     def __post_init__(self):
@@ -229,7 +230,7 @@ class Dataset:
 
     def manifest_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "radar_params_hash": self.radar_hash,
             "tensor_shape": list(self.tensor_shape),
             "class_counts": self.class_counts,
@@ -244,11 +245,6 @@ class Dataset:
                 for r in self.records
             ],
         }
-
-
-def save_manifest(ds: Dataset) -> None:
-    text = json.dumps(ds.manifest_dict(), indent=2, sort_keys=True) + "\n"
-    (ds.root / "manifest.json").write_text(text, encoding="utf-8")
 
 
 def _manifest_field(obj, key: str, kinds, where: str):
@@ -288,8 +284,8 @@ def load_dataset(root) -> Dataset:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"{where}: not a UTF-8 JSON document ({exc})") from exc
     version = _manifest_field(manifest, "format_version", int, where)
-    if version != 1:
-        raise ManifestError(f"{where}: format version {version}, expected 1")
+    if version != FORMAT_VERSION:
+        raise ManifestError(f"{where}: format version {version}, expected {FORMAT_VERSION}")
     shape = _manifest_field(manifest, "tensor_shape", list, where)
     if (
         len(shape) != 3
@@ -304,7 +300,6 @@ def load_dataset(root) -> Dataset:
         records=[_manifest_record(s, f"{where}, sample {i}") for i, s in enumerate(samples)],
         radar_hash=_manifest_field(manifest, "radar_params_hash", str, where),
         tensor_shape=tuple(shape),
-        format_version=version,
     )
     if len(ds._index) != len(ds):
         raise ManifestError(f"{where}: sample ids repeat")
@@ -327,7 +322,8 @@ def generate_dataset(
     Sample i (class-major, classes in A..G order) uses seed base_seed + i, so
     regeneration under the same seed is byte-identical on any number of
     cores.  Each sample is simulated, tensorized and written as one job of
-    run_on_cores, so the first failure stops the rest and is raised.
+    run_on_cores, so the first failure stops the rest and is raised.  Files go
+    to a hidden sibling, renamed to out_dir when complete, removed on failure.
     """
     out_dir = Path(out_dir)
     counts = {VehicleClass.from_label(k).value: int(v) for k, v in counts_per_class.items()}
@@ -341,14 +337,11 @@ def generate_dataset(
             requested.append((VehicleClass(label), counts[label]))
     if target_width < 1:
         raise ValueError(f"target width must be at least 1, got {target_width}")
-    n_bins = radar.fft_size // 2 + 1
-    if freq_range is not None and not 0 <= freq_range[0] < freq_range[1] <= n_bins:
-        raise ValueError(f"frequency window {tuple(freq_range)} outside 0..{n_bins}")
     if not out_dir.parent.exists():
         raise FileNotFoundError(f"parent directory {out_dir.parent} does not exist")
-    (out_dir / "tensors").mkdir(parents=True, exist_ok=True)
-    if keep_signals:
-        (out_dir / "signals").mkdir(parents=True, exist_ok=True)
+    if out_dir.exists() and not (out_dir.is_dir() and not any(out_dir.iterdir())):
+        raise FileExistsError(f"{out_dir} exists and is not an empty directory")
+    partial = out_dir.with_name(f".{out_dir.name}.partial")
 
     jobs = [(f"{vclass.value}{k:04d}", vclass) for vclass, count in requested for k in range(count)]
 
@@ -360,20 +353,29 @@ def generate_dataset(
         sig = synthesize_beat_signal(scenario, radar)
         tensor = signal_to_tensor(sig, radar, target_width, freq_range=freq_range).values
         rel = f"tensors/{sample_id}.rdt"
-        save_tensor(tensor, out_dir / rel)
+        save_tensor(tensor, partial / rel)
         if keep_signals:
-            save_signal(sig, out_dir / f"signals/{sample_id}.rbs")
+            save_signal(sig, partial / f"signals/{sample_id}.rbs")
         return SampleRecord(sample_id, vclass, rel, scenario.speed, seed), tensor.shape
 
-    written = run_on_cores(len(jobs), write_sample)
-
-    ds = Dataset(
-        root=out_dir,
-        records=[record for record, _ in written],
-        radar_hash=radar_params_hash(radar),
-        tensor_shape=written[-1][1],
-    )
-    save_manifest(ds)
+    partial.mkdir()
+    try:
+        (partial / "tensors").mkdir()
+        if keep_signals:
+            (partial / "signals").mkdir()
+        written = run_on_cores(len(jobs), write_sample)
+        ds = Dataset(
+            root=out_dir,
+            records=[record for record, _ in written],
+            radar_hash=radar_params_hash(radar),
+            tensor_shape=written[-1][1],
+        )
+        manifest = json.dumps(ds.manifest_dict(), indent=2, sort_keys=True) + "\n"
+        (partial / "manifest.json").write_text(manifest, encoding="utf-8")
+        partial.rename(out_dir)     # replaces an empty directory
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
     return ds
 
 

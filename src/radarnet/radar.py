@@ -16,9 +16,11 @@ footprint along the lane.
 from __future__ import annotations
 
 import enum
+import hashlib
+import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,36 +64,24 @@ class NyquistError(ValueError):
 
 
 @dataclass(frozen=True)
-class Geometry:
-    h: float = 5.3                       # mount height above the lane [m]
-    alpha: float = math.radians(32.0)    # antenna depression angle [rad]
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("mount height must be positive")
-
-
-@dataclass(frozen=True)
 class RadarParams:
-    """Waveform, sampling and mounting parameters of the roadside radar."""
+    """The roadside radar as the six values that fix its beat model: its identity."""
 
     f0: float = 24e9            # carrier frequency [Hz]
     delta_f: float = 120e6      # sweep bandwidth [Hz]
     t_ramp: float = 0.040       # single ramp (sweep interval) duration [s]
     samples_per_ramp: int = 512
     fft_size: int = 512
-    amplitude: float = 1.0      # transmit amplitude, dimensionless
-    c: float = SPEED_OF_LIGHT
-    geometry: Geometry = field(default_factory=Geometry)
+    mount_height: float = 5.3   # above the lane [m]
 
     def __post_init__(self):
-        for name in ("f0", "delta_f", "t_ramp"):   # NaN fails both comparisons
+        for name in ("f0", "delta_f", "t_ramp", "mount_height"):   # NaN fails both comparisons
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"radar {name} must be positive and finite, got {getattr(self, name)}")
-        if self.samples_per_ramp < 2:
-            raise ValueError("need at least 2 samples per ramp")
-        if self.fft_size < self.samples_per_ramp:
-            raise ValueError("fft_size must be >= samples_per_ramp")
+        for name, low in (("samples_per_ramp", 2), ("fft_size", self.samples_per_ramp)):
+            value = getattr(self, name)
+            if not (value >= low and isinstance(value, numbers.Integral)):   # a str raises TypeError
+                raise ValueError(f"radar {name} must be an integer >= {low}, got {value!r}")
         if self.fft_size & (self.fft_size - 1):
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
 
@@ -102,7 +92,7 @@ class RadarParams:
 
     @property
     def wavelength(self) -> float:
-        return self.c / self.f0
+        return SPEED_OF_LIGHT / self.f0
 
     @property
     def ramp_slope(self) -> float:
@@ -114,18 +104,11 @@ class RadarParams:
         """Spectral bin width of the per-ramp FFT [Hz]."""
         return self.sample_rate / self.fft_size
 
-    @property
-    def range_resolution(self) -> float:
-        """c / (2 delta_f) [m]."""
-        return self.c / (2.0 * self.delta_f)
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "RadarParams":
-        d = dict(d)
-        geo = d.pop("geometry", None)
-        if geo is not None:
-            d["geometry"] = Geometry(**geo)
-        return cls(**d)
+def radar_params_hash(p: RadarParams) -> str:
+    """Short digest of the radar's six values, as manifests record it."""
+    blob = json.dumps(asdict(p), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def beat_frequencies(target_range, v_radial, p: RadarParams):
@@ -139,7 +122,7 @@ def beat_frequencies(target_range, v_radial, p: RadarParams):
     target_range = np.asarray(target_range, dtype=float)
     if np.any(target_range < 0):
         raise ValueError("target range must be nonnegative")
-    f_range = p.ramp_slope * (2.0 * target_range / p.c)
+    f_range = p.ramp_slope * (2.0 * target_range / SPEED_OF_LIGHT)
     f_doppler = np.abs(2.0 * np.asarray(v_radial, dtype=float) / p.wavelength)
     up = f_range + f_doppler
     down = f_range - f_doppler
@@ -158,7 +141,7 @@ def invert_beat(f_b_up, f_b_down, p: RadarParams):
     if np.any(f_range < 0):
         raise ValueError("beat pair implies a negative range")
     tau = f_range / p.ramp_slope
-    target_range = 0.5 * p.c * tau
+    target_range = 0.5 * SPEED_OF_LIGHT * tau
     f_doppler = 0.5 * np.abs(np.asarray(f_b_up, float) - np.asarray(f_b_down, float))
     v_radial = 0.5 * p.wavelength * f_doppler
     if np.ndim(target_range) == 0:
@@ -199,24 +182,21 @@ class Scenario:
 
 @dataclass
 class BeatSignal:
-    """Sampled baseband beat waveform with its ramp framing."""
+    """Sampled baseband beat waveform and the radar that swept it and frames its ramps."""
 
     samples: np.ndarray
-    sample_rate: float
+    radar: RadarParams
     first_ramp: RampPolarity = RampPolarity.UP
-    samples_per_ramp: int = 512
     label: VehicleClass | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("beat signal samples must be one-dimensional")
-        if self.samples_per_ramp < 1:
-            raise ValueError("samples_per_ramp must be >= 1")
 
     @property
     def num_full_ramps(self) -> int:
-        return self.samples.size // self.samples_per_ramp
+        return self.samples.size // self.radar.samples_per_ramp
 
 
 def footprint_envelope(d, entry_distance: float, footprint_length: float):
@@ -262,7 +242,7 @@ def _beat_signal(f_up, f_down, weights, seed, noise_sigma, p: RadarParams, first
     samples = _tone_sum(f_beat, weights, phases, p.samples_per_ramp, fs)
     if noise_sigma > 0:
         samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
-    return BeatSignal(samples, fs, first_ramp, p.samples_per_ramp, label)
+    return BeatSignal(samples, p, first_ramp, label)
 
 
 def synthesize_beat_signal(
@@ -281,7 +261,7 @@ def synthesize_beat_signal(
     beat frequency would alias are suppressed.  Duration is the smallest even
     ramp count covering footprint_length / speed.
     """
-    h = p.geometry.h
+    h = p.mount_height
 
     # Guard on the dominant response: at the envelope peak the up-beat must be
     # representable, otherwise the whole signature would be filtered away.
@@ -344,6 +324,20 @@ def synthesize_point_targets(
     return _beat_signal(f_up, f_down, amps, seed, noise_sigma, p, first_ramp)
 
 
+# each scatterer costs cosines on every ramp; the default profiles hold at most 22
+MAX_SCATTERERS = 1024
+
+
+def _finite(*values) -> bool:
+    return all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+               for v in values)
+
+
+def _check_finite_pair(name: str, pair) -> None:
+    if not (isinstance(pair, Sequence) and len(pair) == 2 and _finite(*pair)):
+        raise ValueError(f"{name} must be two finite numbers, got {pair!r}")
+
+
 @dataclass(frozen=True)
 class ClassProfile:
     """Per-class simulation ranges the scenario sampler draws from."""
@@ -356,8 +350,17 @@ class ClassProfile:
     trailer_gain: float = 1.0        # reflectivity multiplier behind the gap
 
     def __post_init__(self):
-        if not self.scatterer_spacing > 0:
-            raise ValueError(f"scatterer_spacing must be positive, got {self.scatterer_spacing}")
+        for name in ("length_range", "speed_range", "reflectivity_range"):
+            _check_finite_pair(name, getattr(self, name))
+        if min(self.length_range) <= 0:
+            raise ValueError(f"length_range must be positive, got {self.length_range!r}")
+        if min(self.reflectivity_range) < 0:
+            raise ValueError(f"reflectivity_range must be >= 0, got {self.reflectivity_range!r}")
+        # the longest vehicle holds up to round(length / spacing) + 1 scatterers
+        longest = max(self.length_range)
+        if not self.scatterer_spacing > longest / (MAX_SCATTERERS - 0.5):
+            raise ValueError(f"scatterer_spacing must be positive and put at most {MAX_SCATTERERS} scatterers "
+                             f"on a {longest} m vehicle, got {self.scatterer_spacing}")
 
 
 # Invented simulation knobs, not measured truth: lengths and speeds are
@@ -389,24 +392,18 @@ class ProfileTable:
     snr_db: float = 20.0              # peak signal amplitude over noise sigma
 
     def __post_init__(self):
-        def finite(*values):
-            return all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-                       for v in values)
-
-        if not (isinstance(self.entry_range, Sequence) and len(self.entry_range) == 2
-                and finite(*self.entry_range)):
-            raise ValueError(f"entry_range must be two finite numbers, got {self.entry_range!r}")
+        _check_finite_pair("entry_range", self.entry_range)
         lo, hi = self.entry_range
         if min(lo, hi) < 0:
             raise ValueError(f"scatterers must sit at or behind the radar, got entry_range {lo}, {hi}")
         if lo > hi:
             raise ValueError(f"entry_range must satisfy lo <= hi, got {lo}, {hi}")
-        if not (finite(self.footprint_length) and self.footprint_length > 0):
+        if not (_finite(self.footprint_length) and self.footprint_length > 0):
             raise ValueError(f"footprint_length must be positive and finite, got {self.footprint_length}")
-        if not (finite(self.v_min, self.v_max) and 0 < self.v_min <= self.v_max):
+        if not (_finite(self.v_min, self.v_max) and 0 < self.v_min <= self.v_max):
             raise ValueError(f"speed clamps must satisfy 0 < v_min <= v_max, both finite, "
                              f"got {self.v_min}, {self.v_max}")
-        if not finite(self.snr_db):
+        if not _finite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
 

@@ -37,12 +37,12 @@ class RdTensor:
 def segment_ramps(sig: BeatSignal):
     """Split a beat signal into its up- and down-ramp windows.
 
-    Windows are consecutive, disjoint stretches of samples_per_ramp samples,
+    Windows are consecutive, disjoint stretches of sig.radar.samples_per_ramp samples,
     assigned alternately starting from sig.first_ramp; a trailing partial
     window is discarded.
     """
-    spr = sig.samples_per_ramp
-    n_full = sig.samples.size // spr
+    spr = sig.radar.samples_per_ramp
+    n_full = sig.num_full_ramps
     if n_full < 2:
         raise ValueError(
             f"signal holds {n_full} full ramp(s); need at least one up/down pair"
@@ -69,12 +69,9 @@ def fft_modulus(window, fft_size: int) -> np.ndarray:
 def build_spectrograms(sig: BeatSignal, p: RadarParams):
     """Up- and down-ramp spectrograms of a beat signal as [bins, windows] arrays;
     column j is the FFT modulus of the j-th window of that polarity.  A signal
-    framed by another radar (ramp length or sample rate) is refused."""
-    if (sig.samples_per_ramp, sig.sample_rate) != (p.samples_per_ramp, p.sample_rate):
-        raise ValueError(
-            f"signal of {sig.samples_per_ramp} samples per ramp at {sig.sample_rate:g} Hz, "
-            f"radar takes {p.samples_per_ramp} at {p.sample_rate:g} Hz"
-        )
+    swept by another radar is refused."""
+    if sig.radar != p:
+        raise ValueError(f"signal of another radar: swept by {sig.radar}, expected {p}")
     up_windows, down_windows = segment_ramps(sig)
     # one transform over both polarities: each row is transformed on its own
     moduli = fft_modulus(np.concatenate([up_windows, down_windows]), p.fft_size).T

@@ -6,6 +6,8 @@ no code path with the routines under test.
 
 import numpy as np
 
+from radarnet.radar import SPEED_OF_LIGHT
+
 
 def naive_dft(x):
     """O(N^2) complex DFT of a 1-D signal via the explicit outer-product sum."""
@@ -35,10 +37,10 @@ def spectrogram_peak_frequencies(sig, params):
     """
     from radarnet.radar import RampPolarity
 
-    spr = sig.samples_per_ramp
+    spr = sig.radar.samples_per_ramp
     n_full = sig.samples.size // spr
     windows = sig.samples[: n_full * spr].reshape(n_full, spr)
-    bin_hz = sig.sample_rate / params.fft_size
+    bin_hz = sig.radar.sample_rate / params.fft_size
     freqs = []
     for w in windows:
         mod = naive_dft_modulus_onesided(w, params.fft_size)
@@ -56,7 +58,7 @@ def naive_beat_signal(scenario, params, first_ramp_up=True):
     up ramps and subtracted on down ramps; for a scatterer behind the radar it
     equals radar.beat_frequencies' magnitude form."""
     fs = params.sample_rate
-    h = params.geometry.h
+    h = params.mount_height
     spr = params.samples_per_ramp
     n_ramps = int(np.ceil(scenario.footprint_length / scenario.speed / params.t_ramp))
     n_ramps = max(n_ramps + n_ramps % 2, 2)
@@ -69,7 +71,7 @@ def naive_beat_signal(scenario, params, first_ramp_up=True):
     d = scenario.entry_distance + offsets[None, :] + scenario.speed * t_mid[:, None]
     slant = np.hypot(h, d)
     v_radial = scenario.speed * d / slant
-    f_range = params.ramp_slope * (2.0 * slant / params.c)
+    f_range = params.ramp_slope * (2.0 * slant / SPEED_OF_LIGHT)
     f_doppler = 2.0 * v_radial / params.wavelength
     up = np.arange(n_ramps) % 2 == (0 if first_ramp_up else 1)
     signs = np.where(up, 1.0, -1.0)

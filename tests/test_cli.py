@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ P = RadarParams()
 
 # a radar of half the ramp length and sample count: the same rate, another framing
 FOREIGN = RadarParams(samples_per_ramp=256, fft_size=256, t_ramp=0.02)
-FOREIGN_WORDS = "signal of 256 samples per ramp at 12800 Hz, radar takes 512 at 12800 Hz"
+FOREIGN_WORDS = f"signal of another radar: swept by {FOREIGN}, expected {P}"
+# the default framing at another sweep bandwidth
+WIDE_SWEEP = RadarParams(delta_f=150e6)
 
 GEN_ARGS = ["--counts", "A=8,B=8,C=8,D=8,E=8,G=8", "--seed", "1"]
 SPLIT_ARGS = ["--folds", "2", "--train-per-class", "4", "--val-per-class", "2"]
@@ -39,6 +42,16 @@ def workspace(tmp_path_factory):
         == 0
     )
     return root
+
+
+@pytest.fixture(scope="module")
+def wide_sweep_signal(tmp_path_factory):
+    """An .rbs generated by a radar of another sweep bandwidth."""
+    root = tmp_path_factory.mktemp("wide")
+    (root / "radar.json").write_text(json.dumps({"radar": {"delta_f": WIDE_SWEEP.delta_f}}))
+    assert main(["generate", "-o", str(root / "ds"), "--config", str(root / "radar.json"),
+                 "--counts", "C=1", "--keep-signals"]) == 0
+    return root / "ds" / "signals" / "C0000.rbs"
 
 
 class TestGenerate:
@@ -88,6 +101,14 @@ class TestGenerate:
         assert err.startswith("error: scatterers must sit at or behind the radar"), err
         assert not (tmp_path / "g").exists()
 
+    def test_nyquist_failure_leaves_no_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"radar": {"samples_per_ramp": 256}}')
+        rc = main(["generate", "-o", str(tmp_path / "g"), "--counts", "A=2", "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: up-ramp beat")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]   # neither g nor a partial sibling
+
     def test_desk_preset_writes_600(self, tmp_path):
         rc = main(["generate", "-o", str(tmp_path / "desk"), "--preset", "desk", "--seed", "1"])
         assert rc == 0
@@ -135,6 +156,12 @@ class TestPlot:
         save_signal(synthesize_point_targets([PointTarget(30.0)], 8, FOREIGN), tmp_path / "foreign.rbs")
         assert main(["plot", str(tmp_path / "foreign.rbs"), "-o", str(tmp_path / "x.pgm")]) == 1
         assert capsys.readouterr().err == f"error: {FOREIGN_WORDS}\n"
+        assert not (tmp_path / "x.pgm").exists()
+
+    def test_sweep_of_another_bandwidth_exits_1(self, wide_sweep_signal, tmp_path, capsys):
+        assert main(["plot", str(wide_sweep_signal), "-o", str(tmp_path / "x.pgm")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: signal of another radar: swept by {WIDE_SWEEP}, expected {P}\n"
         assert not (tmp_path / "x.pgm").exists()
 
 
@@ -204,6 +231,21 @@ class TestTrainEvalPredict:
         assert rc == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {FOREIGN_WORDS}\n"
+
+    def test_predict_refuses_sweep_of_another_bandwidth(self, workspace, wide_sweep_signal, capsys):
+        rc = main(["predict", "-w", str(workspace / "model.rdw"), str(wide_sweep_signal)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: signal of another radar: swept by {WIDE_SWEEP}, expected {P}\n"
+
+    def test_predict_refuses_version_1_signal(self, workspace, tmp_path, capsys):
+        # the v1 header: samples per ramp, first ramp, class index, sample rate, sample count
+        header = b"RBS1" + struct.pack("<IBbdQ", 512, 0, -1, 12800.0, 1024)
+        (tmp_path / "old.rbs").write_bytes(header + bytes(8 * 1024))
+        rc = main(["predict", "-w", str(workspace / "model.rdw"), str(tmp_path / "old.rbs")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: bad magic b'RBS1', expected b'RBS2'\n"
 
     def test_predict_refuses_nan_scores(self, workspace, tmp_path, capsys):
         tensor = load_tensor(workspace / "ds" / "tensors" / "C0003.rdt").copy()
@@ -283,7 +325,12 @@ class TestMalformedModelMeta:
         (lambda m: {**m, "freq_range": 5}, ["freq_range"]),
         (lambda m: [m], ["JSON object"]),
         (lambda m: {k: v for k, v in m.items() if k != "preset"}, ["preset"]),
-    ], ids=["unknown-radar-field", "string-samples-per-ramp", "scalar-freq-range", "list", "no-preset"])
+        (lambda m: {k: v for k, v in m.items() if k != "format_version"}, ["format version None, expected 2"]),
+        (lambda m: {**m, "format_version": 1}, ["format version 1, expected 2"]),
+        (lambda m: {**m, "radar": {**m["radar"], "amplitude": 1.0, "geometry": {"h": 5.3}}},
+         ["bad config field", "amplitude"]),
+    ], ids=["unknown-radar-field", "string-samples-per-ramp", "scalar-freq-range", "list", "no-preset",
+            "no-format-version", "format-version-1", "old-radar-keys"])
     def test_exits_1(self, workspace, tmp_path, capsys, command, edit, words):
         for suffix in (".rdw", ".mean.rdt"):
             (tmp_path / f"model{suffix}").write_bytes((workspace / f"model{suffix}").read_bytes())
@@ -305,6 +352,7 @@ class TestMalformedManifest:
         ("samples", 5),
         ("tensor_shape", "x"),
         ("format_version", "zz"),
+        ("format_version", 1),
         ("path", "../../x"),
     ])
     def test_train_exits_1(self, workspace, tmp_path, capsys, key, value):
@@ -317,7 +365,8 @@ class TestMalformedManifest:
         (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
         rc = main(["train", "-d", str(tmp_path / "ds"), "-o", str(tmp_path / "m.rdw"), *SPLIT_ARGS])
         assert rc == 1
-        assert "manifest.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest.json" in err
 
     def test_train_on_a_symlink_out_of_the_root_exits_1(self, workspace, tmp_path, capsys):
         src = workspace / "ds"
@@ -380,6 +429,8 @@ class TestConfig:
         assert cfg["radar"]["f0"] == 24e9
         assert cfg["radar"]["delta_f"] == 120e6
         assert cfg["radar"]["t_ramp"] == 0.040
+        assert cfg["radar"]["mount_height"] == 5.3
+        assert len(cfg["radar"]) == 6
         assert cfg["target_width"] == 32
         assert cfg["folds"] == 10
 
@@ -406,13 +457,31 @@ class TestConfig:
 
     # configs that no generation can run: refused as the config is built,
     # before any directory is made
+    _PROFILE_A = ('{{"profiles": {{"classes": {{"A": {{"length_range": {length}, "speed_range": [25, 36], '
+                  '"reflectivity_range": {reflectivity}, "scatterer_spacing": {spacing}}}}}}}}}')
+
     @pytest.mark.parametrize("text, words", [
         ('{"profiles": {"classes": {"A": {"length_range": [3.5, 5.0], "speed_range": [25, 36], '
          '"reflectivity_range": [0.1, 0.18], "scatterer_spacing": 0}}}}', "scatterer_spacing must be positive"),
         ('{"radar": {"fft_size": 600}}', "fft_size must be a power of two, got 600"),
         ('{"radar": {"f0": NaN}}', "radar f0 must be positive and finite, got nan"),
         ('{"radar": {"t_ramp": Infinity}}', "radar t_ramp must be positive and finite, got inf"),
-    ], ids=["zero-spacing", "fft-600", "nan-f0", "inf-t-ramp"])
+        ('{"radar": {"mount_height": NaN}}', "radar mount_height must be positive and finite, got nan"),
+        ('{"radar": {"c": -1}}', "bad config field: RadarParams.__init__() got an unexpected keyword argument 'c'"),
+        ('{"radar": {"amplitude": 1.0}}', "bad config field: RadarParams.__init__() got an unexpected keyword "
+                                          "argument 'amplitude'"),
+        ('{"radar": {"geometry": {"h": 5.3}}}', "bad config field: RadarParams.__init__() got an unexpected "
+                                                "keyword argument 'geometry'"),
+        (_PROFILE_A.format(length="[3.5, 5.0]", reflectivity="[0.1, 0.18]", spacing="1e-9"),
+         "scatterer_spacing must be positive and put at most 1024 scatterers on a 5.0 m vehicle, got 1e-09"),
+        (_PROFILE_A.format(length="[0, 5.0]", reflectivity="[0.1, 0.18]", spacing="1.0"),
+         "length_range must be positive, got (0, 5.0)"),
+        (_PROFILE_A.format(length="[3.5, NaN]", reflectivity="[0.1, 0.18]", spacing="1.0"),
+         "length_range must be two finite numbers, got (3.5, nan)"),
+        (_PROFILE_A.format(length="[3.5, 5.0]", reflectivity="[-0.1, 0.18]", spacing="1.0"),
+         "reflectivity_range must be >= 0, got (-0.1, 0.18)"),
+    ], ids=["zero-spacing", "fft-600", "nan-f0", "inf-t-ramp", "nan-mount-height", "c", "amplitude", "geometry",
+            "dense-scatterers", "zero-length", "nan-length", "negative-reflectivity"])
     def test_config_that_can_never_run_exits_1(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "bad.json"
         cfg.write_text(text)

@@ -113,24 +113,24 @@ class TestTensorFormat:
 class TestSignalFormat:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
+        radar = RadarParams(f0=24.125e9, delta_f=150e6, t_ramp=0.02, samples_per_ramp=256,
+                            fft_size=512, mount_height=6.1)
         sig = BeatSignal(
             samples=rng.normal(size=2048),
-            sample_rate=P.sample_rate,
+            radar=radar,
             first_ramp=RampPolarity.DOWN,
-            samples_per_ramp=512,
             label=VehicleClass.BUS,
         )
         path = tmp_path / "sig.rbs"
         save_signal(sig, path)
         back = load_signal(path)
         np.testing.assert_array_equal(back.samples, sig.samples)
-        assert back.sample_rate == sig.sample_rate
+        assert back.radar == radar
         assert back.first_ramp is RampPolarity.DOWN
-        assert back.samples_per_ramp == 512
         assert back.label is VehicleClass.BUS
 
     def test_unlabeled_roundtrip(self, tmp_path):
-        sig = BeatSignal(np.zeros(1024), P.sample_rate)
+        sig = BeatSignal(np.zeros(1024), P)
         save_signal(sig, tmp_path / "s.rbs")
         assert load_signal(tmp_path / "s.rbs").label is None
 
@@ -141,7 +141,7 @@ class TestSignalFormat:
 
     @staticmethod
     def _small_rbs(tmp_path):
-        sig = BeatSignal(np.arange(8.0), P.sample_rate, samples_per_ramp=4, label=VehicleClass.CAR)
+        sig = BeatSignal(np.arange(8.0), RadarParams(samples_per_ramp=4, fft_size=4), label=VehicleClass.CAR)
         save_signal(sig, tmp_path / "s.rbs")
         return (tmp_path / "s.rbs").read_bytes()
 
@@ -151,6 +151,8 @@ class TestSignalFormat:
         (8, "<B", 255),
         (9, "<b", 6),           # class index
         (9, "<b", -2),
+        (10, "<I", 600),        # fft size
+        (14, "<d", float("nan")),   # f0
     ])
     def test_bad_header_field(self, tmp_path, offset, field, value):
         blob = bytearray(self._small_rbs(tmp_path))
@@ -244,11 +246,26 @@ class TestGenerateDataset:
                 raise NyquistError("sample 2 fails")
             return synthesize_beat_signal(scenario, radar)
 
+        saved = []
+
+        def save_counted(values, path):
+            saved.append(path)
+            save_tensor(values, path)
+
         monkeypatch.setattr(dataset_mod, "synthesize_beat_signal", synthesize)
+        monkeypatch.setattr(dataset_mod, "save_tensor", save_counted)
         with pytest.raises(NyquistError, match="sample 2"):
             generate_dataset({"A": 300}, 0, ProfileTable(), P, tmp_path / "ds")
-        assert len(list((tmp_path / "ds" / "tensors").iterdir())) < 30
-        assert not (tmp_path / "ds" / "manifest.json").exists()
+        assert len(saved) < 30
+        assert list(tmp_path.iterdir()) == []   # neither ds nor its partial sibling
+
+    def test_existing_out_dir_must_be_empty(self, tmp_path):
+        (tmp_path / "ds").mkdir()
+        ds = generate_dataset({"A": 1}, 0, ProfileTable(), P, tmp_path / "ds")
+        assert load_dataset(tmp_path / "ds").records == ds.records
+        with pytest.raises(FileExistsError, match="not an empty directory"):
+            generate_dataset({"A": 1}, 0, ProfileTable(), P, tmp_path / "ds")
+        assert [p.name for p in tmp_path.iterdir()] == ["ds"]
 
     def test_every_id_loads_with_manifest_shape(self, small_dataset):
         for rec in small_dataset.records:
@@ -331,7 +348,7 @@ class TestStackedTensors:
 def _manifest(**fields):
     sample = {"id": "A0000", "class": "A", "path": "tensors/A0000.rdt", "speed": 25.0, "seed": 1}
     manifest = {
-        "format_version": 1,
+        "format_version": 2,
         "radar_params_hash": "x",
         "tensor_shape": [3, 7, 5],
         "class_counts": {"A": 1},
@@ -366,7 +383,7 @@ class TestManifest:
         {"tensor_shape": [3, 7.0, 5]},
         {"tensor_shape": [3, 1 << 20, 1 << 20]},
         {"format_version": "zz"},
-        {"format_version": 2},
+        {"format_version": 1},
         {"radar_params_hash": None},
         {"class": "Q"},
         {"class": "AB"},

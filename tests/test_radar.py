@@ -11,6 +11,7 @@ from radarnet.radar import (
     PointTarget,
     ProfileTable,
     RadarParams,
+    SPEED_OF_LIGHT,
     RampPolarity,
     Scenario,
     VehicleClass,
@@ -31,9 +32,7 @@ class TestRadarParams:
         assert P.sample_rate == pytest.approx(12800.0)
         assert P.wavelength == pytest.approx(299792458.0 / 24e9)
         assert P.bin_hz == pytest.approx(25.0)
-        assert P.range_resolution == pytest.approx(1.2491352, abs=1e-6)
-        assert P.geometry.h == 5.3
-        assert P.geometry.alpha == pytest.approx(math.radians(32.0))
+        assert P.mount_height == 5.3
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -47,6 +46,10 @@ class TestRadarParams:
             {"f0": float("nan")},
             {"delta_f": float("inf")},
             {"t_ramp": float("nan")},
+            {"samples_per_ramp": 512.0},
+            {"fft_size": 512.0},
+            {"mount_height": 0.0},
+            {"mount_height": float("nan")},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -92,7 +95,7 @@ class TestInvertBeat:
         f = 777.0
         r, v = invert_beat(f, f, P)
         assert v == 0.0
-        assert r == pytest.approx((P.t_ramp / P.delta_f) * f * P.c / 2)
+        assert r == pytest.approx((P.t_ramp / P.delta_f) * f * SPEED_OF_LIGHT / 2)
 
     def test_origin(self):
         assert invert_beat(0.0, 0.0, P) == (0.0, 0.0)
@@ -174,7 +177,7 @@ class TestSynthesizeBeatSignal:
         sig = synthesize_beat_signal(_single_scatterer_scenario(), P)
         assert sig.num_full_ramps % 2 == 0
         assert sig.samples.size == sig.num_full_ramps * P.samples_per_ramp
-        assert sig.sample_rate == P.sample_rate
+        assert sig.radar == P
         assert sig.label is VehicleClass.CAR
         from radarnet.spectrogram import build_spectrograms
 
@@ -205,7 +208,7 @@ class TestSynthesizeBeatSignal:
         s = _single_scatterer_scenario(speed=25.0)
         sig = synthesize_beat_signal(s, P)
         up_f, down_f = spectrogram_peak_frequencies(sig, P)
-        h = P.geometry.h
+        h = P.mount_height
         for i in range(sig.num_full_ramps):
             t_mid = (i + 0.5) * P.t_ramp
             d = 5.0 + 25.0 * t_mid

@@ -39,7 +39,7 @@ P = RadarParams()
 def _signal(n_samples, first=RampPolarity.UP, fill=None):
     rng = np.random.default_rng(9)
     samples = rng.normal(size=n_samples) if fill is None else np.full(n_samples, fill, float)
-    return BeatSignal(samples=samples, sample_rate=P.sample_rate, first_ramp=first, samples_per_ramp=512)
+    return BeatSignal(samples=samples, radar=P, first_ramp=first)
 
 
 class TestSegmentRamps:
@@ -219,15 +219,17 @@ class TestBuildSpectrograms:
         assert np.all(up >= 0.0)
         assert np.all(down >= 0.0)
 
+    # another framing at the same rate, another sample rate, another sweep
     @pytest.mark.parametrize("radar, words", [
-        (RadarParams(samples_per_ramp=256, fft_size=256, t_ramp=0.02),
-         "signal of 256 samples per ramp at 12800 Hz, radar takes 512 at 12800 Hz"),
-        (RadarParams(t_ramp=0.08), "signal of 512 samples per ramp at 6400 Hz"),
+        (RadarParams(samples_per_ramp=256, fft_size=256, t_ramp=0.02), "signal of another radar"),
+        (RadarParams(t_ramp=0.08), "signal of another radar"),
+        (RadarParams(delta_f=150e6), "signal of another radar"),
     ])
     def test_signal_of_another_radar_refused(self, radar, words):
         sig = synthesize_point_targets([PointTarget(30.0)], 4, radar)
-        with pytest.raises(ValueError, match=words):
+        with pytest.raises(ValueError) as exc:
             build_spectrograms(sig, P)
+        assert str(exc.value) == f"{words}: swept by {radar}, expected {P}"
 
 
 def _spect(width, height=257, fill=1.0):
