@@ -335,8 +335,6 @@ def generate_dataset(
             if counts[label] < 1:
                 raise ValueError(f"class {label} requested with count {counts[label]}")
             requested.append((VehicleClass(label), counts[label]))
-    if target_width < 1:
-        raise ValueError(f"target width must be at least 1, got {target_width}")
     if not out_dir.parent.exists():
         raise FileNotFoundError(f"parent directory {out_dir.parent} does not exist")
     if out_dir.exists() and not (out_dir.is_dir() and not any(out_dir.iterdir())):

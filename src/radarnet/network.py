@@ -314,31 +314,43 @@ def _gradient_blocks(g):
             yield slice(i, i + SGD_BLOCK), g[i : i + SGD_BLOCK]
 
 
+def _finite(g) -> bool:
+    """Whether every value of gradient g is finite.  An OuterSum whose bound sum_n max|dy[n]| *
+    max|flat[n]| is below half its dtype's maximum has finite factors and cannot overflow when
+    formed; a NaN or inf in a factor makes the bound NaN or inf, and then its blocks are checked."""
+    if isinstance(g, OuterSum):
+        dy_max, flat_max = (np.abs(f).max(axis=1, initial=0.0).astype(float) for f in (g.dy, g.flat))
+        if dy_max @ flat_max < np.finfo(g.dtype).max / 2:
+            return True
+    return all(np.isfinite(gb).all() for _, gb in _gradient_blocks(g))
+
+
 def sgd_step(params: dict, grads: dict, velocity: dict, cfg: TrainConfig) -> None:
     """Classical momentum with L2 decay folded into the gradient:
     v <- mu*v - lr*(g + wd*w);  w <- w + v.  Updates params/velocity in place.
 
-    Every gradient is checked finite before any parameter changes.  The update then
-    walks the flattened C-contiguous arrays block by block (_gradient_blocks), so its
-    temporaries are block-sized; an OuterSum's blocks are formed once for the check and
-    once for the update.  Each value is as the whole-array formula gives it."""
+    Every gradient is checked finite (_finite) before any parameter changes.  The update
+    then walks the flattened C-contiguous arrays block by block (_gradient_blocks), so its
+    temporaries are block-sized and an OuterSum's blocks are formed once; a first velocity
+    is written as 0*mu - step.  Each value is as the whole-array formula gives it."""
     for name, w in params.items():
-        if not all(np.isfinite(gb).all() for _, gb in _gradient_blocks(grads[name])):
+        if not _finite(grads[name]):
             raise FloatingPointError(f"non-finite gradient for {name}; aborting training")
         if not w.flags.c_contiguous:
             raise ValueError(f"parameter {name} is not C-contiguous")
     for name, w in params.items():
-        v = velocity.get(name)
-        if v is None:
-            v = velocity[name] = np.zeros_like(w)
-        w, v = w.reshape(-1), v.reshape(-1)
+        first = name not in velocity
+        if first:
+            velocity[name] = np.empty_like(w)
+        w, v = w.reshape(-1), velocity[name].reshape(-1)
         for block, gb in _gradient_blocks(grads[name]):
             wb, vb = w[block], v[block]
             step = wb * cfg.weight_decay
             step += gb
             step *= cfg.learning_rate
-            vb *= cfg.momentum
-            vb -= step
+            if not first:
+                vb *= cfg.momentum
+            np.subtract(0.0 if first else vb, step, out=vb)
             wb += vb
 
 

@@ -75,13 +75,16 @@ class RadarParams:
     mount_height: float = 5.3   # above the lane [m]
 
     def __post_init__(self):
+        # each value is stored as a float or an int, so equal radars hash alike
         for name in ("f0", "delta_f", "t_ramp", "mount_height"):   # NaN fails both comparisons
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"radar {name} must be positive and finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name, low in (("samples_per_ramp", 2), ("fft_size", self.samples_per_ramp)):
             value = getattr(self, name)
             if not (value >= low and isinstance(value, numbers.Integral)):   # a str raises TypeError
                 raise ValueError(f"radar {name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.fft_size & (self.fft_size - 1):
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
 

@@ -34,8 +34,9 @@ class RdTensor:
             raise ValueError("tensor must have shape [3, height, width]")
 
 
-def segment_ramps(sig: BeatSignal):
-    """Split a beat signal into its up- and down-ramp windows.
+def _ramps(sig: BeatSignal):
+    """The framing rule: the full ramps as one sweep-order [ramps, samples_per_ramp]
+    view, and the row slices of its up and down ramps.
 
     Windows are consecutive, disjoint stretches of sig.radar.samples_per_ramp samples,
     assigned alternately starting from sig.first_ramp; a trailing partial
@@ -48,9 +49,14 @@ def segment_ramps(sig: BeatSignal):
             f"signal holds {n_full} full ramp(s); need at least one up/down pair"
         )
     windows = sig.samples[: n_full * spr].reshape(n_full, spr)
-    if sig.first_ramp is RampPolarity.UP:
-        return windows[0::2], windows[1::2]
-    return windows[1::2], windows[0::2]
+    up = 0 if sig.first_ramp is RampPolarity.UP else 1
+    return windows, slice(up, None, 2), slice(1 - up, None, 2)
+
+
+def segment_ramps(sig: BeatSignal):
+    """Split a beat signal into its up- and down-ramp windows (see _ramps)."""
+    windows, up, down = _ramps(sig)
+    return windows[up], windows[down]
 
 
 def fft_modulus(window, fft_size: int) -> np.ndarray:
@@ -63,7 +69,7 @@ def fft_modulus(window, fft_size: int) -> np.ndarray:
         raise ValueError(f"window of {n} samples exceeds fft_size {fft_size}")
     if n < fft_size:
         window = np.pad(window, [(0, 0)] * (window.ndim - 1) + [(0, fft_size - n)])
-    return np.abs(fourier.fft(window)[..., : fft_size // 2 + 1])
+    return np.abs(fourier.fft(window))
 
 
 def build_spectrograms(sig: BeatSignal, p: RadarParams):
@@ -72,10 +78,10 @@ def build_spectrograms(sig: BeatSignal, p: RadarParams):
     swept by another radar is refused."""
     if sig.radar != p:
         raise ValueError(f"signal of another radar: swept by {sig.radar}, expected {p}")
-    up_windows, down_windows = segment_ramps(sig)
-    # one transform over both polarities: each row is transformed on its own
-    moduli = fft_modulus(np.concatenate([up_windows, down_windows]), p.fft_size).T
-    return moduli[:, : len(up_windows)], moduli[:, len(up_windows) :]
+    windows, up, down = _ramps(sig)
+    # one transform over the ramps in sweep order: each row is transformed on its own
+    moduli = fft_modulus(windows, p.fft_size).T
+    return moduli[:, up], moduli[:, down]
 
 
 def build_tensor(
@@ -93,6 +99,8 @@ def build_tensor(
     freq_range, a (lo, hi) bin window, crops rows; this is how square network
     inputs (e.g. 227x227) are produced from the 257-bin spectra.
     """
+    if target_width < 1:
+        raise ValueError(f"target width must be at least 1, got {target_width}")
     bins = up.shape[0]
     if down.shape[0] != bins:
         raise ValueError("up/down spectrograms disagree on frequency bins")

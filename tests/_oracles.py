@@ -18,6 +18,35 @@ def naive_dft(x):
     return w @ x
 
 
+def four_step_fft(x):
+    """Complex DFT along the last axis (length a power of two) in the four-step form
+    with complex matrices throughout: with n = n1*n2, input j = j1 + n1*j2 and output
+    k = k2 + n2*k1, the n2-point DFT matrix times the [j2, j1] view, a twiddle multiply,
+    the n1-point DFT matrix and a transpose back to bin order.  The one-sided
+    transform must give the first n/2 + 1 of these bins byte for byte."""
+    x = np.asarray(x)
+    n = x.shape[-1]
+    n1 = 1 << (n.bit_length() - 1) // 2
+    n2 = n // n1
+    r1, r2 = np.arange(n1), np.arange(n2)
+
+    def roots(a, b, m):
+        return np.exp(-2j * np.pi * ((np.outer(a, b) % m) / m))
+
+    y = roots(r2, r2, n2) @ x.reshape(-1, n2, n1)       # [rows, k2, j1]
+    y *= roots(r2, r1, n)
+    return (y @ roots(r1, r1, n1)).transpose(0, 2, 1).reshape(x.shape)
+
+
+def parseval_one_sided(spectrum, x):
+    """Relative gap between the one-sided energy |X_0|^2 + |X_{n/2}|^2 +
+    2 * sum_{0<k<n/2} |X_k|^2 of a real signal x and n * sum x^2."""
+    power = np.abs(spectrum) ** 2
+    lhs = power[0] + power[-1] + 2 * np.sum(power[1:-1])
+    rhs = x.size * np.sum(x * x)
+    return abs(lhs - rhs) / rhs
+
+
 def naive_dft_modulus_onesided(x, fft_size):
     padded = np.zeros(fft_size, dtype=float)
     padded[: len(x)] = x

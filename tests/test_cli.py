@@ -158,6 +158,15 @@ class TestPlot:
         assert capsys.readouterr().err == f"error: {FOREIGN_WORDS}\n"
         assert not (tmp_path / "x.pgm").exists()
 
+    def test_crop_to_width_zero_exits_1(self, tmp_path, capsys):
+        save_signal(synthesize_point_targets([PointTarget(50.0)], 8, P), tmp_path / "cal.rbs")
+        rc = main(["plot", str(tmp_path / "cal.rbs"), "-o", str(tmp_path / "x.pgm"),
+                   "--crop", "--target-width", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: target width must be at least 1, got 0\n"
+        assert not (tmp_path / "x.pgm").exists()
+
     def test_sweep_of_another_bandwidth_exits_1(self, wide_sweep_signal, tmp_path, capsys):
         assert main(["plot", str(wide_sweep_signal), "-o", str(tmp_path / "x.pgm")]) == 1
         out, err = capsys.readouterr()
@@ -300,6 +309,15 @@ class TestTrainEvalPredict:
                    "--fold", "0", *SPLIT_ARGS])
         assert rc == 1
         assert "radar" in capsys.readouterr().err
+
+    def test_eval_accepts_the_default_radar_spelled_in_integers(self, workspace, tmp_path, capsys):
+        config = tmp_path / "radar.json"
+        config.write_text('{"radar": {"f0": 24000000000, "delta_f": 120000000}}')
+        assert main(["generate", "-o", str(tmp_path / "ds"), "--config", str(config), *GEN_ARGS]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "-d", str(tmp_path / "ds"), "-w", str(workspace / "model.rdw"),
+                   "--fold", "0", *SPLIT_ARGS])
+        assert rc == 0, capsys.readouterr().err
 
     def test_partial_weight_import(self, workspace, tmp_path):
         rc = main(

@@ -666,6 +666,47 @@ class TestOuterSum:
             assert params[n].tobytes() == before_w[n].tobytes(), n
             assert vel[n].tobytes() == before_v[n].tobytes(), n
 
+    def _refused_second_step(self, mutate):
+        """One sgd_step, then a second whose fc.W factors mutate(dy, flat) has changed:
+        the second must raise naming fc.W and leave every weight and velocity as it was."""
+        params, (first, second) = self._steps(n_steps=2)
+        vel = {}
+        sgd_step(params, first, vel, TrainConfig())
+        before = {n: (params[n].tobytes(), vel[n].tobytes()) for n in params}
+        mutate(second["fc.W"].dy, second["fc.W"].flat)
+        second["fc.b"] = np.zeros_like(second["fc.b"])    # only the factored gradient is bad
+        with pytest.raises(FloatingPointError, match="fc.W"):
+            sgd_step(params, second, vel, TrainConfig())
+        assert {n: (params[n].tobytes(), vel[n].tobytes()) for n in params} == before
+
+    @pytest.mark.parametrize("factor", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor_changes_nothing(self, factor, value):
+        def mutate(*factors):
+            factors[factor][0, -1] = value      # W's last row (dy) or column (flat)
+        self._refused_second_step(mutate)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_finite_factors_that_overflow_float32_change_nothing(self):
+        def mutate(dy, flat):
+            # each factor finite, the formed entry W[-1, -1] about 1e40: inf in float32
+            dy[0, -1] = flat[0, -1] = 1e20
+        self._refused_second_step(mutate)
+
+    def test_large_finite_product_is_stepped_like_its_dense_twin(self):
+        # the bound (about 2.25e38) is above half the float32 maximum, every entry below it
+        cfg = TrainConfig(learning_rate=0.01, momentum=0.9, weight_decay=0.0005)
+        params, steps = self._steps(n_steps=2)
+        steps[1]["fc.W"].dy[0, -1] = steps[1]["fc.W"].flat[0, -1] = 1.5e19
+        twin = {n: w.copy() for n, w in params.items()}
+        vel, twin_vel = {}, {}
+        for grads in steps:
+            sgd_step(params, grads, vel, cfg)
+            sgd_step(twin, {n: np.asarray(g) for n, g in grads.items()}, twin_vel, cfg)
+        for n in params:
+            assert params[n].tobytes() == twin[n].tobytes(), n
+            assert vel[n].tobytes() == twin_vel[n].tobytes(), n
+
     def test_full_preset_fc_gradients_stay_small(self):
         net = build_network("full", (3, 227, 227), seed=0)
         x = np.random.default_rng(0).normal(size=(1, 3, 227, 227)).astype(np.float32)

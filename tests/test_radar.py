@@ -17,6 +17,7 @@ from radarnet.radar import (
     VehicleClass,
     beat_frequencies,
     invert_beat,
+    radar_params_hash,
     sample_vehicle_scenario,
     synthesize_beat_signal,
     synthesize_point_targets,
@@ -55,6 +56,14 @@ class TestRadarParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RadarParams(**kwargs)
+
+    def test_equal_radars_hash_alike(self):
+        assert radar_params_hash(P) == "db8eff3b1afb826e"    # what manifests and model metas record
+        spelled = RadarParams(f0=24000000000, delta_f=np.float32(120e6), t_ramp=0.04,
+                              samples_per_ramp=np.int64(512), fft_size=512, mount_height=5.3)
+        assert spelled == P
+        assert radar_params_hash(spelled) == radar_params_hash(P)
+        assert [type(v) for v in vars(spelled).values()] == [float, float, float, int, int, float]
 
 
 class TestBeatFrequencies:

@@ -31,7 +31,7 @@ from radarnet.spectrogram import (
     signal_to_tensor,
 )
 
-from _oracles import naive_dft, naive_dft_modulus_onesided
+from _oracles import four_step_fft, naive_dft, naive_dft_modulus_onesided, parseval_one_sided
 
 P = RadarParams()
 
@@ -125,33 +125,46 @@ class TestFftModulus:
             oracle = naive_dft_modulus_onesided(x, 512)
             assert np.max(np.abs(mod - oracle)) / np.max(np.abs(oracle)) < 1e-6
 
-    def test_parseval_on_two_sided_transform(self):
+    def test_parseval_on_one_sided_transform(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
             x = rng.normal(size=512)
-            spectrum = fourier.fft(x)
-            lhs = np.sum(np.abs(spectrum) ** 2)
-            rhs = 512 * np.sum(x * x)
-            assert abs(lhs - rhs) / rhs < 1e-6
+            assert parseval_one_sided(fourier.fft(x), x) < 1e-6
 
     def test_fft_requires_power_of_two(self):
         with pytest.raises(ValueError):
             fourier.fft(np.zeros(500))
 
+    def test_fft_refuses_complex_input(self):
+        with pytest.raises(ValueError, match="real"):
+            fourier.fft(np.ones(64) + 1j)
+
     def test_fft_matches_naive_on_other_sizes(self):
         # both split shapes: n1 = n2 (n an even power of two) and n2 = 2*n1
         rng = np.random.default_rng(33)
         for n in (1, 2, 4, 8, 32, 64, 256, 512, 1024, 2048):
-            x = rng.normal(size=n) + 1j * rng.normal(size=n)
-            np.testing.assert_allclose(fourier.fft(x), naive_dft(x), atol=1e-8 * max(n, 1))
+            x = rng.normal(size=n)
+            spectrum = fourier.fft(x)
+            assert spectrum.shape == (n // 2 + 1,)
+            np.testing.assert_allclose(spectrum, naive_dft(x)[: n // 2 + 1], atol=1e-8 * max(n, 1))
+
+    @pytest.mark.parametrize("rows", [1, 38, 454])
+    def test_fft_is_the_complex_four_step_transform_cut_to_half(self, rows):
+        rng = np.random.default_rng(37)
+        for n in (1 << e for e in range(13)):
+            x = rng.normal(size=(rows, n))
+            assert fourier.fft(x).tobytes() == four_step_fft(x)[..., : n // 2 + 1].tobytes(), n
 
     def test_fft_of_a_stack_is_the_fft_of_each_row(self):
         x = np.random.default_rng(34).normal(size=(2, 3, 64))
         spectrum = fourier.fft(x)
-        assert spectrum.shape == x.shape
+        assert spectrum.shape == (2, 3, 33)
+        assert fourier.fft(x[:0]).shape == (0, 3, 33)
+        for wide in (x.astype(np.longdouble), x.tolist()):     # transformed as float64
+            assert fourier.fft(wide).tobytes() == spectrum.tobytes()
         for i in range(2):
             for j in range(3):
-                np.testing.assert_allclose(spectrum[i, j], naive_dft(x[i, j]), atol=1e-8 * 64)
+                np.testing.assert_allclose(spectrum[i, j], naive_dft(x[i, j])[:33], atol=1e-8 * 64)
 
     def test_fft_plans_built_by_racing_threads(self, monkeypatch):
         # 8 threads, switching every microsecond, all filling the same empty plan cache
@@ -258,6 +271,11 @@ class TestBuildTensor:
     def test_explicit_crop(self):
         t = build_tensor(_spect(40), _spect(40), 32, allow_crop=True)
         assert t.shape == (3, 257, 32)
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_width_below_one_rejected(self, width):
+        with pytest.raises(ValueError, match=f"target width must be at least 1, got {width}"):
+            build_tensor(_spect(4), _spect(4), width, allow_crop=True)
 
     def test_width_mismatch_by_one_padded(self):
         t = build_tensor(_spect(5), _spect(4), 8)
