@@ -40,43 +40,39 @@ def _parse_counts(text):
     return counts
 
 
+RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+TRAIN_FIELDS = {f"train.{f.name}" for f in dataclasses.fields(network.TrainConfig)}
+
+
 def _load_run_config(args) -> RunConfig:
-    cfg = load_config(getattr(args, "config", None))
-    if getattr(args, "counts", None):
-        cfg.counts_per_class = _parse_counts(args.counts)
-    if getattr(args, "count_preset", None):
+    """The --config file (or the defaults), then the presets, then each override flag given,
+    whose dest is the field it sets: a RunConfig field, or train.<field> of its TrainConfig."""
+    given = vars(args)
+    cfg = load_config(args.config)
+    if "count_preset" in given:
         apply_count_preset(cfg, args.count_preset)
-    if getattr(args, "quota_preset", None):
+    if "quota_preset" in given:
         apply_quota_preset(cfg, args.quota_preset)
-    for flag, attr in [
-        ("seed", "base_seed"),
-        ("split_seed", "split_seed"),
-        ("folds", "folds"),
-        ("train_per_class", "train_per_class"),
-        ("val_per_class", "val_per_class"),
-        ("target_width", "target_width"),
-        ("net_preset", "preset"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    for flag in ["learning_rate", "momentum", "weight_decay", "epochs", "train_seed", "dropout_rate"]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            attr = "seed" if flag == "train_seed" else flag
-            setattr(cfg.train, attr, value)
-    cfg.train = dataclasses.replace(cfg.train)   # re-validate
+    if "counts" in given:
+        cfg.counts_per_class = _parse_counts(args.counts)
+    if "freq_crop" in given:
+        lo, _, hi = args.freq_crop.partition(":")
+        try:
+            cfg.freq_range = (int(lo), int(hi))
+        except ValueError:
+            raise ValueError(f"--freq-range: {args.freq_crop!r} is not LO:HI") from None
+    train = {}
+    for dest, value in given.items():
+        if dest in RUN_FIELDS:
+            setattr(cfg, dest, value)
+        elif dest in TRAIN_FIELDS:
+            train[dest.removeprefix("train.")] = value
+    cfg.train = dataclasses.replace(cfg.train, **train)   # validates the train fields
     return cfg
 
 
 def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
-    if args.freq_range:
-        lo, _, hi = args.freq_range.partition(":")
-        try:
-            cfg.freq_range = (int(lo), int(hi))
-        except ValueError:
-            raise ValueError(f"--freq-range: {args.freq_range!r} is not LO:HI") from None
     ds = ds_mod.generate_dataset(
         cfg.counts_per_class,
         cfg.base_seed,
@@ -136,18 +132,19 @@ def _model_paths(weights_path):
     return weights_path, weights_path.with_suffix(".mean.rdt"), weights_path.with_suffix(".meta.json")
 
 
+MODEL_KEYS = ("preset", "radar", "target_width", "freq_range")
+
+
 def _save_model(weights_path, net, mean_tensor, cfg: RunConfig):
     wpath, mpath, metapath = _model_paths(weights_path)
     network.save_weights(net, wpath)
     ds_mod.save_tensor(mean_tensor, mpath)
+    run = cfg.to_dict()
     meta = {
         "format_version": ds_mod.FORMAT_VERSION,
-        "preset": cfg.preset,
         "input_shape": list(net.input_shape),
-        "target_width": cfg.target_width,
-        "freq_range": list(cfg.freq_range) if cfg.freq_range else None,
-        "radar": dataclasses.asdict(cfg.radar),
         "class_order": list(CLASS_ORDER),
+        **{key: run[key] for key in MODEL_KEYS},
     }
     metapath.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -163,6 +160,12 @@ def _split_fold(ds, cfg: RunConfig, index):
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     ds = ds_mod.load_dataset(args.data)
+    lo, hi = cfg.freq_range or (0, cfg.radar.fft_size // 2 + 1)
+    for what, run, data in [("radar", radar_params_hash(cfg.radar), ds.radar_hash),
+                            ("tensor shape", (3, hi - lo, cfg.target_width), ds.tensor_shape)]:
+        if run != data:
+            raise ValueError(f"{args.data} holds data of {what} {data}, but this run's {what} is {run}; "
+                             f"pass the --config that generated the data")
     fold = _split_fold(ds, cfg, args.fold)
     trained = evaluation.train_fold(
         ds, fold, cfg.train, preset=cfg.preset, init_weights=args.init_weights, reinit_fc=args.reinit_fc
@@ -188,36 +191,34 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(weights_path, cfg: RunConfig):
+def _load_model(weights_path):
+    """The network, its fold mean and the run settings it is valid for: the MODEL_KEYS its meta holds."""
     wpath, mpath, metapath = _model_paths(weights_path)
     if not mpath.exists():
         raise FileNotFoundError(f"mean tensor {mpath} not found beside the weights")
     if not metapath.exists():
         raise FileNotFoundError(f"model meta {metapath} not found beside the weights")
     meta = json.loads(metapath.read_text(encoding="utf-8"))
-    keys = ("preset", "radar", "target_width", "freq_range")
-    if not isinstance(meta, dict) or not all(key in meta for key in keys):
-        raise ValueError(f"model meta {metapath} is not a JSON object holding {', '.join(keys)}")
+    if not isinstance(meta, dict) or not all(key in meta for key in MODEL_KEYS):
+        raise ValueError(f"model meta {metapath} is not a JSON object holding {', '.join(MODEL_KEYS)}")
     if meta.get("format_version") != ds_mod.FORMAT_VERSION:
         raise network.ConfigError(f"model meta {metapath}: format version {meta.get('format_version')}, "
                                   f"expected {ds_mod.FORMAT_VERSION}")
     try:
-        model = RunConfig.from_dict({key: meta[key] for key in keys})
+        model = RunConfig.from_dict({key: meta[key] for key in MODEL_KEYS})
     except network.ConfigError as exc:
         raise network.ConfigError(f"model meta {metapath}: {exc}") from None
     mean = ds_mod.load_tensor(mpath)
     net = network.build_network(model.preset, input_shape=mean.shape)
     network.load_weights(net, wpath)
-    # the model's crop, or its lack of one, wins over a --config value
-    cfg.radar, cfg.target_width, cfg.freq_range = model.radar, model.target_width, model.freq_range
-    return net, mean
+    return net, mean, model
 
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     ds = ds_mod.load_dataset(args.data)
-    net, mean = _load_model(args.weights, cfg)
-    model_hash = radar_params_hash(cfg.radar)
+    net, mean, model = _load_model(args.weights)
+    model_hash = radar_params_hash(model.radar)
     if model_hash != ds.radar_hash:
         raise ValueError(
             f"the model was trained on radar {model_hash}, but {args.data} holds data from radar {ds.radar_hash}"
@@ -263,9 +264,8 @@ def cmd_cv(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _load_run_config(args)
-    net, mean = _load_model(args.weights, cfg)
-    tensor = mean_normalize(_read_input(args.input, cfg), mean)
+    net, mean, model = _load_model(args.weights)
+    tensor = mean_normalize(_read_input(args.input, model), mean)
     label, scores = network.predict(net, tensor)
     print(f"predicted class: {label.value}")
     for i, c in enumerate(CLASS_ORDER):
@@ -290,16 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config_flag(p):
         p.add_argument("--config", help="JSON run-config file; flags override its values")
 
+    def override(p, *flags, **kwargs):
+        """A flag that sets its run setting only when given."""
+        p.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
+
     p = sub.add_parser("generate", help="simulate and persist a labeled dataset")
     add_config_flag(p)
     p.add_argument("-o", "--out-dir", required=True, help="dataset directory to create")
-    p.add_argument("--preset", dest="count_preset", choices=sorted(COUNT_PRESETS),
-                   help="per-class sample counts preset")
-    p.add_argument("--counts", help="explicit counts, e.g. A=100,B=50")
-    p.add_argument("--seed", type=int, help="generation base seed")
-    p.add_argument("--target-width", type=int, dest="target_width")
-    p.add_argument("--freq-range", dest="freq_range",
-                   help="crop frequency bins to LO:HI (e.g. 0:227 for square inputs)")
+    override(p, "--preset", dest="count_preset", choices=sorted(COUNT_PRESETS),
+             help="per-class sample counts preset")
+    override(p, "--counts", help="explicit counts, e.g. A=100,B=50")
+    override(p, "--seed", type=int, dest="base_seed", help="generation base seed")
+    override(p, "--target-width", type=int)
+    override(p, "--freq-range", dest="freq_crop", metavar="LO:HI",
+             help="crop frequency bins to LO:HI (e.g. 0:227 for square inputs)")
     p.add_argument("--keep-signals", action="store_true",
                    help="also write raw beat signals (.rbs)")
     p.set_defaults(func=cmd_generate)
@@ -311,25 +315,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", default="avg", help="comma list of up,down,avg")
     p.add_argument("--log", action="store_true", help="20*log10 scaling before the pixel map")
     p.add_argument("--crop", action="store_true", help="crop overlong signals to the target width")
-    p.add_argument("--target-width", type=int, dest="target_width")
+    override(p, "--target-width", type=int)
     p.set_defaults(func=cmd_plot)
 
     def add_split_flags(p):
-        p.add_argument("--folds", type=int)
-        p.add_argument("--split-seed", type=int, dest="split_seed")
-        p.add_argument("--train-per-class", type=int, dest="train_per_class")
-        p.add_argument("--val-per-class", type=int, dest="val_per_class")
-        p.add_argument("--preset", choices=sorted(QUOTA_PRESETS), dest="quota_preset",
-                       help="per-class train/val quota preset")
+        override(p, "--folds", type=int)
+        override(p, "--split-seed", type=int)
+        override(p, "--train-per-class", type=int)
+        override(p, "--val-per-class", type=int)
+        override(p, "--preset", choices=sorted(QUOTA_PRESETS), dest="quota_preset",
+                 help="per-class train/val quota preset")
 
     def add_train_flags(p):
-        p.add_argument("--lr", type=float, dest="learning_rate")
-        p.add_argument("--momentum", type=float)
-        p.add_argument("--weight-decay", type=float, dest="weight_decay")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--train-seed", type=int, dest="train_seed")
-        p.add_argument("--dropout", type=float, dest="dropout_rate")
-        p.add_argument("--net-preset", choices=network.PRESETS, dest="net_preset")
+        override(p, "--lr", type=float, dest="train.learning_rate")
+        override(p, "--momentum", type=float, dest="train.momentum")
+        override(p, "--weight-decay", type=float, dest="train.weight_decay")
+        override(p, "--epochs", type=int, dest="train.epochs")
+        override(p, "--train-seed", type=int, dest="train.seed")
+        override(p, "--dropout", type=float, dest="train.dropout_rate")
+        override(p, "--net-preset", choices=network.PRESETS, dest="preset")
 
     p = sub.add_parser("train", help="train one fold and save weights + mean tensor")
     add_config_flag(p)
@@ -363,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("predict", help="classify one tensor or raw beat signal")
-    add_config_flag(p)
     p.add_argument("-w", "--weights", required=True)
     p.add_argument("input", help=".rdt tensor or .rbs beat-signal file")
     p.set_defaults(func=cmd_predict)

@@ -53,6 +53,15 @@ def _check_type(key, value, types):
         raise ConfigError(f"config field {key!r} must be {names}, got {value!r}")
 
 
+def _build(cls, path, value, **given):
+    """cls from the JSON object at path, its lists as tuples."""
+    _check_type(path, value, dict)
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}, **given)
+    except TypeError as exc:    # a field that is unknown or of the wrong type
+        raise ConfigError(f"bad config field: {exc}") from exc
+
+
 @dataclass
 class RunConfig:
     radar: RadarParams = field(default_factory=RadarParams)
@@ -90,25 +99,18 @@ class RunConfig:
             for bound in d["freq_range"]:
                 _check_type("freq_range", bound, int)
         cfg = cls()
-        try:
-            if "radar" in d:
-                cfg.radar = RadarParams(**d["radar"])
-            if "profiles" in d:
-                pd = {
-                    k: tuple(v) if isinstance(v, list) else v
-                    for k, v in d["profiles"].items()
-                }
-                classes = pd.pop("classes", None)
-                profs = dict(cfg.profiles.profiles)
-                if classes:
-                    for label, values in classes.items():
-                        values = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
-                        profs[VehicleClass.from_label(label)] = ClassProfile(**values)
-                cfg.profiles = ProfileTable(profiles=profs, **pd)
-            if "train" in d:
-                cfg.train = TrainConfig(**d["train"])
-        except TypeError as exc:    # a nested field that is unknown or of the wrong type
-            raise ConfigError(f"bad config field: {exc}") from exc
+        if "radar" in d:
+            cfg.radar = _build(RadarParams, "radar", d["radar"])
+        if "profiles" in d:
+            table = dict(d["profiles"])
+            classes = table.pop("classes", {})
+            _check_type("profiles.classes", classes, dict)
+            profs = dict(cfg.profiles.profiles)
+            for label, values in classes.items():
+                profs[VehicleClass.from_label(label)] = _build(ClassProfile, f"profiles.classes.{label}", values)
+            cfg.profiles = _build(ProfileTable, "profiles", table, profiles=profs)
+        if "train" in d:
+            cfg.train = _build(TrainConfig, "train", d["train"])
         for key, value in d.items():
             if key not in NESTED:
                 setattr(cfg, key, tuple(value) if key == "freq_range" and value is not None else value)

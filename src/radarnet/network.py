@@ -29,7 +29,6 @@ from .layers import (
     Softmax,
 )
 from .radar import CLASS_ORDER, VehicleClass
-from .spectrogram import RdTensor
 
 WEIGHTS_MAGIC = b"RDW1"
 
@@ -283,16 +282,13 @@ def loss_and_grad(scores, labels):
     return loss, dlogits / len(labels)
 
 
-def _batch_of_one(tensor):
-    """An RdTensor or a [C, H, W] array as a [1, C, H, W] batch."""
-    return (tensor.values if isinstance(tensor, RdTensor) else np.asarray(tensor))[None]
 
 
 def predict(net: Network, tensor):
     """Class decision for one sample (an RdTensor or a [C, H, W] array), run as a
     batch of one with dropout off: the argmax class, ties going to the lowest
     index, and the (classes,) scores."""
-    scores = net.forward(_batch_of_one(tensor))[0][0]
+    scores = net.forward(np.asarray(tensor)[None])[0][0]
     if not np.isfinite(scores).all():
         raise FloatingPointError(f"non-finite class scores {scores}; no class can be picked")
     return VehicleClass(CLASS_ORDER[int(np.argmax(scores))]), scores
@@ -378,7 +374,7 @@ def gradient_check(
     epsilon / 10**4.
     """
     denom_floor = 1e-6 if net.dtype == np.float64 else 1e-2
-    x = _batch_of_one(tensor)
+    x = np.asarray(tensor)[None]
     scores, cache = net.forward(x)
     _, dlogits = loss_and_grad(scores, [true_class])
     analytic = net.backward(cache, dlogits)

@@ -63,6 +63,11 @@ class NyquistError(ValueError):
     """The requested scene produces beat frequencies the sampler cannot hold."""
 
 
+def _finite(*values) -> bool:
+    return all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+               for v in values)
+
+
 @dataclass(frozen=True)
 class RadarParams:
     """The roadside radar as the six values that fix its beat model: its identity."""
@@ -76,8 +81,8 @@ class RadarParams:
 
     def __post_init__(self):
         # each value is stored as a float or an int, so equal radars hash alike
-        for name in ("f0", "delta_f", "t_ramp", "mount_height"):   # NaN fails both comparisons
-            if not 0 < getattr(self, name) < math.inf:
+        for name in ("f0", "delta_f", "t_ramp", "mount_height"):
+            if not (_finite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ValueError(f"radar {name} must be positive and finite, got {getattr(self, name)}")
             object.__setattr__(self, name, float(getattr(self, name)))
         for name, low in (("samples_per_ramp", 2), ("fft_size", self.samples_per_ramp)):
@@ -331,11 +336,6 @@ def synthesize_point_targets(
 MAX_SCATTERERS = 1024
 
 
-def _finite(*values) -> bool:
-    return all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-               for v in values)
-
-
 def _check_finite_pair(name: str, pair) -> None:
     if not (isinstance(pair, Sequence) and len(pair) == 2 and _finite(*pair)):
         raise ValueError(f"{name} must be two finite numbers, got {pair!r}")
@@ -361,9 +361,13 @@ class ClassProfile:
             raise ValueError(f"reflectivity_range must be >= 0, got {self.reflectivity_range!r}")
         # the longest vehicle holds up to round(length / spacing) + 1 scatterers
         longest = max(self.length_range)
-        if not self.scatterer_spacing > longest / (MAX_SCATTERERS - 0.5):
+        if not (_finite(self.scatterer_spacing) and self.scatterer_spacing > longest / (MAX_SCATTERERS - 0.5)):
             raise ValueError(f"scatterer_spacing must be positive and put at most {MAX_SCATTERERS} scatterers "
                              f"on a {longest} m vehicle, got {self.scatterer_spacing}")
+        if not (_finite(self.cluster_gap) and 0 <= self.cluster_gap <= 1):
+            raise ValueError(f"cluster_gap must lie in [0, 1], got {self.cluster_gap!r}")
+        if not (_finite(self.trailer_gain) and self.trailer_gain >= 0):
+            raise ValueError(f"trailer_gain must be >= 0 and finite, got {self.trailer_gain!r}")
 
 
 # Invented simulation knobs, not measured truth: lengths and speeds are

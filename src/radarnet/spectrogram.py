@@ -33,6 +33,9 @@ class RdTensor:
         if self.values.ndim != 3 or self.values.shape[0] != 3:
             raise ValueError("tensor must have shape [3, height, width]")
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
+
 
 def _ramps(sig: BeatSignal):
     """The framing rule: the full ramps as one sweep-order [ramps, samples_per_ramp]

@@ -1,6 +1,8 @@
 """Subcommand behavior, exit codes and artifact reproducibility."""
 
+import argparse
 import dataclasses
+import functools
 import json
 import math
 import struct
@@ -8,13 +10,14 @@ import struct
 import numpy as np
 import pytest
 
-from radarnet.cli import main
-from radarnet.config import JSON_TYPES, RunConfig
+from radarnet.cli import RUN_FIELDS, TRAIN_FIELDS, _load_run_config, build_parser, main
+from radarnet.config import JSON_TYPES, SKEWED_COUNTS, RunConfig
 from radarnet.dataset import load_tensor, save_signal, save_tensor
 from radarnet.radar import (
     PointTarget,
     RadarParams,
     beat_frequencies,
+    radar_params_hash,
     synthesize_point_targets,
 )
 
@@ -41,6 +44,16 @@ def workspace(tmp_path_factory):
         )
         == 0
     )
+    return root
+
+
+@pytest.fixture(scope="module")
+def cropped(tmp_path_factory):
+    """A dataset of 3x200x30 tensors with its signals, beside crop.json, the config that made it."""
+    root = tmp_path_factory.mktemp("crop")
+    (root / "crop.json").write_text(json.dumps({"target_width": 30, "freq_range": [0, 200]}))
+    assert main(["generate", "-o", str(root / "ds"), "--config", str(root / "crop.json"),
+                 *GEN_ARGS, "--keep-signals"]) == 0
     return root
 
 
@@ -206,16 +219,44 @@ class TestTrainEvalPredict:
         assert math.isclose(sum(scores), 1.0, abs_tol=1e-6)
         assert len(scores) == 6
 
-    def test_predict_keeps_the_models_null_crop(self, workspace, tmp_path, capsys):
-        # the model was trained on uncropped tensors, so a --config crop must not cut its input
-        config = tmp_path / "crop.json"
-        config.write_text(json.dumps({"freq_range": [0, 100]}))
-        signal = str(workspace / "ds" / "signals" / "C0003.rbs")
-        assert main(["predict", "-w", str(workspace / "model.rdw"), signal]) == 0
-        plain = capsys.readouterr().out
-        rc = main(["predict", "-w", str(workspace / "model.rdw"), "--config", str(config), signal])
+    def test_predict_takes_no_config(self, workspace, tmp_path):
+        # a model's radar, width and crop come from its meta alone
+        (tmp_path / "crop.json").write_text(json.dumps({"freq_range": [0, 100]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "-w", str(workspace / "model.rdw"), "--config", str(tmp_path / "crop.json"),
+                  str(workspace / "ds" / "signals" / "C0003.rbs")])
+        assert exc.value.code == 2
+
+    def test_model_of_cropped_data_predicts_its_own_signal(self, cropped, tmp_path, capsys):
+        model = str(tmp_path / "m.rdw")
+        assert main(["train", "-d", str(cropped / "ds"), "-o", model, "--config", str(cropped / "crop.json"),
+                     *SPLIT_ARGS, "--epochs", "1"]) == 0
+        assert main(["eval", "-d", str(cropped / "ds"), "-w", model, *SPLIT_ARGS]) == 0
+        capsys.readouterr()
+        rc = main(["predict", "-w", model, str(cropped / "ds" / "signals" / "C0003.rbs")])
         assert rc == 0, capsys.readouterr().err
-        assert capsys.readouterr().out == plain
+        # the signal went through the model's crop: it scores as its stored tensor does
+        assert main(["predict", "-w", model, str(cropped / "ds" / "tensors" / "C0003.rdt")]) == 0
+        out_signal, out_tensor = capsys.readouterr().out.split("predicted", 2)[1:]
+        assert out_signal == out_tensor
+
+    @pytest.mark.parametrize("data, words", [
+        ("wide", ["radar", radar_params_hash(WIDE_SWEEP), radar_params_hash(P)]),
+        ("cropped", ["tensor shape", "(3, 200, 30)", "(3, 257, 32)"]),
+    ])
+    def test_train_refuses_data_of_other_settings(self, request, tmp_path, capsys, data, words):
+        # trained without the --config that generated the data, the model would refuse that data
+        if data == "wide":
+            ds = request.getfixturevalue("wide_sweep_signal").parent.parent
+        else:
+            ds = request.getfixturevalue("cropped") / "ds"
+        capsys.readouterr()   # what generate printed
+        rc = main(["train", "-d", str(ds), "-o", str(tmp_path / "m.rdw"), *SPLIT_ARGS, "--epochs", "1"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert all(w in err for w in [*words, "--config"]), err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fold", [-1, 2])
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -463,6 +504,9 @@ class TestConfig:
         ('{"counts_per_class": 5}', "counts_per_class"),
         ('{"train": {"epochs": "3"}}', "epochs"),
         ('{"train": {"learning_rate": "x"}}', "learning_rate"),
+        ('{"profiles": {"classes": {"A": 5}}}', "'profiles.classes.A' must be dict"),
+        ('{"profiles": {"classes": [1]}}', "'profiles.classes' must be dict"),
+        ('{"profiles": 5}', "'profiles' must be dict"),
     ])
     def test_mistyped_config_field_exits_1(self, tmp_path, capsys, text, field):
         bad = tmp_path / "bad.json"
@@ -477,6 +521,8 @@ class TestConfig:
     # before any directory is made
     _PROFILE_A = ('{{"profiles": {{"classes": {{"A": {{"length_range": {length}, "speed_range": [25, 36], '
                   '"reflectivity_range": {reflectivity}, "scatterer_spacing": {spacing}}}}}}}}}')
+    _PROFILE_B = ('{{"profiles": {{"classes": {{"B": {{"length_range": [8, 12], "speed_range": [22, 33], '
+                  '"reflectivity_range": [0.15, 0.28], {field}}}}}}}}}')
 
     @pytest.mark.parametrize("text, words", [
         ('{"profiles": {"classes": {"A": {"length_range": [3.5, 5.0], "speed_range": [25, 36], '
@@ -498,8 +544,20 @@ class TestConfig:
          "length_range must be two finite numbers, got (3.5, nan)"),
         (_PROFILE_A.format(length="[3.5, 5.0]", reflectivity="[-0.1, 0.18]", spacing="1.0"),
          "reflectivity_range must be >= 0, got (-0.1, 0.18)"),
+        (_PROFILE_B.format(field='"cluster_gap": "x"'), "cluster_gap must lie in [0, 1], got 'x'"),
+        (_PROFILE_B.format(field='"cluster_gap": 3.0'), "cluster_gap must lie in [0, 1], got 3.0"),
+        (_PROFILE_B.format(field='"cluster_gap": -0.1'), "cluster_gap must lie in [0, 1], got -0.1"),
+        (_PROFILE_B.format(field='"trailer_gain": -2'), "trailer_gain must be >= 0 and finite, got -2"),
+        (_PROFILE_B.format(field='"trailer_gain": Infinity'), "trailer_gain must be >= 0 and finite, got inf"),
+        (_PROFILE_B.format(field='"scatterer_spacing": true'),
+         "scatterer_spacing must be positive and put at most 1024 scatterers on a 12 m vehicle, got True"),
+        ('{"radar": {"delta_f": true}}', "radar delta_f must be positive and finite, got True"),
+        ('{"radar": {"mount_height": true}}', "radar mount_height must be positive and finite, got True"),
+        ('{"radar": {"f0": "24e9"}}', "radar f0 must be positive and finite, got 24e9"),
     ], ids=["zero-spacing", "fft-600", "nan-f0", "inf-t-ramp", "nan-mount-height", "c", "amplitude", "geometry",
-            "dense-scatterers", "zero-length", "nan-length", "negative-reflectivity"])
+            "dense-scatterers", "zero-length", "nan-length", "negative-reflectivity", "string-gap", "gap-above-1",
+            "negative-gap", "negative-trailer-gain", "inf-trailer-gain", "bool-spacing", "bool-delta-f",
+            "bool-mount-height", "string-f0"])
     def test_config_that_can_never_run_exits_1(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "bad.json"
         cfg.write_text(text)
@@ -527,6 +585,61 @@ class TestConfig:
 
     def test_config_types_cover_every_field(self):
         assert set(JSON_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}
+
+    # a config file whose values differ from the defaults and from every flag value below
+    _FILE = {"base_seed": 11, "target_width": 20, "freq_range": [0, 100], "counts_per_class": {"A": 1},
+             "folds": 4, "split_seed": 6, "train_per_class": 8, "val_per_class": 3, "preset": "mini",
+             "train": {"learning_rate": 0.002, "momentum": 0.8, "weight_decay": 0.001, "epochs": 3,
+                       "seed": 2, "dropout_rate": 0.4}}
+    _REQUIRED = {"generate": ["-o", "ds"], "plot": ["in.rdt", "-o", "x.pgm"], "train": ["-d", "ds", "-o", "m.rdw"],
+                   "eval": ["-d", "ds", "-w", "m.rdw"], "cv": ["-d", "ds"]}
+
+    @pytest.mark.parametrize("command, flag, field, value", [
+        ("generate", ["--seed", "7"], "base_seed", 7),
+        ("generate", ["--target-width", "30"], "target_width", 30),
+        ("generate", ["--freq-range", "0:200"], "freq_range", (0, 200)),
+        ("generate", ["--counts", "a=3,B=4"], "counts_per_class", {"A": 3, "B": 4}),
+        ("generate", ["--preset", "skewed"], "counts_per_class", SKEWED_COUNTS),
+        ("plot", ["--target-width", "30"], "target_width", 30),
+        *[(command, flag, field, value) for command in ("train", "eval", "cv") for flag, field, value in [
+            (["--folds", "3"], "folds", 3),
+            (["--split-seed", "5"], "split_seed", 5),
+            (["--train-per-class", "7"], "train_per_class", 7),
+            (["--val-per-class", "2"], "val_per_class", 2),
+            (["--preset", "full"], "val_per_class", 45),
+        ]],
+        *[(command, flag, field, value) for command in ("train", "cv") for flag, field, value in [
+            (["--lr", "0.01"], "train.learning_rate", 0.01),
+            (["--momentum", "0.5"], "train.momentum", 0.5),
+            (["--weight-decay", "0.1"], "train.weight_decay", 0.1),
+            (["--epochs", "4"], "train.epochs", 4),
+            (["--train-seed", "9"], "train.seed", 9),
+            (["--dropout", "0.25"], "train.dropout_rate", 0.25),
+            (["--net-preset", "full"], "preset", "full"),
+        ]],
+    ])
+    def test_override_flag_sets_its_field(self, tmp_path, command, flag, field, value):
+        (tmp_path / "run.json").write_text(json.dumps(self._FILE))
+        argv = [command, *self._REQUIRED[command], "--config", str(tmp_path / "run.json")]
+
+        def loaded(extra):
+            return functools.reduce(getattr, field.split("."), _load_run_config(build_parser().parse_args(extra)))
+
+        from_file = loaded(argv)
+        assert from_file == functools.reduce(getattr, field.split("."), RunConfig.from_dict(self._FILE))
+        assert from_file != value
+        assert loaded([*argv, *flag]) == value
+
+    def test_every_dest_is_a_config_field_or_listed(self):
+        # a mistyped dest would set nothing, or end in a TypeError
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        dests = {a.dest for p in commands.values() for a in p._actions}
+        assert dests - RUN_FIELDS - TRAIN_FIELDS == {
+            "help", "config", "out_dir", "count_preset", "counts", "freq_crop", "keep_signals", "input", "output",
+            "channels", "log", "crop", "data", "fold", "init_weights", "reinit_fc", "quota_preset", "weights",
+            "all", "matrix_pgm", "dump",
+        }
 
     def test_unknown_flag_exits_2(self):
         for flag in ["--frobnicate", "--workers"]:
