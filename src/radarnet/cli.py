@@ -23,7 +23,7 @@ from .config import (
     load_config,
 )
 from .radar import CLASS_ORDER, radar_params_hash
-from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor
+from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor, tensor_shape
 
 
 def _parse_counts(text):
@@ -157,15 +157,18 @@ def _split_fold(ds, cfg: RunConfig, index):
     return folds[index]
 
 
+def _refuse_other_data(ds, data_path, cfg: RunConfig, whose, remedy=""):
+    """ValueError, naming both values, unless ds holds tensors of cfg's radar and shape."""
+    wanted = radar_params_hash(cfg.radar), tensor_shape(cfg.radar, cfg.target_width, cfg.freq_range)
+    for what, run, data in zip(("radar", "tensor shape"), wanted, (ds.radar_hash, ds.tensor_shape)):
+        if run != data:
+            raise ValueError(f"{data_path} holds data of {what} {data}, but {whose} {what} is {run}{remedy}")
+
+
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     ds = ds_mod.load_dataset(args.data)
-    lo, hi = cfg.freq_range or (0, cfg.radar.fft_size // 2 + 1)
-    for what, run, data in [("radar", radar_params_hash(cfg.radar), ds.radar_hash),
-                            ("tensor shape", (3, hi - lo, cfg.target_width), ds.tensor_shape)]:
-        if run != data:
-            raise ValueError(f"{args.data} holds data of {what} {data}, but this run's {what} is {run}; "
-                             f"pass the --config that generated the data")
+    _refuse_other_data(ds, args.data, cfg, "this run's", "; pass the --config that generated the data")
     fold = _split_fold(ds, cfg, args.fold)
     trained = evaluation.train_fold(
         ds, fold, cfg.train, preset=cfg.preset, init_weights=args.init_weights, reinit_fc=args.reinit_fc
@@ -218,11 +221,7 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     ds = ds_mod.load_dataset(args.data)
     net, mean, model = _load_model(args.weights)
-    model_hash = radar_params_hash(model.radar)
-    if model_hash != ds.radar_hash:
-        raise ValueError(
-            f"the model was trained on radar {model_hash}, but {args.data} holds data from radar {ds.radar_hash}"
-        )
+    _refuse_other_data(ds, args.data, model, "the model's")
     if args.all:
         ids = [r.sample_id for r in ds.records]
     else:

@@ -34,7 +34,9 @@ class RdTensor:
             raise ValueError("tensor must have shape [3, height, width]")
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
+        # NumPy before 2.0 passes no copy, and refuses np.array(..., copy=None)
+        values = self.values if dtype is None else self.values.astype(dtype, copy=False)
+        return values.copy() if copy else values
 
 
 def _ramps(sig: BeatSignal):
@@ -85,6 +87,13 @@ def build_spectrograms(sig: BeatSignal, p: RadarParams):
     # one transform over the ramps in sweep order: each row is transformed on its own
     moduli = fft_modulus(windows, p.fft_size).T
     return moduli[:, up], moduli[:, down]
+
+
+def tensor_shape(p: RadarParams, target_width: int, freq_range: tuple | None = None) -> tuple:
+    """Shape of the tensors signal_to_tensor builds for radar p: 3 channels, the
+    crop's hi - lo bins or every one-sided FFT bin, and target_width columns."""
+    lo, hi = freq_range or (0, p.fft_size // 2 + 1)
+    return (3, hi - lo, target_width)
 
 
 def build_tensor(

@@ -351,6 +351,14 @@ class TestTrainEvalPredict:
         assert rc == 1
         assert "radar" in capsys.readouterr().err
 
+    def test_eval_refuses_data_of_another_tensor_shape(self, workspace, cropped, capsys):
+        capsys.readouterr()
+        rc = main(["eval", "-d", str(cropped / "ds"), "-w", str(workspace / "model.rdw"),
+                   "--fold", "0", *SPLIT_ARGS])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(w in err for w in ["tensor shape", "(3, 200, 30)", "(3, 257, 32)"])
+
     def test_eval_accepts_the_default_radar_spelled_in_integers(self, workspace, tmp_path, capsys):
         config = tmp_path / "radar.json"
         config.write_text('{"radar": {"f0": 24000000000, "delta_f": 120000000}}')
@@ -600,6 +608,8 @@ class TestConfig:
         ("generate", ["--freq-range", "0:200"], "freq_range", (0, 200)),
         ("generate", ["--counts", "a=3,B=4"], "counts_per_class", {"A": 3, "B": 4}),
         ("generate", ["--preset", "skewed"], "counts_per_class", SKEWED_COUNTS),
+        # explicit counts win over the preset, which sets counts_per_class first
+        ("generate", ["--preset", "skewed", "--counts", "A=3"], "counts_per_class", {"A": 3}),
         ("plot", ["--target-width", "30"], "target_width", 30),
         *[(command, flag, field, value) for command in ("train", "eval", "cv") for flag, field, value in [
             (["--folds", "3"], "folds", 3),

@@ -28,6 +28,7 @@ from radarnet.spectrogram import (
     fft_modulus,
     mean_normalize,
     segment_ramps,
+    tensor_shape,
     signal_to_tensor,
 )
 
@@ -314,6 +315,12 @@ class TestBuildTensor:
         up, down = build_spectrograms(sig, P)
         np.testing.assert_array_equal(t.values[0, :, :5], up[:227].astype(np.float32))
 
+    @pytest.mark.parametrize("width, freq_range", [(8, None), (227, (0, 227)), (30, (10, 210))])
+    def test_tensor_shape_is_the_built_shape(self, width, freq_range):
+        sig = synthesize_point_targets([PointTarget(30.0, 20.0)], 10, P)
+        t = signal_to_tensor(sig, P, width, freq_range=freq_range)
+        assert t.values.shape == tensor_shape(P, width, freq_range)
+
     def test_frequency_window_validated(self):
         with pytest.raises(ValueError):
             build_tensor(_spect(4), _spect(4), 8, freq_range=(0, 300))
@@ -366,6 +373,13 @@ class TestMeanNormalization:
         normalized = [mean_normalize(RdTensor(t), mean) for t in tensors]
         residual = np.mean([t.values.astype(np.float64) for t in normalized], axis=0)
         assert np.max(np.abs(residual)) < 1e-5
+
+    def test_asarray_is_the_values(self):
+        t = RdTensor(self._tensor(1.5))
+        assert np.asarray(t) is t.values
+        assert np.asarray(t, dtype=np.float32) is t.values
+        assert np.asarray(t, dtype=np.float64).dtype == np.float64
+        assert not np.shares_memory(np.array(t), t.values)
 
     def test_label_preserved(self):
         from radarnet.radar import VehicleClass
