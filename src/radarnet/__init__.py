@@ -26,7 +26,6 @@ from .spectrogram import (
     export_pgm,
     fft_modulus,
     mean_normalize,
-    segment_ramps,
     signal_to_tensor,
 )
 from .dataset import (

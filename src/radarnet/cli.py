@@ -14,16 +14,9 @@ from pathlib import Path
 
 from . import dataset as ds_mod
 from . import evaluation, network
-from .config import (
-    COUNT_PRESETS,
-    QUOTA_PRESETS,
-    RunConfig,
-    apply_count_preset,
-    apply_quota_preset,
-    load_config,
-)
-from .radar import CLASS_ORDER, radar_params_hash
-from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor, tensor_shape
+from .config import COUNT_PRESETS, QUOTA_PRESETS, RunConfig, apply_count_preset, apply_quota_preset
+from .radar import CLASS_ORDER
+from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor
 
 
 def _parse_counts(text):
@@ -44,11 +37,19 @@ RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 TRAIN_FIELDS = {f"train.{f.name}" for f in dataclasses.fields(network.TrainConfig)}
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_run_config(args, data=None) -> RunConfig:
     """The --config file (or the defaults), then the presets, then each override flag given,
-    whose dest is the field it sets: a RunConfig field, or train.<field> of its TrainConfig."""
+    whose dest is the field it sets: a RunConfig field, or train.<field> of its TrainConfig.
+    With data, a loaded dataset, its settings (DATA_KEYS) replace the file's; a file that
+    names one of them with another value is a ValueError naming both."""
     given = vars(args)
-    cfg = load_config(args.config)
+    named = {} if args.config is None else json.loads(Path(args.config).read_text(encoding="utf-8"))
+    cfg = RunConfig.from_dict(named)
+    for key in ds_mod.DATA_KEYS if data is not None else ():
+        ours, theirs = getattr(cfg, key), getattr(data, key)
+        if key in named and ours != theirs:
+            raise ValueError(f"{args.config} sets {key} {ours}, but {args.data} was made with {key} {theirs}")
+        setattr(cfg, key, theirs)
     if "count_preset" in given:
         apply_count_preset(cfg, args.count_preset)
     if "quota_preset" in given:
@@ -133,6 +134,7 @@ def _model_paths(weights_path):
 
 
 MODEL_KEYS = ("preset", "radar", "target_width", "freq_range")
+MODEL_VERSION = 2
 
 
 def _save_model(weights_path, net, mean_tensor, cfg: RunConfig):
@@ -141,7 +143,7 @@ def _save_model(weights_path, net, mean_tensor, cfg: RunConfig):
     ds_mod.save_tensor(mean_tensor, mpath)
     run = cfg.to_dict()
     meta = {
-        "format_version": ds_mod.FORMAT_VERSION,
+        "format_version": MODEL_VERSION,
         "input_shape": list(net.input_shape),
         "class_order": list(CLASS_ORDER),
         **{key: run[key] for key in MODEL_KEYS},
@@ -157,22 +159,11 @@ def _split_fold(ds, cfg: RunConfig, index):
     return folds[index]
 
 
-def _refuse_other_data(ds, data_path, cfg: RunConfig, whose, remedy=""):
-    """ValueError, naming both values, unless ds holds tensors of cfg's radar and shape."""
-    wanted = radar_params_hash(cfg.radar), tensor_shape(cfg.radar, cfg.target_width, cfg.freq_range)
-    for what, run, data in zip(("radar", "tensor shape"), wanted, (ds.radar_hash, ds.tensor_shape)):
-        if run != data:
-            raise ValueError(f"{data_path} holds data of {what} {data}, but {whose} {what} is {run}{remedy}")
-
-
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
     ds = ds_mod.load_dataset(args.data)
-    _refuse_other_data(ds, args.data, cfg, "this run's", "; pass the --config that generated the data")
+    cfg = _load_run_config(args, ds)
     fold = _split_fold(ds, cfg, args.fold)
-    trained = evaluation.train_fold(
-        ds, fold, cfg.train, preset=cfg.preset, init_weights=args.init_weights, reinit_fc=args.reinit_fc
-    )
+    trained = evaluation.train_fold(ds, fold, cfg.train, preset=cfg.preset)
     _save_model(args.output, trained.net, trained.mean_tensor, cfg)
     history_path = Path(args.output).with_suffix(".history.json")
     history_path.write_text(
@@ -204,9 +195,9 @@ def _load_model(weights_path):
     meta = json.loads(metapath.read_text(encoding="utf-8"))
     if not isinstance(meta, dict) or not all(key in meta for key in MODEL_KEYS):
         raise ValueError(f"model meta {metapath} is not a JSON object holding {', '.join(MODEL_KEYS)}")
-    if meta.get("format_version") != ds_mod.FORMAT_VERSION:
+    if meta.get("format_version") != MODEL_VERSION:
         raise network.ConfigError(f"model meta {metapath}: format version {meta.get('format_version')}, "
-                                  f"expected {ds_mod.FORMAT_VERSION}")
+                                  f"expected {MODEL_VERSION}")
     try:
         model = RunConfig.from_dict({key: meta[key] for key in MODEL_KEYS})
     except network.ConfigError as exc:
@@ -218,10 +209,13 @@ def _load_model(weights_path):
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_run_config(args)
     ds = ds_mod.load_dataset(args.data)
+    cfg = _load_run_config(args, ds)
     net, mean, model = _load_model(args.weights)
-    _refuse_other_data(ds, args.data, model, "the model's")
+    for key in ("radar", "target_width", "freq_range"):     # the settings that fix the network input
+        if getattr(model, key) != getattr(ds, key):
+            raise ValueError(f"{args.data} was made with {key} {getattr(ds, key)}, "
+                             f"but the model's {key} is {getattr(model, key)}")
     if args.all:
         ids = [r.sample_id for r in ds.records]
     else:
@@ -238,8 +232,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg = _load_run_config(args)
     ds = ds_mod.load_dataset(args.data)
+    cfg = _load_run_config(args, ds)
     report = evaluation.cross_validate(
         ds,
         k=cfg.folds,
@@ -339,9 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--data", required=True, help="dataset directory")
     p.add_argument("-o", "--output", required=True, help="weights file (.rdw) to write")
     p.add_argument("--fold", type=int, default=0)
-    p.add_argument("--init-weights", help="warm-start from an existing .rdw")
-    p.add_argument("--reinit-fc", action="store_true",
-                   help="with --init-weights, keep fully connected layers randomly initialized")
     add_split_flags(p)
     add_train_flags(p)
     p.set_defaults(func=cmd_train)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from .network import ConfigError, TrainConfig
 from .radar import ClassProfile, ProfileTable, RadarParams, VehicleClass
@@ -118,13 +117,6 @@ class RunConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def load_config(path=None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    text = Path(path).read_text(encoding="utf-8")
-    return RunConfig.from_dict(json.loads(text))
 
 
 def apply_count_preset(cfg: RunConfig, name: str) -> RunConfig:

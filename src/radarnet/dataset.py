@@ -1,8 +1,9 @@
 """Synthetic dataset generation, persistence, fold splitting and batching.
 
 Tensors live on disk as .rdt files (magic "RDT1", little-endian u32 dims,
-float32 payload) indexed by a JSON manifest; beat signals can optionally be
-kept alongside as .rbs files.  A loaded dataset holds all its tensors in one
+float32 payload) indexed by a JSON manifest, which also records the settings
+that made them (radar, profiles, width and crop); beat signals can optionally
+be kept alongside as .rbs files.  A loaded dataset holds all its tensors in one
 read-only [N, 3, H, W] array, rows in manifest order.  Folds follow the
 repeated-shuffle protocol: each fold independently reshuffles every class and
 takes fixed train and validation quotas, the remainder becoming that fold's
@@ -22,6 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .config import RunConfig
 from .cores import run_on_cores
 from .radar import (
     CLASS_ORDER,
@@ -34,14 +36,15 @@ from .radar import (
     sample_vehicle_scenario,
     synthesize_beat_signal,
 )
-from .spectrogram import RdTensor, signal_to_tensor
+from .spectrogram import RdTensor, signal_to_tensor, tensor_shape
 
 TENSOR_MAGIC = b"RDT1"
 SIGNAL_MAGIC = b"RBS2"
 # samples per ramp, first ramp, class index, fft size, f0, delta_f, t_ramp, mount height, sample count
 SIGNAL_HEADER = "<IBbIddddQ"
-# of manifest.json and of a model's meta.json
-FORMAT_VERSION = 2
+MANIFEST_VERSION = 3
+# the RunConfig fields a manifest records: the settings that made the data
+DATA_KEYS = ("radar", "profiles", "target_width", "freq_range")
 
 MAX_DIM = 1 << 20
 MAX_ELEMENTS = 1 << 26
@@ -168,16 +171,28 @@ class SampleRecord:
 
 @dataclass
 class Dataset:
-    """Manifest-backed collection of labeled tensors."""
+    """Manifest-backed collection of labeled tensors and the settings that made
+    them: sample r is sample_vehicle_scenario(r.class_label, r.seed, profiles),
+    swept by radar and tensorized at target_width and freq_range."""
 
     root: Path
     records: list
-    radar_hash: str
-    tensor_shape: tuple
+    radar: RadarParams
+    profiles: ProfileTable
+    target_width: int
+    freq_range: tuple | None = None
     _index: dict = field(init=False, repr=False)     # sample id -> row
 
     def __post_init__(self):
         self._index = {r.sample_id: row for row, r in enumerate(self.records)}
+
+    @property
+    def radar_hash(self) -> str:
+        return radar_params_hash(self.radar)
+
+    @property
+    def tensor_shape(self) -> tuple:
+        return tensor_shape(self.radar, self.target_width, self.freq_range)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -207,18 +222,16 @@ class Dataset:
         """Every sample as one read-only float32 [N, *tensor_shape] array, rows
         in record order, read from the .rdt files on first use; ManifestError if a
         file resolves, through a symlink, to a place outside the root."""
-        out = np.empty((len(self.records), *self.tensor_shape), dtype=np.float32)
+        shape = self.tensor_shape
+        out = np.empty((len(self.records), *shape), dtype=np.float32)
         root = self.root.resolve()
         for row, rec in enumerate(self.records):
             path = (root / rec.path).resolve()
             if not path.is_relative_to(root):
                 raise ManifestError(f"sample {rec.sample_id}: path {rec.path!r} leaves the dataset root")
             values = load_tensor(path)
-            if values.shape != self.tensor_shape:
-                raise TensorFormatError(
-                    f"sample {rec.sample_id} has shape {values.shape}, "
-                    f"manifest says {self.tensor_shape}"
-                )
+            if values.shape != shape:
+                raise TensorFormatError(f"sample {rec.sample_id} has shape {values.shape}, manifest says {shape}")
             out[row] = values
         out.flags.writeable = False
         return out
@@ -229,10 +242,10 @@ class Dataset:
         return RdTensor(values=self.tensors[row], label=self.records[row].class_label)
 
     def manifest_dict(self) -> dict:
+        made = RunConfig(**{key: getattr(self, key) for key in DATA_KEYS}).to_dict()
         return {
-            "format_version": FORMAT_VERSION,
-            "radar_params_hash": self.radar_hash,
-            "tensor_shape": list(self.tensor_shape),
+            "format_version": MANIFEST_VERSION,
+            **{key: made[key] for key in DATA_KEYS},
             "class_counts": self.class_counts,
             "samples": [
                 {
@@ -284,22 +297,23 @@ def load_dataset(root) -> Dataset:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"{where}: not a UTF-8 JSON document ({exc})") from exc
     version = _manifest_field(manifest, "format_version", int, where)
-    if version != FORMAT_VERSION:
-        raise ManifestError(f"{where}: format version {version}, expected {FORMAT_VERSION}")
-    shape = _manifest_field(manifest, "tensor_shape", list, where)
-    if (
-        len(shape) != 3
-        or shape[0] != 3
-        or not all(type(d) is int and d > 0 for d in shape)
-        or math.prod(shape) > MAX_ELEMENTS
-    ):
-        raise ManifestError(f"{where}: tensor shape {shape} is not a valid [3, height, width]")
+    if version != MANIFEST_VERSION:
+        raise ManifestError(f"{where}: format version {version}, expected {MANIFEST_VERSION}")
+    for key in DATA_KEYS:
+        if key not in manifest:
+            raise ManifestError(f"{where}: field {key!r} is missing")
+    try:
+        made = RunConfig.from_dict({key: manifest[key] for key in DATA_KEYS})
+        shape = tensor_shape(made.radar, made.target_width, made.freq_range)
+    except ValueError as exc:
+        raise ManifestError(f"{where}: {exc}") from None
+    if math.prod(shape) > MAX_ELEMENTS:
+        raise ManifestError(f"{where}: tensor shape {shape} exceeds {MAX_ELEMENTS} elements")
     samples = _manifest_field(manifest, "samples", list, where)
     ds = Dataset(
         root=root,
         records=[_manifest_record(s, f"{where}, sample {i}") for i, s in enumerate(samples)],
-        radar_hash=_manifest_field(manifest, "radar_params_hash", str, where),
-        tensor_shape=tuple(shape),
+        **{key: getattr(made, key) for key in DATA_KEYS},
     )
     if len(ds._index) != len(ds):
         raise ManifestError(f"{where}: sample ids repeat")
@@ -354,20 +368,14 @@ def generate_dataset(
         save_tensor(tensor, partial / rel)
         if keep_signals:
             save_signal(sig, partial / f"signals/{sample_id}.rbs")
-        return SampleRecord(sample_id, vclass, rel, scenario.speed, seed), tensor.shape
+        return SampleRecord(sample_id, vclass, rel, scenario.speed, seed)
 
     partial.mkdir()
     try:
         (partial / "tensors").mkdir()
         if keep_signals:
             (partial / "signals").mkdir()
-        written = run_on_cores(len(jobs), write_sample)
-        ds = Dataset(
-            root=out_dir,
-            records=[record for record, _ in written],
-            radar_hash=radar_params_hash(radar),
-            tensor_shape=written[-1][1],
-        )
+        ds = Dataset(out_dir, run_on_cores(len(jobs), write_sample), radar, profiles, target_width, freq_range)
         manifest = json.dumps(ds.manifest_dict(), indent=2, sort_keys=True) + "\n"
         (partial / "manifest.json").write_text(manifest, encoding="utf-8")
         partial.rename(out_dir)     # replaces an empty directory

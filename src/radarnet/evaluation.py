@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, FoldSplit, balanced_batches, stratified_fold_split
-from .network import Network, TrainConfig, build_network, load_weights, loss_and_grad, predict, sgd_step
+from .network import Network, TrainConfig, build_network, loss_and_grad, predict, sgd_step
 from .radar import CLASS_ORDER, VehicleClass
 from .spectrogram import compute_mean_tensor
 
@@ -114,8 +114,6 @@ def train_fold(
     *,
     preset: str = "mini",
     net_seed: int | None = None,
-    init_weights=None,
-    reinit_fc: bool = False,
 ) -> FoldTraining:
     """Train one fold and return the best-validation snapshot.
 
@@ -123,8 +121,7 @@ def train_fold(
     applied to every split.  Batch order, dropout masks and initialization
     all derive from (cfg.seed, fold index): fold f initializes from net seed
     cfg.seed + f unless net_seed says otherwise, so identical calls produce
-    bit-identical networks.  init_weights warm-starts from a saved .rdw
-    (optionally keeping the fully connected layers at random init).
+    bit-identical networks.
     """
     net_seed = cfg.seed + fold.fold_index if net_seed is None else net_seed
 
@@ -144,8 +141,6 @@ def train_fold(
         seed=net_seed,
         dropout_rate=cfg.dropout_rate,
     )
-    if init_weights is not None:
-        load_weights(net, init_weights, reinit_fc=reinit_fc)
     velocity = {}
     history = []
     # every epoch beats -1, so the init is never restored; the last epoch's parameters stay live

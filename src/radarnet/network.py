@@ -476,35 +476,26 @@ def read_weight_records(path) -> dict:
     return records
 
 
-def load_weights(net: Network, path, *, reinit_fc: bool = False) -> list:
-    """Load parameters in place; returns the loaded parameter names.
-
-    With reinit_fc, records of fully connected layers are skipped and those
-    layers keep their current (random) initialization, supporting partial
-    transfer of the convolutional stack.  A record that names no parameter of
-    the network raises WeightShapeError before anything is loaded.
+def load_weights(net: Network, path) -> None:
+    """Load parameters in place.  A record that names no parameter of the
+    network raises WeightShapeError before anything is loaded.
     """
     records = read_weight_records(path)
-    fc_names = {layer.name for layer in net.layers if layer.kind == "fc"}
     params = net.params()
     extra = sorted(set(records) - set(params))
     if extra:
         raise WeightShapeError("weight records matching no parameter: " + ", ".join(extra))
-    loaded, bad = [], []
+    bad = []
     for name in sorted(params):
         layer_name = name.split(".")[0]
-        if reinit_fc and layer_name in fc_names:
-            continue
         rec = records.get(name)
         if rec is None or rec.shape != params[name].shape:
             bad.append(layer_name)
             continue
         params[name][...] = rec.astype(net.dtype)
-        loaded.append(name)
     if bad:
         raise WeightShapeError(
             "missing or mismatched weight records for layer(s): "
             + ", ".join(sorted(set(bad)))
         )
     net.bump_version()
-    return loaded

@@ -58,12 +58,6 @@ def _ramps(sig: BeatSignal):
     return windows, slice(up, None, 2), slice(1 - up, None, 2)
 
 
-def segment_ramps(sig: BeatSignal):
-    """Split a beat signal into its up- and down-ramp windows (see _ramps)."""
-    windows, up, down = _ramps(sig)
-    return windows[up], windows[down]
-
-
 def fft_modulus(window, fft_size: int) -> np.ndarray:
     """One-sided FFT modulus |X[k]|, k = 0..fft_size/2, of rectangular (untapered)
     windows along the last axis, each zero-padded up to fft_size; an input of
@@ -91,8 +85,14 @@ def build_spectrograms(sig: BeatSignal, p: RadarParams):
 
 def tensor_shape(p: RadarParams, target_width: int, freq_range: tuple | None = None) -> tuple:
     """Shape of the tensors signal_to_tensor builds for radar p: 3 channels, the
-    crop's hi - lo bins or every one-sided FFT bin, and target_width columns."""
-    lo, hi = freq_range or (0, p.fft_size // 2 + 1)
+    crop's hi - lo bins or every one-sided FFT bin, and target_width columns;
+    ValueError for a width below 1 or a crop outside the bins."""
+    bins = p.fft_size // 2 + 1
+    lo, hi = freq_range or (0, bins)
+    if target_width < 1:
+        raise ValueError(f"target width must be at least 1, got {target_width}")
+    if not 0 <= lo < hi <= bins:
+        raise ValueError(f"frequency window {freq_range} outside 0..{bins}")
     return (3, hi - lo, target_width)
 
 

@@ -222,7 +222,7 @@ def test_criterion_7_pipeline_invariant_suite():
     ]
     from pathlib import Path
 
-    ds = Dataset(root=Path("."), records=records, radar_hash="x", tensor_shape=(3, 257, 32))
+    ds = Dataset(Path("."), records, P, rn.ProfileTable(), 32)
     all_ids = {r.sample_id for r in records}
     for fold in stratified_fold_split(ds, 4, 30, 10, seed=1):
         tr, va, te = set(fold.train_ids), set(fold.val_ids), set(fold.test_ids)

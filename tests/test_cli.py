@@ -17,7 +17,6 @@ from radarnet.radar import (
     PointTarget,
     RadarParams,
     beat_frequencies,
-    radar_params_hash,
     synthesize_point_targets,
 )
 
@@ -241,22 +240,55 @@ class TestTrainEvalPredict:
         assert out_signal == out_tensor
 
     @pytest.mark.parametrize("data, words", [
-        ("wide", ["radar", radar_params_hash(WIDE_SWEEP), radar_params_hash(P)]),
-        ("cropped", ["tensor shape", "(3, 200, 30)", "(3, 257, 32)"]),
+        ("wide", [f"sets radar {P}", f"made with radar {WIDE_SWEEP}"]),
+        ("cropped", ["sets target_width 32,", "made with target_width 30"]),
     ])
     def test_train_refuses_data_of_other_settings(self, request, tmp_path, capsys, data, words):
-        # trained without the --config that generated the data, the model would refuse that data
+        # the data's settings are the run's; a --config naming another value is refused, not ignored
         if data == "wide":
             ds = request.getfixturevalue("wide_sweep_signal").parent.parent
+            (tmp_path / "run.json").write_text(json.dumps({"radar": {"delta_f": P.delta_f}}))
         else:
             ds = request.getfixturevalue("cropped") / "ds"
+            (tmp_path / "run.json").write_text(json.dumps({"target_width": 32, "freq_range": [0, 200]}))
         capsys.readouterr()   # what generate printed
-        rc = main(["train", "-d", str(ds), "-o", str(tmp_path / "m.rdw"), *SPLIT_ARGS, "--epochs", "1"])
+        rc = main(["train", "-d", str(ds), "-o", str(tmp_path / "m.rdw"), "--config", str(tmp_path / "run.json"),
+                   *SPLIT_ARGS, "--epochs", "1"])
         assert rc == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
-        assert all(w in err for w in [*words, "--config"]), err
-        assert list(tmp_path.iterdir()) == []
+        assert all(w in err for w in words), err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("command", ["eval", "cv"])
+    def test_eval_and_cv_refuse_a_config_of_another_radar(self, workspace, tmp_path, capsys, command):
+        (tmp_path / "wide.json").write_text(json.dumps({"radar": {"delta_f": WIDE_SWEEP.delta_f}}))
+        extra = ["-w", str(workspace / "model.rdw")] if command == "eval" else ["--epochs", "1"]
+        rc = main([command, "-d", str(workspace / "ds"), *extra, "--config", str(tmp_path / "wide.json"),
+                   "-o", str(tmp_path / "report.json"), *SPLIT_ARGS])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {tmp_path / 'wide.json'} sets radar {WIDE_SWEEP}, "
+                       f"but {workspace / 'ds'} was made with radar {P}\n")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_train_takes_the_settings_of_its_data(self, wide_sweep_signal, cropped, tmp_path, capsys):
+        # wide data, no --config: the model is one of wide's radar and predicts wide's signal
+        wide = wide_sweep_signal.parent.parent
+        assert main(["generate", "-o", str(tmp_path / "wide"), "--config", str(wide.parent / "radar.json"),
+                     *GEN_ARGS, "--keep-signals"]) == 0
+        assert main(["train", "-d", str(tmp_path / "wide"), "-o", str(tmp_path / "w.rdw"),
+                     *SPLIT_ARGS, "--epochs", "1"]) == 0
+        meta = json.loads((tmp_path / "w.meta.json").read_text())
+        assert RadarParams(**meta["radar"]) == WIDE_SWEEP
+        assert (meta["target_width"], meta["freq_range"]) == (32, None)
+        assert main(["predict", "-w", str(tmp_path / "w.rdw"), str(wide_sweep_signal)]) == 0
+        # a config that repeats the data's values is accepted; cv reads the crop from the data
+        assert main(["cv", "-d", str(cropped / "ds"), "--config", str(cropped / "crop.json"),
+                     *SPLIT_ARGS, "--epochs", "1"]) == 0
+        assert main(["cv", "-d", str(cropped / "ds"), *SPLIT_ARGS, "--epochs", "1"]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("fold", [-1, 2])
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -357,7 +389,21 @@ class TestTrainEvalPredict:
                    "--fold", "0", *SPLIT_ARGS])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and all(w in err for w in ["tensor shape", "(3, 200, 30)", "(3, 257, 32)"])
+        assert err.startswith("error: ") and all(w in err for w in ["made with target_width 30",
+                                                                    "the model's target_width is 32"]), err
+
+    def test_eval_refuses_data_of_the_same_shape_cropped_elsewhere(self, cropped, tmp_path, capsys):
+        model = str(tmp_path / "m.rdw")
+        assert main(["train", "-d", str(cropped / "ds"), "-o", model, *SPLIT_ARGS, "--epochs", "1"]) == 0
+        (tmp_path / "shifted.json").write_text(json.dumps({"target_width": 30, "freq_range": [10, 210]}))
+        assert main(["generate", "-o", str(tmp_path / "ds"), "--config", str(tmp_path / "shifted.json"),
+                     *GEN_ARGS]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "-d", str(tmp_path / "ds"), "-w", model, *SPLIT_ARGS])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: {tmp_path / 'ds'} was made with freq_range (10, 210), "
+                                     f"but the model's freq_range is (0, 200)\n")
 
     def test_eval_accepts_the_default_radar_spelled_in_integers(self, workspace, tmp_path, capsys):
         config = tmp_path / "radar.json"
@@ -367,15 +413,6 @@ class TestTrainEvalPredict:
         rc = main(["eval", "-d", str(tmp_path / "ds"), "-w", str(workspace / "model.rdw"),
                    "--fold", "0", *SPLIT_ARGS])
         assert rc == 0, capsys.readouterr().err
-
-    def test_partial_weight_import(self, workspace, tmp_path):
-        rc = main(
-            ["train", "-d", str(workspace / "ds"), "-o", str(tmp_path / "warm.rdw"),
-             "--fold", "1", *SPLIT_ARGS, "--epochs", "1",
-             "--init-weights", str(workspace / "model.rdw"), "--reinit-fc"]
-        )
-        assert rc == 0
-        assert (tmp_path / "warm.rdw").exists()
 
     def test_train_deterministic(self, workspace, tmp_path):
         args = ["train", "-d", str(workspace / "ds"), "--fold", "0", *SPLIT_ARGS, "--epochs", "2"]
@@ -417,10 +454,15 @@ class TestMalformedModelMeta:
 class TestMalformedManifest:
     @pytest.mark.parametrize("key, value", [
         ("samples", 5),
-        ("tensor_shape", "x"),
+        ("target_width", "x"),
         ("format_version", "zz"),
         ("format_version", 1),
+        ("format_version", 2),
         ("path", "../../x"),
+        ("radar", {"no_such_field": 1}),
+        ("target_width", 0),
+        ("freq_range", [0, 300]),
+        ("profiles", 5),
     ])
     def test_train_exits_1(self, workspace, tmp_path, capsys, key, value):
         manifest = json.loads((workspace / "ds" / "manifest.json").read_text())
@@ -433,7 +475,7 @@ class TestMalformedManifest:
         rc = main(["train", "-d", str(tmp_path / "ds"), "-o", str(tmp_path / "m.rdw"), *SPLIT_ARGS])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "manifest.json" in err
+        assert err.startswith("error: ") and "manifest.json" in err and "Traceback" not in err
 
     def test_train_on_a_symlink_out_of_the_root_exits_1(self, workspace, tmp_path, capsys):
         src = workspace / "ds"
@@ -647,7 +689,7 @@ class TestConfig:
         dests = {a.dest for p in commands.values() for a in p._actions}
         assert dests - RUN_FIELDS - TRAIN_FIELDS == {
             "help", "config", "out_dir", "count_preset", "counts", "freq_crop", "keep_signals", "input", "output",
-            "channels", "log", "crop", "data", "fold", "init_weights", "reinit_fc", "quota_preset", "weights",
+            "channels", "log", "crop", "data", "fold", "quota_preset", "weights",
             "all", "matrix_pgm", "dump",
         }
 

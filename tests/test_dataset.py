@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import radarnet.dataset as dataset_mod
+from radarnet.config import RunConfig
 from radarnet.dataset import (
     BadMagicError,
     Dataset,
@@ -31,7 +32,9 @@ from radarnet.dataset import (
     tensor_to_bytes,
 )
 from radarnet.radar import (
+    DEFAULT_PROFILES,
     BeatSignal,
+    ClassProfile,
     NyquistError,
     ProfileTable,
     RadarParams,
@@ -191,6 +194,27 @@ class TestGenerateDataset:
         reloaded = load_dataset(small_dataset.root)
         assert len(reloaded) == 60
         assert reloaded.radar_hash == small_dataset.radar_hash
+        assert (reloaded.radar, reloaded.profiles, reloaded.target_width, reloaded.freq_range) == (
+            P, ProfileTable(), 32, None)
+
+    def test_every_sample_rebuilds_from_the_recorded_settings(self, tmp_path):
+        # settings other than the defaults, so only the manifest can supply them
+        profiles = ProfileTable(
+            profiles={**DEFAULT_PROFILES, VehicleClass.CAR: ClassProfile((3.0, 4.5), (26.0, 30.0), (0.2, 0.3))},
+            entry_range=(4.0, 6.0), snr_db=12.5,
+        )
+        radar = RadarParams(delta_f=150e6, mount_height=6.1)
+        generate_dataset({"A": 3, "G": 2}, 9, profiles, radar, tmp_path / "ds", target_width=30,
+                         freq_range=(5, 205))
+        ds = load_dataset(tmp_path / "ds")
+        assert (ds.radar, ds.profiles, ds.target_width, ds.freq_range) == (radar, profiles, 30, (5, 205))
+        assert ds.tensor_shape == (3, 200, 30)
+        for rec in ds.records:
+            scenario = sample_vehicle_scenario(rec.class_label, rec.seed, ds.profiles)
+            tensor = signal_to_tensor(synthesize_beat_signal(scenario, ds.radar), ds.radar, ds.target_width,
+                                      freq_range=ds.freq_range).values
+            assert (ds.root / rec.path).read_bytes() == tensor_to_bytes(tensor), rec.sample_id
+            assert rec.speed == scenario.speed
 
     def test_regeneration_byte_identical(self, small_dataset, tmp_path):
         again = generate_dataset(
@@ -323,7 +347,8 @@ class TestStackedTensors:
         for i, shape in enumerate(shapes):
             save_tensor(_random_tensor(i, shape), root / f"{i}.rdt")
             records.append(SampleRecord(f"A{i:04d}", VehicleClass.CAR, f"{i}.rdt", 25.0, i))
-        return Dataset(root=root, records=records, radar_hash="x", tensor_shape=shapes[0])
+        _, height, width = shapes[0]
+        return Dataset(root, records, P, ProfileTable(), width, freq_range=(0, height))
 
     def test_rows_are_the_files_in_record_order(self, tmp_path):
         ds = self._dataset(tmp_path, [(3, 7, 5)] * 3)
@@ -346,11 +371,12 @@ class TestStackedTensors:
 
 
 def _manifest(**fields):
+    """A manifest of one (3, 7, 5) sample at the default radar and profiles."""
     sample = {"id": "A0000", "class": "A", "path": "tensors/A0000.rdt", "speed": 25.0, "seed": 1}
+    made = RunConfig(target_width=5, freq_range=(0, 7)).to_dict()
     manifest = {
-        "format_version": 2,
-        "radar_params_hash": "x",
-        "tensor_shape": [3, 7, 5],
+        "format_version": 3,
+        **{key: made[key] for key in ("radar", "profiles", "target_width", "freq_range")},
         "class_counts": {"A": 1},
         "samples": [sample],
     }
@@ -373,18 +399,24 @@ class TestManifest:
         assert ds.tensor_shape == (3, 7, 5)
         assert ds.record("A0000").class_label is VehicleClass.CAR
 
+    def test_valid_manifest_loads_its_settings(self, tmp_path):
+        ds = self._load(tmp_path, _manifest(radar={"delta_f": 150e6}, freq_range=None, target_width=40))
+        assert ds.radar == RadarParams(delta_f=150e6)
+        assert ds.profiles == ProfileTable()
+        assert ds.tensor_shape == (3, P.fft_size // 2 + 1, 40)
+
     @pytest.mark.parametrize("fields", [
         {"samples": 5},
         {"samples": [5]},
-        {"tensor_shape": "x"},
-        {"tensor_shape": [3, 7]},
-        {"tensor_shape": [2, 7, 5]},
-        {"tensor_shape": [3, 0, 5]},
-        {"tensor_shape": [3, 7.0, 5]},
-        {"tensor_shape": [3, 1 << 20, 1 << 20]},
+        {"target_width": "x"},
+        {"target_width": 0},
+        {"target_width": 5.0},
+        {"target_width": 1 << 20, "freq_range": None},     # a shape over MAX_ELEMENTS
+        {"freq_range": [0, P.fft_size // 2 + 2]},          # outside the bins
+        {"freq_range": [-1, 7]},
         {"format_version": "zz"},
-        {"format_version": 1},
-        {"radar_params_hash": None},
+        {"format_version": 2},
+        {"radar": {"no_such_field": 1}},
         {"class": "Q"},
         {"class": "AB"},
         {"id": 7},
@@ -393,10 +425,27 @@ class TestManifest:
         {"path": "../../x"},
         {"path": "tensors/../../x"},
         {"path": "/etc/hostname"},
+        {"profiles": 5},
+        {"profiles": {"classes": {"Q": RunConfig().to_dict()["profiles"]["classes"]["A"]}}},   # no class Q
+        {"radar": {"fft_size": 600}},
+        {"freq_range": [0]},
     ])
     def test_malformed_manifest_rejected(self, tmp_path, fields):
         with pytest.raises(ManifestError):
             self._load(tmp_path, _manifest(**fields))
+
+    def test_version_2_manifest_refused(self, tmp_path):
+        old = {"format_version": 2, "radar_params_hash": "db8eff3b1afb826e", "tensor_shape": [3, 7, 5],
+               "class_counts": {"A": 1}, "samples": _manifest()["samples"]}
+        with pytest.raises(ManifestError, match="format version 2, expected 3"):
+            self._load(tmp_path, old)
+
+    @pytest.mark.parametrize("key", ["radar", "profiles", "target_width", "freq_range"])
+    def test_manifest_without_a_setting_rejected(self, tmp_path, key):
+        manifest = _manifest()
+        del manifest[key]
+        with pytest.raises(ManifestError, match=f"field '{key}' is missing"):
+            self._load(tmp_path, manifest)
 
     def test_non_object_manifest_rejected(self, tmp_path):
         with pytest.raises(ManifestError):
@@ -449,7 +498,7 @@ def _fake_dataset(per_class):
             records.append(
                 SampleRecord(f"{label}{i:05d}", VehicleClass(label), f"tensors/{label}{i:05d}.rdt", 25.0, i)
             )
-    return Dataset(root=Path("."), records=records, radar_hash="x", tensor_shape=(3, 257, 32))
+    return Dataset(Path("."), records, P, ProfileTable(), 32)
 
 
 class TestStratifiedFoldSplit:

@@ -20,7 +20,7 @@ from radarnet.evaluation import (
     train_fold,
 )
 from radarnet.network import Network, TrainConfig
-from radarnet.radar import CLASS_ORDER, VehicleClass
+from radarnet.radar import CLASS_ORDER, ProfileTable, RadarParams, VehicleClass
 
 A, B, C = VehicleClass.CAR, VehicleClass.CAR_TRAILER, VehicleClass.TRUCK
 
@@ -88,7 +88,7 @@ def marker_dataset(tmp_path_factory):
             save_tensor(t, root / f"tensors/{sid}.rdt")
             records.append(SampleRecord(sid, label, f"tensors/{sid}.rdt", 25.0, i))
             i += 1
-    return Dataset(root=root, records=records, radar_hash="test", tensor_shape=(3, 257, 32))
+    return Dataset(root, records, RadarParams(), ProfileTable(), 32)
 
 
 class TestTrainFold:

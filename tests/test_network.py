@@ -830,17 +830,6 @@ class TestWeightPersistence:
         save_weights(other, tmp_path / "w2.rdw")
         assert path.read_bytes() == (tmp_path / "w2.rdw").read_bytes()
 
-    def test_partial_load_reinit_fc(self, tmp_path):
-        net = _mini(seed=7)
-        path = tmp_path / "w.rdw"
-        save_weights(net, path)
-        other = _mini(seed=8)
-        before_fc = other.params()["fc1.W"].copy()
-        loaded = load_weights(other, path, reinit_fc=True)
-        assert all(not n.startswith("fc") for n in loaded)
-        np.testing.assert_array_equal(other.params()["conv1.W"], net.params()["conv1.W"])
-        np.testing.assert_array_equal(other.params()["fc1.W"], before_fc)
-
     def test_shape_mismatch_names_layer(self, tmp_path):
         net = _mini(seed=7)
         path = tmp_path / "w.rdw"
@@ -875,14 +864,10 @@ class TestWeightPersistence:
         save_weights(Network([*net.layers, extra], MINI_SHAPE), tmp_path / "extra.rdw")
         target = _mini(seed=8)
         before = target.snapshot()
-        for reinit_fc in (False, True):
-            with pytest.raises(WeightShapeError, match=r"fc9\.W, fc9\.b"):
-                load_weights(target, tmp_path / "extra.rdw", reinit_fc=reinit_fc)
-            for name, arr in target.params().items():
-                np.testing.assert_array_equal(arr, before[name])
-        # the fc records --reinit-fc skips still name parameters of the network
-        loaded = load_weights(target, tmp_path / "w.rdw", reinit_fc=True)
-        assert loaded and all(not n.startswith("fc") for n in loaded)
+        with pytest.raises(WeightShapeError, match=r"fc9\.W, fc9\.b"):
+            load_weights(target, tmp_path / "extra.rdw")
+        for name, arr in target.params().items():
+            np.testing.assert_array_equal(arr, before[name])
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "w.rdw").write_bytes(b"ZZZZ betrayal")

@@ -21,13 +21,13 @@ from radarnet.radar import (
 from radarnet.spectrogram import (
     PadOverflowError,
     RdTensor,
+    _ramps,
     build_spectrograms,
     build_tensor,
     compute_mean_tensor,
     export_pgm,
     fft_modulus,
     mean_normalize,
-    segment_ramps,
     tensor_shape,
     signal_to_tensor,
 )
@@ -43,36 +43,53 @@ def _signal(n_samples, first=RampPolarity.UP, fill=None):
     return BeatSignal(samples=samples, radar=P, first_ramp=first)
 
 
+def _up_down_windows(sig):
+    windows, up, down = _ramps(sig)
+    return windows[up], windows[down]
+
+
 class TestSegmentRamps:
     def test_even_split(self):
-        up, down = segment_ramps(_signal(5120))
+        windows, _, _ = _ramps(_signal(5120))
+        assert windows.shape == (10, 512)
+        up, down = _up_down_windows(_signal(5120))
         assert up.shape == (5, 512)
         assert down.shape == (5, 512)
 
     def test_trailing_partial_discarded(self):
         sig = _signal(5220)
-        up, down = segment_ramps(sig)
+        windows, _, _ = _ramps(sig)
+        np.testing.assert_array_equal(windows, sig.samples[:5120].reshape(10, 512))
+        up, down = _up_down_windows(sig)
         assert up.shape == (5, 512)
         assert down.shape == (5, 512)
-        ref_up, _ = segment_ramps(_signal(5120))
-        # identical rng means the first 5120 samples agree
         np.testing.assert_array_equal(up, sig.samples[:5120].reshape(10, 512)[0::2])
+        # the spectrograms ignore the partial window too
+        whole = BeatSignal(samples=sig.samples[:5120], radar=P, first_ramp=sig.first_ramp)
+        for spect, ref in zip(build_spectrograms(sig, P), build_spectrograms(whole, P)):
+            np.testing.assert_array_equal(spect, ref)
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            segment_ramps(_signal(600))
+        with pytest.raises(ValueError, match="need at least one up/down pair"):
+            _ramps(_signal(600))
+        with pytest.raises(ValueError, match="need at least one up/down pair"):
+            build_spectrograms(_signal(600), P)
 
     def test_first_ramp_down_swaps_assignment(self):
         sig_up = _signal(2048, RampPolarity.UP)
         sig_down = _signal(2048, RampPolarity.DOWN)
-        u1, d1 = segment_ramps(sig_up)
-        u2, d2 = segment_ramps(sig_down)
+        u1, d1 = _up_down_windows(sig_up)
+        u2, d2 = _up_down_windows(sig_down)
         np.testing.assert_array_equal(u1, d2)
         np.testing.assert_array_equal(d1, u2)
+        su1, sd1 = build_spectrograms(sig_up, P)
+        su2, sd2 = build_spectrograms(sig_down, P)
+        np.testing.assert_array_equal(su1, sd2)
+        np.testing.assert_array_equal(sd1, su2)
 
     def test_windows_cover_signal_in_order(self):
         sig = _signal(2048)
-        up, down = segment_ramps(sig)
+        up, down = _up_down_windows(sig)
         np.testing.assert_array_equal(up[0], sig.samples[:512])
         np.testing.assert_array_equal(down[0], sig.samples[512:1024])
         np.testing.assert_array_equal(up[1], sig.samples[1024:1536])
@@ -218,7 +235,7 @@ class TestBuildSpectrograms:
         up, down = build_spectrograms(sig, P)
         assert up.shape == (257, 5)
         assert down.shape == (257, 5)
-        up_w, down_w = segment_ramps(sig)
+        up_w, down_w = _up_down_windows(sig)
         for j in range(5):
             np.testing.assert_array_equal(up[:, j], fft_modulus(up_w[j], 512))
             np.testing.assert_array_equal(down[:, j], fft_modulus(down_w[j], 512))
@@ -320,6 +337,18 @@ class TestBuildTensor:
         sig = synthesize_point_targets([PointTarget(30.0, 20.0)], 10, P)
         t = signal_to_tensor(sig, P, width, freq_range=freq_range)
         assert t.values.shape == tensor_shape(P, width, freq_range)
+
+    @pytest.mark.parametrize("width, freq_range, words", [
+        (0, None, "target width must be at least 1, got 0"),
+        (32, (0, 258), "frequency window (0, 258) outside 0..257"),
+        (32, (5, 5), "frequency window (5, 5) outside 0..257"),
+        (32, (-1, 10), "frequency window (-1, 10) outside 0..257"),
+    ])
+    def test_tensor_shape_of_no_tensor_rejected(self, width, freq_range, words):
+        # the rule load_dataset applies to a manifest's settings, with build_tensor's words
+        with pytest.raises(ValueError) as exc:
+            tensor_shape(P, width, freq_range)
+        assert str(exc.value) == words
 
     def test_frequency_window_validated(self):
         with pytest.raises(ValueError):
