@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import dataset as ds_mod
 from . import evaluation, network
-from .config import COUNT_PRESETS, QUOTA_PRESETS, RunConfig, apply_count_preset, apply_quota_preset
+from .config import COUNT_PRESETS, QUOTA_PRESETS, RunConfig, apply_count_preset
 from .radar import CLASS_ORDER
 from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor
 
@@ -40,20 +40,24 @@ TRAIN_FIELDS = {f"train.{f.name}" for f in dataclasses.fields(network.TrainConfi
 def _load_run_config(args, data=None) -> RunConfig:
     """The --config file (or the defaults), then the presets, then each override flag given,
     whose dest is the field it sets: a RunConfig field, or train.<field> of its TrainConfig.
-    With data, a loaded dataset, its settings (DATA_KEYS) replace the file's; a file that
-    names one of them with another value is a ValueError naming both."""
+    With data, a loaded dataset, its settings (DATA_KEYS), class counts and base seed (its
+    first sample's seed) replace the file's; a file that names one of them with another
+    value is a ValueError naming both."""
     given = vars(args)
     named = {} if args.config is None else json.loads(Path(args.config).read_text(encoding="utf-8"))
     cfg = RunConfig.from_dict(named)
-    for key in ds_mod.DATA_KEYS if data is not None else ():
-        ours, theirs = getattr(cfg, key), getattr(data, key)
+    made = {} if data is None else {key: getattr(data, key) for key in ds_mod.DATA_KEYS}
+    if data is not None and data.records:
+        made.update(counts_per_class=data.class_counts, base_seed=data.records[0].seed)
+    for key, theirs in made.items():
+        ours = getattr(cfg, key)
         if key in named and ours != theirs:
             raise ValueError(f"{args.config} sets {key} {ours}, but {args.data} was made with {key} {theirs}")
         setattr(cfg, key, theirs)
     if "count_preset" in given:
         apply_count_preset(cfg, args.count_preset)
     if "quota_preset" in given:
-        apply_quota_preset(cfg, args.quota_preset)
+        cfg = dataclasses.replace(cfg, **QUOTA_PRESETS[args.quota_preset])
     if "counts" in given:
         cfg.counts_per_class = _parse_counts(args.counts)
     if "freq_crop" in given:
@@ -128,27 +132,28 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _write_json(path, obj):
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _model_paths(weights_path):
     weights_path = Path(weights_path)
     return weights_path, weights_path.with_suffix(".mean.rdt"), weights_path.with_suffix(".meta.json")
 
 
-MODEL_KEYS = ("preset", "radar", "target_width", "freq_range")
-MODEL_VERSION = 2
+# the RunConfig fields a model meta records: its network, its input and the split of its fold
+MODEL_KEYS = ("preset", "radar", "target_width", "freq_range", "folds", "train_per_class", "val_per_class",
+              "split_seed")
+MODEL_VERSION = 3
 
 
-def _save_model(weights_path, net, mean_tensor, cfg: RunConfig):
+def _save_model(weights_path, net, mean_tensor, cfg: RunConfig, fold: int):
     wpath, mpath, metapath = _model_paths(weights_path)
     network.save_weights(net, wpath)
     ds_mod.save_tensor(mean_tensor, mpath)
     run = cfg.to_dict()
-    meta = {
-        "format_version": MODEL_VERSION,
-        "input_shape": list(net.input_shape),
-        "class_order": list(CLASS_ORDER),
-        **{key: run[key] for key in MODEL_KEYS},
-    }
-    metapath.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(metapath, {"format_version": MODEL_VERSION, "class_order": list(CLASS_ORDER), "fold": fold,
+                           **{key: run[key] for key in MODEL_KEYS}})
 
 
 def _split_fold(ds, cfg: RunConfig, index):
@@ -164,21 +169,12 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args, ds)
     fold = _split_fold(ds, cfg, args.fold)
     trained = evaluation.train_fold(ds, fold, cfg.train, preset=cfg.preset)
-    _save_model(args.output, trained.net, trained.mean_tensor, cfg)
-    history_path = Path(args.output).with_suffix(".history.json")
-    history_path.write_text(
-        json.dumps(
-            {
-                "fold": fold.fold_index,
-                "best_epoch": trained.best_epoch,
-                "epochs": evaluation.epoch_records(trained.history),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    _save_model(args.output, trained.net, trained.mean_tensor, cfg, fold.fold_index)
+    _write_json(Path(args.output).with_suffix(".history.json"), {
+        "fold": fold.fold_index,
+        "best_epoch": trained.best_epoch,
+        "epochs": evaluation.epoch_records(trained.history),
+    })
     best = trained.history[trained.best_epoch - 1].val_accuracy if trained.history else float("nan")
     print(f"fold {fold.fold_index}: best epoch {trained.best_epoch}, val accuracy {best:.4f}")
     print(f"wrote {args.output}")
@@ -186,32 +182,38 @@ def cmd_train(args) -> int:
 
 
 def _load_model(weights_path):
-    """The network, its fold mean and the run settings it is valid for: the MODEL_KEYS its meta holds."""
+    """The network, its fold mean, the run settings it is valid for (the MODEL_KEYS its meta
+    holds) and the index of the fold of that split it was trained on."""
     wpath, mpath, metapath = _model_paths(weights_path)
     if not mpath.exists():
         raise FileNotFoundError(f"mean tensor {mpath} not found beside the weights")
     if not metapath.exists():
         raise FileNotFoundError(f"model meta {metapath} not found beside the weights")
     meta = json.loads(metapath.read_text(encoding="utf-8"))
-    if not isinstance(meta, dict) or not all(key in meta for key in MODEL_KEYS):
-        raise ValueError(f"model meta {metapath} is not a JSON object holding {', '.join(MODEL_KEYS)}")
+    if not isinstance(meta, dict) or not all(key in meta for key in (*MODEL_KEYS, "fold")):
+        raise ValueError(f"model meta {metapath} is not a JSON object holding {', '.join(MODEL_KEYS)}, fold")
     if meta.get("format_version") != MODEL_VERSION:
         raise network.ConfigError(f"model meta {metapath}: format version {meta.get('format_version')}, "
                                   f"expected {MODEL_VERSION}")
+    if meta.get("class_order") != list(CLASS_ORDER):
+        raise network.ConfigError(f"model meta {metapath}: class order {meta.get('class_order')}, "
+                                  f"expected {list(CLASS_ORDER)}")
     try:
         model = RunConfig.from_dict({key: meta[key] for key in MODEL_KEYS})
     except network.ConfigError as exc:
         raise network.ConfigError(f"model meta {metapath}: {exc}") from None
+    fold = meta["fold"]
+    if isinstance(fold, bool) or not isinstance(fold, int) or not 0 <= fold < model.folds:
+        raise network.ConfigError(f"model meta {metapath}: fold {fold!r} is not one of its {model.folds} folds")
     mean = ds_mod.load_tensor(mpath)
     net = network.build_network(model.preset, input_shape=mean.shape)
     network.load_weights(net, wpath)
-    return net, mean, model
+    return net, mean, model, fold
 
 
 def cmd_eval(args) -> int:
     ds = ds_mod.load_dataset(args.data)
-    cfg = _load_run_config(args, ds)
-    net, mean, model = _load_model(args.weights)
+    net, mean, model, fold = _load_model(args.weights)
     for key in ("radar", "target_width", "freq_range"):     # the settings that fix the network input
         if getattr(model, key) != getattr(ds, key):
             raise ValueError(f"{args.data} was made with {key} {getattr(ds, key)}, "
@@ -219,14 +221,13 @@ def cmd_eval(args) -> int:
     if args.all:
         ids = [r.sample_id for r in ds.records]
     else:
-        ids = list(_split_fold(ds, cfg, args.fold).test_ids)
+        ids = list(_split_fold(ds, model, fold).test_ids)
     matrix = evaluation.evaluate(net, *evaluation._normalized(ds, ids, mean))
     print(f"samples: {matrix.total}  accuracy: {matrix.accuracy:.4f}")
     print("rows=true, cols=predicted, order " + " ".join(CLASS_ORDER))
     print(matrix.counts)
     if args.output:
-        report = {**matrix.to_dict(), "class_order": list(CLASS_ORDER)}
-        Path(args.output).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(args.output, {**matrix.to_dict(), "class_order": list(CLASS_ORDER)})
         print(f"wrote {args.output}")
     return 0
 
@@ -257,7 +258,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    net, mean, model = _load_model(args.weights)
+    net, mean, model, _ = _load_model(args.weights)
     tensor = mean_normalize(_read_input(args.input, model), mean)
     label, scores = network.predict(net, tensor)
     print(f"predicted class: {label.value}")
@@ -337,14 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate saved weights on a fold's test split")
-    add_config_flag(p)
+    p = sub.add_parser("eval", help="evaluate saved weights on the test split of the fold they were trained on")
     p.add_argument("-d", "--data", required=True)
     p.add_argument("-w", "--weights", required=True)
     p.add_argument("-o", "--output", help="report JSON path")
-    p.add_argument("--fold", type=int, default=0)
-    p.add_argument("--all", action="store_true", help="evaluate every sample instead of a test split")
-    add_split_flags(p)
+    p.add_argument("--all", action="store_true", help="evaluate every sample instead of the test split")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("cv", help="k-fold cross-validation with a report")

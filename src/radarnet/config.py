@@ -124,11 +124,3 @@ def apply_count_preset(cfg: RunConfig, name: str) -> RunConfig:
         raise ValueError(f"unknown count preset {name!r}, expected one of {sorted(COUNT_PRESETS)}")
     cfg.counts_per_class = dict(COUNT_PRESETS[name])
     return cfg
-
-
-def apply_quota_preset(cfg: RunConfig, name: str) -> RunConfig:
-    if name not in QUOTA_PRESETS:
-        raise ValueError(f"unknown quota preset {name!r}, expected one of {sorted(QUOTA_PRESETS)}")
-    cfg.train_per_class = QUOTA_PRESETS[name]["train_per_class"]
-    cfg.val_per_class = QUOTA_PRESETS[name]["val_per_class"]
-    return cfg

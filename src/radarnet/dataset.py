@@ -307,6 +307,11 @@ def load_dataset(root) -> Dataset:
         shape = tensor_shape(made.radar, made.target_width, made.freq_range)
     except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from None
+    # no value is filled from a default: each setting must read back as it is written
+    spelled = json.loads(json.dumps(made.to_dict()))
+    for key in DATA_KEYS:
+        if spelled[key] != manifest[key]:
+            raise ManifestError(f"{where}: field {key!r} does not name every value; it reads as {spelled[key]}")
     if math.prod(shape) > MAX_ELEMENTS:
         raise ManifestError(f"{where}: tensor shape {shape} exceeds {MAX_ELEMENTS} elements")
     samples = _manifest_field(manifest, "samples", list, where)

@@ -83,16 +83,22 @@ def build_spectrograms(sig: BeatSignal, p: RadarParams):
     return moduli[:, up], moduli[:, down]
 
 
+def _bin_window(bins: int, target_width: int, freq_range: tuple | None) -> tuple:
+    """The (lo, hi) rows a tensor keeps of spectra with `bins` rows: the crop, or
+    every row; ValueError for a width below 1 or a crop outside the bins."""
+    if target_width < 1:
+        raise ValueError(f"target width must be at least 1, got {target_width}")
+    lo, hi = (0, bins) if freq_range is None else freq_range
+    if not 0 <= lo < hi <= bins:
+        raise ValueError(f"frequency window {freq_range} outside 0..{bins}")
+    return lo, hi
+
+
 def tensor_shape(p: RadarParams, target_width: int, freq_range: tuple | None = None) -> tuple:
     """Shape of the tensors signal_to_tensor builds for radar p: 3 channels, the
     crop's hi - lo bins or every one-sided FFT bin, and target_width columns;
     ValueError for a width below 1 or a crop outside the bins."""
-    bins = p.fft_size // 2 + 1
-    lo, hi = freq_range or (0, bins)
-    if target_width < 1:
-        raise ValueError(f"target width must be at least 1, got {target_width}")
-    if not 0 <= lo < hi <= bins:
-        raise ValueError(f"frequency window {freq_range} outside 0..{bins}")
+    lo, hi = _bin_window(p.fft_size // 2 + 1, target_width, freq_range)
     return (3, hi - lo, target_width)
 
 
@@ -111,14 +117,9 @@ def build_tensor(
     freq_range, a (lo, hi) bin window, crops rows; this is how square network
     inputs (e.g. 227x227) are produced from the 257-bin spectra.
     """
-    if target_width < 1:
-        raise ValueError(f"target width must be at least 1, got {target_width}")
-    bins = up.shape[0]
-    if down.shape[0] != bins:
+    lo, hi = _bin_window(up.shape[0], target_width, freq_range)
+    if down.shape[0] != up.shape[0]:
         raise ValueError("up/down spectrograms disagree on frequency bins")
-    lo, hi = (0, bins) if freq_range is None else freq_range
-    if not (0 <= lo < hi <= bins):
-        raise ValueError(f"frequency window {freq_range} outside 0..{bins}")
     if abs(up.shape[1] - down.shape[1]) > 1:
         raise ValueError("up/down spectrograms differ by more than one column")
     width = max(up.shape[1], down.shape[1])

@@ -10,9 +10,10 @@ import struct
 import numpy as np
 import pytest
 
+from radarnet import evaluation
 from radarnet.cli import RUN_FIELDS, TRAIN_FIELDS, _load_run_config, build_parser, main
 from radarnet.config import JSON_TYPES, SKEWED_COUNTS, RunConfig
-from radarnet.dataset import load_tensor, save_signal, save_tensor
+from radarnet.dataset import load_dataset, load_tensor, save_signal, save_tensor, stratified_fold_split
 from radarnet.radar import (
     PointTarget,
     RadarParams,
@@ -196,12 +197,43 @@ class TestTrainEvalPredict:
     def test_eval_reports_accuracy(self, workspace, tmp_path, capsys):
         rc = main(
             ["eval", "-d", str(workspace / "ds"), "-w", str(workspace / "model.rdw"),
-             "-o", str(tmp_path / "report.json"), "--fold", "0", *SPLIT_ARGS]
+             "-o", str(tmp_path / "report.json")]
         )
         assert rc == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert "accuracy" in report
         assert np.array(report["counts"]).sum() == 12  # 2/class remain for test
+
+    def test_eval_scores_the_test_split_of_the_models_fold(self, workspace, tmp_path, monkeypatch):
+        model = str(tmp_path / "m.rdw")
+        assert main(["train", "-d", str(workspace / "ds"), "-o", model, "--fold", "1", "--split-seed", "5",
+                     *SPLIT_ARGS, "--epochs", "1"]) == 0
+        meta = json.loads((tmp_path / "m.meta.json").read_text())
+        assert (meta["format_version"], meta["fold"], meta["split_seed"], meta["folds"]) == (3, 1, 5, 2)
+        assert "input_shape" not in meta
+        scored = []
+
+        def spy(ds, ids, mean, normalized=evaluation._normalized):
+            scored.append(ids)
+            return normalized(ds, ids, mean)
+
+        monkeypatch.setattr(evaluation, "_normalized", spy)
+        assert main(["eval", "-d", str(workspace / "ds"), "-w", model, "-o", str(tmp_path / "r.json")]) == 0
+        expected = stratified_fold_split(load_dataset(workspace / "ds"), 2, 4, 2, 5)[1]
+        assert scored == [list(expected.test_ids)]
+        assert sum(map(sum, json.loads((tmp_path / "r.json").read_text())["counts"])) == 12
+        # --all scores every sample, whatever the model's split
+        assert main(["eval", "-d", str(workspace / "ds"), "-w", model, "--all"]) == 0
+        assert scored[1] == [r.sample_id for r in load_dataset(workspace / "ds").records]
+
+    @pytest.mark.parametrize("flag", [["--config", "run.json"], ["--fold", "1"], ["--folds", "2"],
+                                      ["--split-seed", "5"], ["--train-per-class", "4"], ["--val-per-class", "2"],
+                                      ["--preset", "desk"]], ids=lambda flag: flag[0])
+    def test_eval_takes_no_split_flag(self, workspace, flag):
+        # the split and fold come from the model; another fold's test split holds its training samples
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "-d", str(workspace / "ds"), "-w", str(workspace / "model.rdw"), *flag])
+        assert exc.value.code == 2
 
     def test_predict_tensor_and_signal_agree(self, workspace, capsys):
         sid = "C0003"
@@ -230,7 +262,7 @@ class TestTrainEvalPredict:
         model = str(tmp_path / "m.rdw")
         assert main(["train", "-d", str(cropped / "ds"), "-o", model, "--config", str(cropped / "crop.json"),
                      *SPLIT_ARGS, "--epochs", "1"]) == 0
-        assert main(["eval", "-d", str(cropped / "ds"), "-w", model, *SPLIT_ARGS]) == 0
+        assert main(["eval", "-d", str(cropped / "ds"), "-w", model]) == 0
         capsys.readouterr()
         rc = main(["predict", "-w", model, str(cropped / "ds" / "signals" / "C0003.rbs")])
         assert rc == 0, capsys.readouterr().err
@@ -260,11 +292,34 @@ class TestTrainEvalPredict:
         assert all(w in err for w in words), err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
-    @pytest.mark.parametrize("command", ["eval", "cv"])
+    @pytest.mark.parametrize("key, value", [("base_seed", 5), ("counts_per_class", {"A": 1})])
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_train_and_cv_refuse_a_config_of_another_generation(self, workspace, tmp_path, capsys, command, key,
+                                                                 value):
+        # the data's class counts and base seed (its first sample's seed) are the run's, as its radar is
+        (tmp_path / "run.json").write_text(json.dumps({key: value}))
+        rc = main([command, "-d", str(workspace / "ds"), "-o", str(tmp_path / "out"),
+                   "--config", str(tmp_path / "run.json"), *SPLIT_ARGS, "--epochs", "1"])
+        assert rc == 1
+        theirs = {"base_seed": 1, "counts_per_class": {c: 8 for c in "ABCDEG"}}[key]
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: {tmp_path / 'run.json'} sets {key} {value}, "
+                                     f"but {workspace / 'ds'} was made with {key} {theirs}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_a_config_repeating_the_generation_is_accepted(self, workspace, tmp_path):
+        ds = load_dataset(workspace / "ds")
+        for named in [{}, {"base_seed": 1, "counts_per_class": ds.class_counts}]:
+            (tmp_path / "run.json").write_text(json.dumps(named))
+            args = build_parser().parse_args(["train", "-d", str(workspace / "ds"), "-o", "m.rdw",
+                                              "--config", str(tmp_path / "run.json")])
+            cfg = _load_run_config(args, ds)
+            assert (cfg.base_seed, cfg.counts_per_class) == (1, {c: 8 for c in "ABCDEG"})
+
+    @pytest.mark.parametrize("command", ["cv"])
     def test_eval_and_cv_refuse_a_config_of_another_radar(self, workspace, tmp_path, capsys, command):
         (tmp_path / "wide.json").write_text(json.dumps({"radar": {"delta_f": WIDE_SWEEP.delta_f}}))
-        extra = ["-w", str(workspace / "model.rdw")] if command == "eval" else ["--epochs", "1"]
-        rc = main([command, "-d", str(workspace / "ds"), *extra, "--config", str(tmp_path / "wide.json"),
+        rc = main([command, "-d", str(workspace / "ds"), "--epochs", "1", "--config", str(tmp_path / "wide.json"),
                    "-o", str(tmp_path / "report.json"), *SPLIT_ARGS])
         assert rc == 1
         out, err = capsys.readouterr()
@@ -291,10 +346,10 @@ class TestTrainEvalPredict:
         capsys.readouterr()
 
     @pytest.mark.parametrize("fold", [-1, 2])
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["train"])
     def test_fold_out_of_range_exits_1(self, workspace, tmp_path, capsys, command, fold):
-        target = ["-o", str(tmp_path / "m.rdw")] if command == "train" else ["-w", str(workspace / "model.rdw")]
-        rc = main([command, "-d", str(workspace / "ds"), *target, "--fold", str(fold), *SPLIT_ARGS])
+        rc = main([command, "-d", str(workspace / "ds"), "-o", str(tmp_path / "m.rdw"), "--fold", str(fold),
+                   *SPLIT_ARGS])
         assert rc == 1
         err = capsys.readouterr().err
         assert f"fold {fold} " in err and "2 folds" in err
@@ -368,8 +423,7 @@ class TestTrainEvalPredict:
     def test_missing_meta_exits_1(self, workspace, tmp_path, capsys):
         for suffix in (".rdw", ".mean.rdt"):
             (tmp_path / f"bare{suffix}").write_bytes((workspace / f"model{suffix}").read_bytes())
-        rc = main(["eval", "-d", str(workspace / "ds"), "-w", str(tmp_path / "bare.rdw"),
-                   "--fold", "0", *SPLIT_ARGS])
+        rc = main(["eval", "-d", str(workspace / "ds"), "-w", str(tmp_path / "bare.rdw")])
         assert rc == 1
         assert "bare.meta.json" in capsys.readouterr().err
 
@@ -378,15 +432,13 @@ class TestTrainEvalPredict:
         config.write_text(json.dumps({"radar": {"f0": 24.125e9, "delta_f": 150e6}}))
         assert main(["generate", "-o", str(tmp_path / "ds"), "--config", str(config), *GEN_ARGS]) == 0
         capsys.readouterr()
-        rc = main(["eval", "-d", str(tmp_path / "ds"), "-w", str(workspace / "model.rdw"),
-                   "--fold", "0", *SPLIT_ARGS])
+        rc = main(["eval", "-d", str(tmp_path / "ds"), "-w", str(workspace / "model.rdw")])
         assert rc == 1
         assert "radar" in capsys.readouterr().err
 
     def test_eval_refuses_data_of_another_tensor_shape(self, workspace, cropped, capsys):
         capsys.readouterr()
-        rc = main(["eval", "-d", str(cropped / "ds"), "-w", str(workspace / "model.rdw"),
-                   "--fold", "0", *SPLIT_ARGS])
+        rc = main(["eval", "-d", str(cropped / "ds"), "-w", str(workspace / "model.rdw")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and all(w in err for w in ["made with target_width 30",
@@ -399,7 +451,7 @@ class TestTrainEvalPredict:
         assert main(["generate", "-o", str(tmp_path / "ds"), "--config", str(tmp_path / "shifted.json"),
                      *GEN_ARGS]) == 0
         capsys.readouterr()
-        rc = main(["eval", "-d", str(tmp_path / "ds"), "-w", model, *SPLIT_ARGS])
+        rc = main(["eval", "-d", str(tmp_path / "ds"), "-w", model])
         assert rc == 1
         out, err = capsys.readouterr()
         assert out == "" and err == (f"error: {tmp_path / 'ds'} was made with freq_range (10, 210), "
@@ -410,8 +462,7 @@ class TestTrainEvalPredict:
         config.write_text('{"radar": {"f0": 24000000000, "delta_f": 120000000}}')
         assert main(["generate", "-o", str(tmp_path / "ds"), "--config", str(config), *GEN_ARGS]) == 0
         capsys.readouterr()
-        rc = main(["eval", "-d", str(tmp_path / "ds"), "-w", str(workspace / "model.rdw"),
-                   "--fold", "0", *SPLIT_ARGS])
+        rc = main(["eval", "-d", str(tmp_path / "ds"), "-w", str(workspace / "model.rdw")])
         assert rc == 0, capsys.readouterr().err
 
     def test_train_deterministic(self, workspace, tmp_path):
@@ -429,12 +480,18 @@ class TestMalformedModelMeta:
         (lambda m: {**m, "freq_range": 5}, ["freq_range"]),
         (lambda m: [m], ["JSON object"]),
         (lambda m: {k: v for k, v in m.items() if k != "preset"}, ["preset"]),
-        (lambda m: {k: v for k, v in m.items() if k != "format_version"}, ["format version None, expected 2"]),
-        (lambda m: {**m, "format_version": 1}, ["format version 1, expected 2"]),
+        (lambda m: {k: v for k, v in m.items() if k != "format_version"}, ["format version None, expected 3"]),
+        (lambda m: {**m, "format_version": 1}, ["format version 1, expected 3"]),
+        (lambda m: {**m, "format_version": 2}, ["format version 2, expected 3"]),
         (lambda m: {**m, "radar": {**m["radar"], "amplitude": 1.0, "geometry": {"h": 5.3}}},
          ["bad config field", "amplitude"]),
+        (lambda m: {**m, "class_order": m["class_order"][::-1]}, ["class order ['G', 'E'", "expected ['A', 'B'"]),
+        (lambda m: {k: v for k, v in m.items() if k != "split_seed"}, ["split_seed"]),
+        (lambda m: {**m, "fold": 2}, ["fold 2 is not one of its 2 folds"]),
+        (lambda m: {**m, "fold": "0"}, ["fold '0' is not one of its 2 folds"]),
     ], ids=["unknown-radar-field", "string-samples-per-ramp", "scalar-freq-range", "list", "no-preset",
-            "no-format-version", "format-version-1", "old-radar-keys"])
+            "no-format-version", "format-version-1", "format-version-2", "old-radar-keys", "class-order",
+            "no-split-seed", "fold-out-of-range", "string-fold"])
     def test_exits_1(self, workspace, tmp_path, capsys, command, edit, words):
         for suffix in (".rdw", ".mean.rdt"):
             (tmp_path / f"model{suffix}").write_bytes((workspace / f"model{suffix}").read_bytes())
@@ -444,7 +501,7 @@ class TestMalformedModelMeta:
         if command == "predict":
             rc = main(["predict", *weights, str(workspace / "ds" / "tensors" / "A0000.rdt")])
         else:
-            rc = main(["eval", "-d", str(workspace / "ds"), *weights, "--fold", "0", *SPLIT_ARGS])
+            rc = main(["eval", "-d", str(workspace / "ds"), *weights])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "model.meta.json" in err
@@ -642,7 +699,14 @@ class TestConfig:
              "train": {"learning_rate": 0.002, "momentum": 0.8, "weight_decay": 0.001, "epochs": 3,
                        "seed": 2, "dropout_rate": 0.4}}
     _REQUIRED = {"generate": ["-o", "ds"], "plot": ["in.rdt", "-o", "x.pgm"], "train": ["-d", "ds", "-o", "m.rdw"],
-                   "eval": ["-d", "ds", "-w", "m.rdw"], "cv": ["-d", "ds"]}
+                 "cv": ["-d", "ds"]}
+    _SPLIT_ROWS = [
+        (["--folds", "3"], "folds", 3),
+        (["--split-seed", "5"], "split_seed", 5),
+        (["--train-per-class", "7"], "train_per_class", 7),
+        (["--val-per-class", "2"], "val_per_class", 2),
+        (["--preset", "full"], "val_per_class", 45),
+    ]
 
     @pytest.mark.parametrize("command, flag, field, value", [
         ("generate", ["--seed", "7"], "base_seed", 7),
@@ -653,13 +717,14 @@ class TestConfig:
         # explicit counts win over the preset, which sets counts_per_class first
         ("generate", ["--preset", "skewed", "--counts", "A=3"], "counts_per_class", {"A": 3}),
         ("plot", ["--target-width", "30"], "target_width", 30),
-        *[(command, flag, field, value) for command in ("train", "eval", "cv") for flag, field, value in [
-            (["--folds", "3"], "folds", 3),
-            (["--split-seed", "5"], "split_seed", 5),
-            (["--train-per-class", "7"], "train_per_class", 7),
-            (["--val-per-class", "2"], "val_per_class", 2),
-            (["--preset", "full"], "val_per_class", 45),
-        ]],
+        *[("train", flag, field, value) for flag, field, value in _SPLIT_ROWS],
+        # a quota preset sets both quotas, and a quota flag given with it wins in either order
+        ("train", ["--preset", "full"], "train_per_class", 400),
+        ("cv", ["--preset", "desk"], "train_per_class", 40),
+        ("train", ["--preset", "full", "--train-per-class", "7"], "train_per_class", 7),
+        ("cv", ["--val-per-class", "2", "--preset", "full"], "val_per_class", 2),
+        ("train", ["--val-per-class", "2", "--preset", "desk"], "train_per_class", 40),
+        *[("cv", flag, field, value) for flag, field, value in _SPLIT_ROWS],
         *[(command, flag, field, value) for command in ("train", "cv") for flag, field, value in [
             (["--lr", "0.01"], "train.learning_rate", 0.01),
             (["--momentum", "0.5"], "train.momentum", 0.5),

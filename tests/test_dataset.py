@@ -400,7 +400,8 @@ class TestManifest:
         assert ds.record("A0000").class_label is VehicleClass.CAR
 
     def test_valid_manifest_loads_its_settings(self, tmp_path):
-        ds = self._load(tmp_path, _manifest(radar={"delta_f": 150e6}, freq_range=None, target_width=40))
+        wide = RunConfig(radar=RadarParams(delta_f=150e6)).to_dict()["radar"]
+        ds = self._load(tmp_path, _manifest(radar=wide, freq_range=None, target_width=40))
         assert ds.radar == RadarParams(delta_f=150e6)
         assert ds.profiles == ProfileTable()
         assert ds.tensor_shape == (3, P.fft_size // 2 + 1, 40)
@@ -446,6 +447,17 @@ class TestManifest:
         del manifest[key]
         with pytest.raises(ManifestError, match=f"field '{key}' is missing"):
             self._load(tmp_path, manifest)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("radar", lambda m: {**m, "radar": {"delta_f": 150e6}}),
+        ("profiles", lambda m: {**m, "profiles": {**m["profiles"], "classes": {
+            label: p for label, p in m["profiles"]["classes"].items() if label != "B"}}}),
+        ("profiles", lambda m: {**m, "profiles": {k: v for k, v in m["profiles"].items() if k != "snr_db"}}),
+    ], ids=["radar-delta-f-only", "profiles-without-class-B", "profiles-without-snr-db"])
+    def test_manifest_leaving_a_value_to_the_defaults_rejected(self, tmp_path, key, edit):
+        # the loaded settings would be whole, but a default could move under them
+        with pytest.raises(ManifestError, match=f"field '{key}' does not name every value"):
+            self._load(tmp_path, edit(_manifest()))
 
     def test_non_object_manifest_rejected(self, tmp_path):
         with pytest.raises(ManifestError):
