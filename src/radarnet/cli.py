@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,16 +41,12 @@ TRAIN_FIELDS = {f"train.{f.name}" for f in dataclasses.fields(network.TrainConfi
 def _load_run_config(args, data=None) -> RunConfig:
     """The --config file (or the defaults), then the presets, then each override flag given,
     whose dest is the field it sets: a RunConfig field, or train.<field> of its TrainConfig.
-    With data, a loaded dataset, its settings (DATA_KEYS), class counts and base seed (its
-    first sample's seed) replace the file's; a file that names one of them with another
-    value is a ValueError naming both."""
+    With data, a loaded dataset, its settings replace the file's; a file that names one of
+    them with another value is a ValueError naming both."""
     given = vars(args)
     named = {} if args.config is None else json.loads(Path(args.config).read_text(encoding="utf-8"))
     cfg = RunConfig.from_dict(named)
-    made = {} if data is None else {key: getattr(data, key) for key in ds_mod.DATA_KEYS}
-    if data is not None and data.records:
-        made.update(counts_per_class=data.class_counts, base_seed=data.records[0].seed)
-    for key, theirs in made.items():
+    for key, theirs in ({} if data is None else data.settings).items():
         ours = getattr(cfg, key)
         if key in named and ours != theirs:
             raise ValueError(f"{args.config} sets {key} {ours}, but {args.data} was made with {key} {theirs}")
@@ -141,19 +138,19 @@ def _model_paths(weights_path):
     return weights_path, weights_path.with_suffix(".mean.rdt"), weights_path.with_suffix(".meta.json")
 
 
-# the RunConfig fields a model meta records: its network, its input and the split of its fold
+# the RunConfig fields a model meta records: its network, its input, and the split of its fold with
+# the class counts and base seed of the data that split was drawn from
 MODEL_KEYS = ("preset", "radar", "target_width", "freq_range", "folds", "train_per_class", "val_per_class",
-              "split_seed")
-MODEL_VERSION = 3
+              "split_seed", "counts_per_class", "base_seed")
+MODEL_VERSION = 4
 
 
 def _save_model(weights_path, net, mean_tensor, cfg: RunConfig, fold: int):
     wpath, mpath, metapath = _model_paths(weights_path)
     network.save_weights(net, wpath)
     ds_mod.save_tensor(mean_tensor, mpath)
-    run = cfg.to_dict()
     _write_json(metapath, {"format_version": MODEL_VERSION, "class_order": list(CLASS_ORDER), "fold": fold,
-                           **{key: run[key] for key in MODEL_KEYS}})
+                           **cfg.to_record(MODEL_KEYS)})
 
 
 def _split_fold(ds, cfg: RunConfig, index):
@@ -190,21 +187,18 @@ def _load_model(weights_path):
     if not metapath.exists():
         raise FileNotFoundError(f"model meta {metapath} not found beside the weights")
     meta = json.loads(metapath.read_text(encoding="utf-8"))
-    if not isinstance(meta, dict) or not all(key in meta for key in (*MODEL_KEYS, "fold")):
-        raise ValueError(f"model meta {metapath} is not a JSON object holding {', '.join(MODEL_KEYS)}, fold")
-    if meta.get("format_version") != MODEL_VERSION:
-        raise network.ConfigError(f"model meta {metapath}: format version {meta.get('format_version')}, "
-                                  f"expected {MODEL_VERSION}")
-    if meta.get("class_order") != list(CLASS_ORDER):
-        raise network.ConfigError(f"model meta {metapath}: class order {meta.get('class_order')}, "
-                                  f"expected {list(CLASS_ORDER)}")
     try:
-        model = RunConfig.from_dict({key: meta[key] for key in MODEL_KEYS})
+        if not isinstance(meta, dict):
+            raise network.ConfigError("not a JSON object")
+        for key, expected in (("format_version", MODEL_VERSION), ("class_order", list(CLASS_ORDER))):
+            if meta.get(key) != expected:
+                raise network.ConfigError(f"{key.replace('_', ' ')} {meta.get(key)}, expected {expected}")
+        model = RunConfig.from_record(meta, MODEL_KEYS)
+        fold = meta.get("fold")
+        if isinstance(fold, bool) or not isinstance(fold, int) or not 0 <= fold < model.folds:
+            raise network.ConfigError(f"fold {fold!r} is not one of its {model.folds} folds")
     except network.ConfigError as exc:
         raise network.ConfigError(f"model meta {metapath}: {exc}") from None
-    fold = meta["fold"]
-    if isinstance(fold, bool) or not isinstance(fold, int) or not 0 <= fold < model.folds:
-        raise network.ConfigError(f"model meta {metapath}: fold {fold!r} is not one of its {model.folds} folds")
     mean = ds_mod.load_tensor(mpath)
     net = network.build_network(model.preset, input_shape=mean.shape)
     network.load_weights(net, wpath)
@@ -214,9 +208,13 @@ def _load_model(weights_path):
 def cmd_eval(args) -> int:
     ds = ds_mod.load_dataset(args.data)
     net, mean, model, fold = _load_model(args.weights)
-    for key in ("radar", "target_width", "freq_range"):     # the settings that fix the network input
-        if getattr(model, key) != getattr(ds, key):
-            raise ValueError(f"{args.data} was made with {key} {getattr(ds, key)}, "
+    keys = ["radar", "target_width", "freq_range"]     # the settings that fix the network input
+    if not args.all:    # the split is drawn again; only data of the model's counts and seed keeps each id's scenario
+        keys += ["counts_per_class", "base_seed"]
+    made = ds.settings
+    for key in keys:
+        if getattr(model, key) != made.get(key):
+            raise ValueError(f"{args.data} was made with {key} {made.get(key)}, "
                              f"but the model's {key} is {getattr(model, key)}")
     if args.all:
         ids = [r.sample_id for r in ds.records]
@@ -235,21 +233,12 @@ def cmd_eval(args) -> int:
 def cmd_cv(args) -> int:
     ds = ds_mod.load_dataset(args.data)
     cfg = _load_run_config(args, ds)
-    report = evaluation.cross_validate(
-        ds,
-        k=cfg.folds,
-        train_per_class=cfg.train_per_class,
-        val_per_class=cfg.val_per_class,
-        cfg=cfg.train,
-        split_seed=cfg.split_seed,
-        preset=cfg.preset,
-        progress=lambda i, acc: print(f"fold {i}: accuracy {acc:.4f}"),
-    )
+    report = evaluation.cross_validate(ds, cfg, progress=lambda i, acc: print(f"fold {i}: accuracy {acc:.4f}"))
     print(f"mean accuracy over {cfg.folds} folds: {report.mean_accuracy:.4f}")
     for label, acc in report.per_class_accuracy.items():
         print(f"  class {label}: {acc:.4f}")
     if args.output:
-        Path(args.output).write_text(report.to_json(), encoding="utf-8")
+        _write_json(args.output, report.to_dict())
         print(f"wrote {args.output}")
     if args.matrix_pgm:
         Path(args.matrix_pgm).write_bytes(export_pgm(report.mean_row_rates))
@@ -371,7 +360,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # so a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # no reader is left to tell; stdout goes to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, KeyError, IndexError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

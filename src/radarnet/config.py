@@ -115,6 +115,26 @@ class RunConfig:
                 setattr(cfg, key, tuple(value) if key == "freq_range" and value is not None else value)
         return cfg
 
+    def to_record(self, keys) -> dict:
+        """The keys' slice of to_dict: what an artifact records of its run."""
+        d = self.to_dict()
+        return {key: d[key] for key in keys}
+
+    @classmethod
+    def from_record(cls, record: dict, keys) -> "RunConfig":
+        """The run a record names, which must give every key and spell each value whole: a value
+        that does not read back through to_record and JSON as written (one left to a default) is
+        a ConfigError naming its key."""
+        for key in keys:
+            if key not in record:
+                raise ConfigError(f"field {key!r} is missing")
+        cfg = cls.from_dict({key: record[key] for key in keys})
+        spelled = json.loads(json.dumps(cfg.to_record(keys)))
+        for key in keys:
+            if spelled[key] != record[key]:
+                raise ConfigError(f"field {key!r} does not name every value; it reads as {spelled[key]}")
+        return cfg
+
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 

@@ -204,6 +204,15 @@ class Dataset:
             counts[rec.class_label.value] += 1
         return {c: n for c, n in counts.items() if n}
 
+    @property
+    def settings(self) -> dict:
+        """The RunConfig values this data fixes: the settings that made it (DATA_KEYS), and,
+        when it has samples, its class counts and base seed (its first sample's seed)."""
+        made = {key: getattr(self, key) for key in DATA_KEYS}
+        if self.records:
+            made.update(counts_per_class=self.class_counts, base_seed=self.records[0].seed)
+        return made
+
     def ids_by_class(self) -> dict:
         out = {}
         for rec in self.records:
@@ -242,10 +251,9 @@ class Dataset:
         return RdTensor(values=self.tensors[row], label=self.records[row].class_label)
 
     def manifest_dict(self) -> dict:
-        made = RunConfig(**{key: getattr(self, key) for key in DATA_KEYS}).to_dict()
         return {
             "format_version": MANIFEST_VERSION,
-            **{key: made[key] for key in DATA_KEYS},
+            **RunConfig(**{key: getattr(self, key) for key in DATA_KEYS}).to_record(DATA_KEYS),
             "class_counts": self.class_counts,
             "samples": [
                 {
@@ -299,19 +307,11 @@ def load_dataset(root) -> Dataset:
     version = _manifest_field(manifest, "format_version", int, where)
     if version != MANIFEST_VERSION:
         raise ManifestError(f"{where}: format version {version}, expected {MANIFEST_VERSION}")
-    for key in DATA_KEYS:
-        if key not in manifest:
-            raise ManifestError(f"{where}: field {key!r} is missing")
     try:
-        made = RunConfig.from_dict({key: manifest[key] for key in DATA_KEYS})
+        made = RunConfig.from_record(manifest, DATA_KEYS)
         shape = tensor_shape(made.radar, made.target_width, made.freq_range)
     except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from None
-    # no value is filled from a default: each setting must read back as it is written
-    spelled = json.loads(json.dumps(made.to_dict()))
-    for key in DATA_KEYS:
-        if spelled[key] != manifest[key]:
-            raise ManifestError(f"{where}: field {key!r} does not name every value; it reads as {spelled[key]}")
     if math.prod(shape) > MAX_ELEMENTS:
         raise ManifestError(f"{where}: tensor shape {shape} exceeds {MAX_ELEMENTS} elements")
     samples = _manifest_field(manifest, "samples", list, where)

@@ -9,12 +9,12 @@ accuracy and a mean row-normalized matrix.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .config import RunConfig
 from .dataset import Dataset, FoldSplit, balanced_batches, stratified_fold_split
 from .network import Network, TrainConfig, build_network, loss_and_grad, predict, sgd_step
 from .radar import CLASS_ORDER, VehicleClass
@@ -177,15 +177,12 @@ def train_fold(
 
 @dataclass
 class CvReport:
-    """Cross-validation outcome plus everything needed to reproduce it."""
+    """Cross-validation outcome plus the run that produced it: the data's settings and the
+    protocol, all a RunConfig holds, so the run as a --config file reproduces the report."""
 
+    run: RunConfig
     fold_matrices: list
     fold_best_epochs: list
-    cfg: TrainConfig
-    preset: str
-    split_seed: int
-    train_per_class: int
-    val_per_class: int
     histories: list
 
     @property
@@ -208,11 +205,7 @@ class CvReport:
     def to_dict(self) -> dict:
         return {
             "class_order": list(CLASS_ORDER),
-            "preset": self.preset,
-            "hyperparameters": asdict(self.cfg),
-            "split_seed": self.split_seed,
-            "train_per_class": self.train_per_class,
-            "val_per_class": self.val_per_class,
+            "run": self.run.to_dict(),
             "folds": [
                 {"fold_index": i, "best_epoch": self.fold_best_epochs[i],
                  "epochs": epoch_records(self.histories[i]), **m.to_dict()}
@@ -223,30 +216,19 @@ class CvReport:
             "per_class_accuracy": self.per_class_accuracy,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
+def cross_validate(ds: Dataset, run: RunConfig, *, progress=None) -> CvReport:
+    """Run the run's k-fold protocol (its folds, quotas, split seed, preset and train
+    settings) on ds and aggregate confusion matrices.
 
-def cross_validate(
-    ds: Dataset,
-    k: int = 10,
-    train_per_class: int = 40,
-    val_per_class: int = 10,
-    cfg: TrainConfig | None = None,
-    *,
-    split_seed: int = 0,
-    preset: str = "mini",
-    progress=None,
-) -> CvReport:
-    """Run the full k-fold protocol and aggregate confusion matrices.
-
-    The emitted report is a deterministic function of the dataset and the seeds.
+    The report's run holds ds's settings in place of run's data values, so it names
+    the data it scored; it is a deterministic function of the dataset and the seeds.
     """
-    cfg = cfg if cfg is not None else TrainConfig()
-    folds = stratified_fold_split(ds, k, train_per_class, val_per_class, split_seed)
+    run = replace(run, **ds.settings)
+    folds = stratified_fold_split(ds, run.folds, run.train_per_class, run.val_per_class, run.split_seed)
     matrices, best_epochs, histories = [], [], []
     for fold in folds:
-        trained = train_fold(ds, fold, cfg, preset=preset)
+        trained = train_fold(ds, fold, run.train, preset=run.preset)
         test_tensors, test_labels = _normalized(ds, fold.test_ids, trained.mean_tensor)
         matrix = evaluate(trained.net, test_tensors, test_labels)
         matrices.append(matrix)
@@ -254,14 +236,4 @@ def cross_validate(
         histories.append(trained.history)
         if progress is not None:
             progress(fold.fold_index, matrix.accuracy)
-    report = CvReport(
-        fold_matrices=matrices,
-        fold_best_epochs=best_epochs,
-        cfg=cfg,
-        preset=preset,
-        split_seed=split_seed,
-        train_per_class=train_per_class,
-        val_per_class=val_per_class,
-        histories=histories,
-    )
-    return report
+    return CvReport(run=run, fold_matrices=matrices, fold_best_epochs=best_epochs, histories=histories)

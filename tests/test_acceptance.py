@@ -12,6 +12,7 @@ import pytest
 
 import radarnet as rn
 from radarnet import fourier
+from radarnet.config import RunConfig
 from radarnet.dataset import generate_dataset, load_tensor, save_tensor, stratified_fold_split
 from radarnet.evaluation import cross_validate, train_fold
 from radarnet.network import build_network, gradient_check, load_weights, save_weights
@@ -159,7 +160,7 @@ def test_criterion_6_end_to_end_benchmark(desk_dataset):
     start = time.perf_counter()
     cfg = rn.TrainConfig()   # lr 0.0001, momentum 0.9, weight decay 0.0005, 15 epochs
     report = cross_validate(
-        desk_dataset, k=10, train_per_class=40, val_per_class=10, cfg=cfg, split_seed=0
+        desk_dataset, RunConfig(folds=10, train_per_class=40, val_per_class=10, split_seed=0, train=cfg)
     )
     mean_acc = report.mean_accuracy
     g_row = report.per_class_accuracy["G"]

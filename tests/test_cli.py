@@ -5,15 +5,21 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radarnet
 from radarnet import evaluation
 from radarnet.cli import RUN_FIELDS, TRAIN_FIELDS, _load_run_config, build_parser, main
 from radarnet.config import JSON_TYPES, SKEWED_COUNTS, RunConfig
 from radarnet.dataset import load_dataset, load_tensor, save_signal, save_tensor, stratified_fold_split
+from radarnet.network import TrainConfig
 from radarnet.radar import (
     PointTarget,
     RadarParams,
@@ -209,7 +215,8 @@ class TestTrainEvalPredict:
         assert main(["train", "-d", str(workspace / "ds"), "-o", model, "--fold", "1", "--split-seed", "5",
                      *SPLIT_ARGS, "--epochs", "1"]) == 0
         meta = json.loads((tmp_path / "m.meta.json").read_text())
-        assert (meta["format_version"], meta["fold"], meta["split_seed"], meta["folds"]) == (3, 1, 5, 2)
+        assert (meta["format_version"], meta["fold"], meta["split_seed"], meta["folds"]) == (4, 1, 5, 2)
+        assert (meta["counts_per_class"], meta["base_seed"]) == ({c: 8 for c in "ABCDEG"}, 1)
         assert "input_shape" not in meta
         scored = []
 
@@ -457,6 +464,39 @@ class TestTrainEvalPredict:
         assert out == "" and err == (f"error: {tmp_path / 'ds'} was made with freq_range (10, 210), "
                                      f"but the model's freq_range is (0, 200)\n")
 
+    @pytest.mark.parametrize("gen, key, theirs, ours", [
+        (["--counts", "A=10,B=10,C=10,D=10,E=10,G=10", "--seed", "1"], "counts_per_class",
+         {c: 10 for c in "ABCDEG"}, {c: 8 for c in "ABCDEG"}),
+        (["--counts", "A=8,B=8,C=8,D=8,E=8,G=8", "--seed", "2"], "base_seed", 2, 1),
+    ], ids=["other-counts", "other-base-seed"])
+    def test_eval_refuses_data_it_would_re_split(self, workspace, tmp_path, capsys, gen, key, theirs, ours):
+        # another generation gives the model's split other seeds, so its test split could hold the
+        # scenario of a training sample; --all scores every sample and needs only the model's input
+        assert main(["generate", "-o", str(tmp_path / "ds"), *gen]) == 0
+        capsys.readouterr()
+        weights = ["-w", str(workspace / "model.rdw")]
+        assert main(["eval", "-d", str(tmp_path / "ds"), *weights]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: {tmp_path / 'ds'} was made with {key} {theirs}, "
+                                     f"but the model's {key} is {ours}\n")
+        assert main(["eval", "-d", str(tmp_path / "ds"), *weights, "--all"]) == 0
+
+    def test_closed_stdout_exits_1_quietly(self, workspace):
+        # the reader of stdout is gone before eval prints; buffered, the write fails only at exit
+        for env in [{"PYTHONUNBUFFERED": "1"}, {}]:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "radarnet.cli", "eval", "-d", str(workspace / "ds"),
+                     "-w", str(workspace / "model.rdw")],
+                    stdout=write, stderr=subprocess.PIPE, timeout=120,
+                    env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, **env,
+                         "PYTHONPATH": str(Path(radarnet.__file__).parents[1])})
+            finally:
+                os.close(write)
+            assert (proc.returncode, proc.stderr) == (1, b""), env
+
     def test_eval_accepts_the_default_radar_spelled_in_integers(self, workspace, tmp_path, capsys):
         config = tmp_path / "radar.json"
         config.write_text('{"radar": {"f0": 24000000000, "delta_f": 120000000}}')
@@ -480,18 +520,25 @@ class TestMalformedModelMeta:
         (lambda m: {**m, "freq_range": 5}, ["freq_range"]),
         (lambda m: [m], ["JSON object"]),
         (lambda m: {k: v for k, v in m.items() if k != "preset"}, ["preset"]),
-        (lambda m: {k: v for k, v in m.items() if k != "format_version"}, ["format version None, expected 3"]),
-        (lambda m: {**m, "format_version": 1}, ["format version 1, expected 3"]),
-        (lambda m: {**m, "format_version": 2}, ["format version 2, expected 3"]),
+        (lambda m: {k: v for k, v in m.items() if k != "format_version"}, ["format version None, expected 4"]),
+        (lambda m: {**m, "format_version": 1}, ["format version 1, expected 4"]),
+        (lambda m: {**m, "format_version": 2}, ["format version 2, expected 4"]),
+        # version 3 named no class counts or base seed, so eval could not tell re-split data
+        (lambda m: {**{k: v for k, v in m.items() if k not in ("counts_per_class", "base_seed")},
+                    "format_version": 3}, ["format version 3, expected 4"]),
         (lambda m: {**m, "radar": {**m["radar"], "amplitude": 1.0, "geometry": {"h": 5.3}}},
          ["bad config field", "amplitude"]),
         (lambda m: {**m, "class_order": m["class_order"][::-1]}, ["class order ['G', 'E'", "expected ['A', 'B'"]),
         (lambda m: {k: v for k, v in m.items() if k != "split_seed"}, ["split_seed"]),
         (lambda m: {**m, "fold": 2}, ["fold 2 is not one of its 2 folds"]),
         (lambda m: {**m, "fold": "0"}, ["fold '0' is not one of its 2 folds"]),
+        # the other five radar values would come from the defaults, which may move under the model
+        (lambda m: {**m, "radar": {"delta_f": 120e6}}, ["field 'radar' does not name every value"]),
+        (lambda m: {k: v for k, v in m.items() if k != "base_seed"}, ["field 'base_seed' is missing"]),
     ], ids=["unknown-radar-field", "string-samples-per-ramp", "scalar-freq-range", "list", "no-preset",
-            "no-format-version", "format-version-1", "format-version-2", "old-radar-keys", "class-order",
-            "no-split-seed", "fold-out-of-range", "string-fold"])
+            "no-format-version", "format-version-1", "format-version-2", "format-version-3", "old-radar-keys",
+            "class-order", "no-split-seed", "fold-out-of-range", "string-fold", "radar-without-every-value",
+            "no-base-seed"])
     def test_exits_1(self, workspace, tmp_path, capsys, command, edit, words):
         for suffix in (".rdw", ".mean.rdt"):
             (tmp_path / f"model{suffix}").write_bytes((workspace / f"model{suffix}").read_bytes())
@@ -565,6 +612,22 @@ class TestCv:
         history = json.loads((tmp_path / "m.history.json").read_text())
         assert len(history["epochs"]) == 1
         assert report["folds"][1]["epochs"] == history["epochs"]
+
+    def test_report_run_as_config_reproduces_the_report(self, cropped, tmp_path, capsys):
+        # the run names the data's settings, counts and base seed, and the protocol; it is a whole --config
+        ds = str(cropped / "ds")
+        assert main(["cv", "-d", ds, "-o", str(tmp_path / "r1.json"), *SPLIT_ARGS, "--split-seed", "3",
+                     "--epochs", "1", "--lr", "0.001"]) == 0
+        run = json.loads((tmp_path / "r1.json").read_text())["run"]
+        assert (run["target_width"], run["freq_range"], run["base_seed"]) == (30, [0, 200], 1)
+        assert run["counts_per_class"] == {c: 8 for c in "ABCDEG"}
+        assert RunConfig.from_dict(run) == RunConfig(**load_dataset(cropped / "ds").settings, folds=2,
+                                                     train_per_class=4, val_per_class=2, split_seed=3,
+                                                     train=TrainConfig(learning_rate=0.001, epochs=1))
+        (tmp_path / "run.json").write_text(json.dumps(run))
+        assert main(["cv", "-d", ds, "--config", str(tmp_path / "run.json"), "-o", str(tmp_path / "r2.json")]) == 0
+        assert (tmp_path / "r2.json").read_bytes() == (tmp_path / "r1.json").read_bytes()
+        capsys.readouterr()
 
     @pytest.mark.parametrize("quotas", [["--train-per-class", "-3"], ["--val-per-class", "-1"],
                                         ["--val-per-class", "0"], ["--folds", "0"]])

@@ -1,10 +1,12 @@
 """Confusion matrices, fold training, model selection and cross-validation."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from radarnet.config import RunConfig
 from radarnet.dataset import (
     Dataset,
     SampleRecord,
@@ -189,36 +191,53 @@ class TestTrainFold:
 
 class TestCrossValidate:
     def test_separable_dataset_reaches_full_accuracy(self, marker_dataset):
-        cfg = TrainConfig(learning_rate=0.01, epochs=6, seed=0)
-        report = cross_validate(marker_dataset, k=1, train_per_class=4, val_per_class=2, cfg=cfg)
+        run = RunConfig(folds=1, train_per_class=4, val_per_class=2,
+                        train=TrainConfig(learning_rate=0.01, epochs=6, seed=0))
+        report = cross_validate(marker_dataset, run)
         assert report.mean_accuracy == 1.0
 
     def test_mean_is_arithmetic_mean(self, marker_dataset):
-        cfg = TrainConfig(learning_rate=0.01, epochs=2, seed=0)
-        report = cross_validate(marker_dataset, k=3, train_per_class=4, val_per_class=2, cfg=cfg)
+        run = RunConfig(folds=3, train_per_class=4, val_per_class=2,
+                        train=TrainConfig(learning_rate=0.01, epochs=2, seed=0))
+        report = cross_validate(marker_dataset, run)
         assert report.mean_accuracy == pytest.approx(np.mean(report.fold_accuracies), abs=1e-12)
         assert len(report.fold_matrices) == 3
 
     def test_report_reproducible_byte_for_byte(self, marker_dataset):
-        cfg = TrainConfig(learning_rate=0.01, epochs=2, seed=3)
-        a = cross_validate(marker_dataset, k=2, train_per_class=4, val_per_class=2, cfg=cfg, split_seed=5)
-        b = cross_validate(marker_dataset, k=2, train_per_class=4, val_per_class=2, cfg=cfg, split_seed=5)
-        assert a.to_json() == b.to_json()
+        run = RunConfig(folds=2, train_per_class=4, val_per_class=2, split_seed=5,
+                        train=TrainConfig(learning_rate=0.01, epochs=2, seed=3))
+        a = cross_validate(marker_dataset, run)
+        b = cross_validate(marker_dataset, run)
+        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
     def test_fold_f_is_train_fold_with_its_default_seed(self, marker_dataset):
         cfg = TrainConfig(learning_rate=0.01, epochs=2, seed=3)
-        report = cross_validate(marker_dataset, k=2, train_per_class=4, val_per_class=2, cfg=cfg, split_seed=5)
+        report = cross_validate(marker_dataset, RunConfig(folds=2, train_per_class=4, val_per_class=2,
+                                                          split_seed=5, train=cfg))
         fold = stratified_fold_split(marker_dataset, 2, 4, 2, seed=5)[1]
         assert train_fold(marker_dataset, fold, cfg).history == report.histories[1]
 
     def test_report_carries_per_class_rows(self, marker_dataset):
-        cfg = TrainConfig(learning_rate=0.01, epochs=2, seed=0)
-        report = cross_validate(marker_dataset, k=1, train_per_class=4, val_per_class=2, cfg=cfg)
+        run = RunConfig(folds=1, train_per_class=4, val_per_class=2,
+                        train=TrainConfig(learning_rate=0.01, epochs=2, seed=0))
+        report = cross_validate(marker_dataset, run)
         d = report.to_dict()
         assert set(d["per_class_accuracy"]) == set(CLASS_ORDER)
         assert "G" in d["per_class_accuracy"]
         assert d["mean_accuracy"] == report.mean_accuracy
         assert len(d["folds"][0]["counts"]) == 6
+
+    def test_report_names_the_data_it_scored(self, marker_dataset):
+        # a run of default radar and profiles records the data's, with its class counts and base seed
+        wide = RadarParams(delta_f=150e6)
+        quiet = ProfileTable(snr_db=30.0)
+        ds = dataclasses.replace(marker_dataset, radar=wide, profiles=quiet)
+        run = RunConfig(folds=1, train_per_class=4, val_per_class=2, split_seed=2, train=TrainConfig(epochs=1))
+        recorded = cross_validate(ds, run).to_dict()["run"]
+        assert recorded == RunConfig(radar=wide, profiles=quiet, counts_per_class={c: 8 for c in CLASS_ORDER},
+                                     base_seed=0, folds=1, train_per_class=4, val_per_class=2, split_seed=2,
+                                     train=TrainConfig(epochs=1)).to_dict()
+        assert recorded["radar"]["delta_f"] == 150e6 and recorded["profiles"]["snr_db"] == 30.0
 
 
 class TestEvaluate:
