@@ -86,7 +86,7 @@ def cmd_generate(args) -> int:
         keep_signals=args.keep_signals,
     )
     print(f"wrote {len(ds)} samples to {args.out_dir}")
-    for label, count in sorted(ds.class_counts.items()):
+    for label, count in ds.counts_per_class.items():
         print(f"  class {label}: {count}")
     print(f"tensor shape: {ds.tensor_shape}, radar hash {ds.radar_hash}")
     return 0
@@ -211,10 +211,9 @@ def cmd_eval(args) -> int:
     keys = ["radar", "target_width", "freq_range"]     # the settings that fix the network input
     if not args.all:    # the split is drawn again; only data of the model's counts and seed keeps each id's scenario
         keys += ["counts_per_class", "base_seed"]
-    made = ds.settings
     for key in keys:
-        if getattr(model, key) != made.get(key):
-            raise ValueError(f"{args.data} was made with {key} {made.get(key)}, "
+        if getattr(model, key) != getattr(ds, key):
+            raise ValueError(f"{args.data} was made with {key} {getattr(ds, key)}, "
                              f"but the model's {key} is {getattr(model, key)}")
     if args.all:
         ids = [r.sample_id for r in ds.records]

@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .network import ConfigError, TrainConfig
-from .radar import ClassProfile, ProfileTable, RadarParams, VehicleClass
+from .radar import CLASS_ORDER, ClassProfile, ProfileTable, RadarParams, VehicleClass
 
 DESK_COUNTS = {c: 100 for c in "ABCDEG"}
 # Imbalanced highway mix: car, cargo truck and bus dominate.
@@ -61,6 +61,22 @@ def _build(cls, path, value, **given):
         raise ConfigError(f"bad config field: {exc}") from exc
 
 
+def canonical_counts(counts) -> dict:
+    """counts keyed by class letter, in A..G order; a count that is not an integer, or a key
+    that is no class or names the class of another key, is a ConfigError naming it."""
+    keys = {}   # class letter -> the key naming it
+    for key, count in counts.items():
+        _check_type(f"counts_per_class.{key}", count, int)
+        try:
+            label = VehicleClass.from_label(key).value
+        except ValueError as exc:
+            raise ConfigError(f"counts_per_class: {exc}") from None
+        if label in keys:
+            raise ConfigError(f"counts_per_class names class {label} twice, as {keys[label]!r} and {key!r}")
+        keys[label] = key
+    return {label: counts[keys[label]] for label in CLASS_ORDER if label in keys}
+
+
 @dataclass
 class RunConfig:
     radar: RadarParams = field(default_factory=RadarParams)
@@ -90,8 +106,6 @@ class RunConfig:
             if key not in JSON_TYPES:
                 raise ConfigError(f"unknown config field {key!r}")
             _check_type(key, value, JSON_TYPES[key])
-        for label, count in d.get("counts_per_class", {}).items():
-            _check_type(f"counts_per_class.{label}", count, int)
         if d.get("freq_range") is not None:
             if len(d["freq_range"]) != 2:
                 raise ConfigError(f"config field 'freq_range' must hold two bins, got {d['freq_range']!r}")
@@ -113,6 +127,7 @@ class RunConfig:
         for key, value in d.items():
             if key not in NESTED:
                 setattr(cfg, key, tuple(value) if key == "freq_range" and value is not None else value)
+        cfg.counts_per_class = canonical_counts(cfg.counts_per_class)
         return cfg
 
     def to_record(self, keys) -> dict:

@@ -1,13 +1,15 @@
 """Synthetic dataset generation, persistence, fold splitting and batching.
 
 Tensors live on disk as .rdt files (magic "RDT1", little-endian u32 dims,
-float32 payload) indexed by a JSON manifest, which also records the settings
-that made them (radar, profiles, width and crop); beat signals can optionally
-be kept alongside as .rbs files.  A loaded dataset holds all its tensors in one
-read-only [N, 3, H, W] array, rows in manifest order.  Folds follow the
-repeated-shuffle protocol: each fold independently reshuffles every class and
-takes fixed train and validation quotas, the remainder becoming that fold's
-test set (so test sets overlap across folds by construction).
+float32 payload) beside a JSON manifest that records only the settings that
+made them (radar, profiles, width, crop, class counts and base seed): each
+sample's id, class, seed and file follow from the counts and the base seed.
+Beat signals can optionally be kept alongside as .rbs files.  A loaded dataset
+holds all its tensors in one read-only [N, 3, H, W] array, rows in generation
+order.  Folds follow the repeated-shuffle protocol: each fold independently
+reshuffles every class and takes fixed train and validation quotas, the
+remainder becoming that fold's test set (so test sets overlap across folds by
+construction).
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ import json
 import math
 import shutil
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path, PurePath
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, canonical_counts
 from .cores import run_on_cores
 from .radar import (
     CLASS_ORDER,
@@ -42,9 +44,9 @@ TENSOR_MAGIC = b"RDT1"
 SIGNAL_MAGIC = b"RBS2"
 # samples per ramp, first ramp, class index, fft size, f0, delta_f, t_ramp, mount height, sample count
 SIGNAL_HEADER = "<IBbIddddQ"
-MANIFEST_VERSION = 3
-# the RunConfig fields a manifest records: the settings that made the data
-DATA_KEYS = ("radar", "profiles", "target_width", "freq_range")
+MANIFEST_VERSION = 4
+# the RunConfig fields a manifest records, and all it records: the settings that made the data
+DATA_KEYS = ("radar", "profiles", "target_width", "freq_range", "counts_per_class", "base_seed")
 
 MAX_DIM = 1 << 20
 MAX_ELEMENTS = 1 << 26
@@ -164,27 +166,50 @@ def load_signal(path) -> BeatSignal:
 class SampleRecord:
     sample_id: str
     class_label: VehicleClass
-    path: str           # tensor file, relative to the dataset root
-    speed: float
     seed: int
+
+
+def sample_records(counts_per_class: Mapping, base_seed: int) -> list:
+    """Every sample of data made with these class counts and base seed, in generation order:
+    sample i (class-major, classes in A..G order) is the k-th of its class, id {class}{k:04d},
+    with seed base_seed + i, and its tensor is tensors/{id}.rdt under the dataset root."""
+    order = [(VehicleClass(c), k) for c in CLASS_ORDER for k in range(counts_per_class.get(c, 0))]
+    return [SampleRecord(f"{vclass.value}{k:04d}", vclass, base_seed + i) for i, (vclass, k) in enumerate(order)]
 
 
 @dataclass
 class Dataset:
-    """Manifest-backed collection of labeled tensors and the settings that made
-    them: sample r is sample_vehicle_scenario(r.class_label, r.seed, profiles),
-    swept by radar and tensorized at target_width and freq_range."""
+    """Labeled tensors under root and the settings that made them (DATA_KEYS): sample r of
+    sample_records(counts_per_class, base_seed) is sample_vehicle_scenario(r.class_label, r.seed,
+    profiles), swept by radar and tensorized at target_width and freq_range."""
 
     root: Path
-    records: list
+    counts_per_class: dict
+    base_seed: int
     radar: RadarParams
     profiles: ProfileTable
     target_width: int
     freq_range: tuple | None = None
-    _index: dict = field(init=False, repr=False)     # sample id -> row
 
     def __post_init__(self):
-        self._index = {r.sample_id: row for row, r in enumerate(self.records)}
+        # refused before any record is built, so a small manifest cannot ask for billions of them
+        self.counts_per_class = canonical_counts(self.counts_per_class)
+        if not self.counts_per_class:
+            raise ValueError("no class requested: the class-count table is empty")
+        for label, count in self.counts_per_class.items():
+            if count < 1:
+                raise ValueError(f"class {label} requested with count {count}")
+        if len(self) > MAX_DIM:
+            raise ValueError(f"{len(self)} samples requested, more than {MAX_DIM}")
+
+    @cached_property
+    def records(self) -> list:
+        return sample_records(self.counts_per_class, self.base_seed)
+
+    @cached_property
+    def _index(self) -> dict:
+        """Sample id -> row."""
+        return {r.sample_id: row for row, r in enumerate(self.records)}
 
     @property
     def radar_hash(self) -> str:
@@ -195,32 +220,21 @@ class Dataset:
         return tensor_shape(self.radar, self.target_width, self.freq_range)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def class_counts(self) -> dict:
-        counts = {c: 0 for c in CLASS_ORDER}
-        for rec in self.records:
-            counts[rec.class_label.value] += 1
-        return {c: n for c, n in counts.items() if n}
+        return sum(self.counts_per_class.values())
 
     @property
     def settings(self) -> dict:
-        """The RunConfig values this data fixes: the settings that made it (DATA_KEYS), and,
-        when it has samples, its class counts and base seed (its first sample's seed)."""
-        made = {key: getattr(self, key) for key in DATA_KEYS}
-        if self.records:
-            made.update(counts_per_class=self.class_counts, base_seed=self.records[0].seed)
-        return made
+        """The RunConfig values this data fixes: the settings that made it."""
+        return {key: getattr(self, key) for key in DATA_KEYS}
+
+    def tensor_file(self, sample_id: str) -> Path:
+        return self.root / "tensors" / f"{sample_id}.rdt"
 
     def ids_by_class(self) -> dict:
         out = {}
         for rec in self.records:
             out.setdefault(rec.class_label, []).append(rec.sample_id)
         return out
-
-    def record(self, sample_id: str) -> SampleRecord:
-        return self.records[self._index[sample_id]]
 
     def rows(self, sample_ids) -> np.ndarray:
         """Row of each sample id in `tensors`."""
@@ -232,12 +246,12 @@ class Dataset:
         in record order, read from the .rdt files on first use; ManifestError if a
         file resolves, through a symlink, to a place outside the root."""
         shape = self.tensor_shape
-        out = np.empty((len(self.records), *shape), dtype=np.float32)
+        out = np.empty((len(self), *shape), dtype=np.float32)
         root = self.root.resolve()
         for row, rec in enumerate(self.records):
-            path = (root / rec.path).resolve()
+            path = self.tensor_file(rec.sample_id).resolve()
             if not path.is_relative_to(root):
-                raise ManifestError(f"sample {rec.sample_id}: path {rec.path!r} leaves the dataset root")
+                raise ManifestError(f"sample {rec.sample_id}: its tensor file leaves the dataset root for {path}")
             values = load_tensor(path)
             if values.shape != shape:
                 raise TensorFormatError(f"sample {rec.sample_id} has shape {values.shape}, manifest says {shape}")
@@ -251,48 +265,7 @@ class Dataset:
         return RdTensor(values=self.tensors[row], label=self.records[row].class_label)
 
     def manifest_dict(self) -> dict:
-        return {
-            "format_version": MANIFEST_VERSION,
-            **RunConfig(**{key: getattr(self, key) for key in DATA_KEYS}).to_record(DATA_KEYS),
-            "class_counts": self.class_counts,
-            "samples": [
-                {
-                    "id": r.sample_id,
-                    "class": r.class_label.value,
-                    "path": r.path,
-                    "speed": r.speed,
-                    "seed": r.seed,
-                }
-                for r in self.records
-            ],
-        }
-
-
-def _manifest_field(obj, key: str, kinds, where: str):
-    """obj[key], which must be one of the given JSON types (never a bool)."""
-    value = obj.get(key) if isinstance(obj, dict) else None
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ManifestError(f"{where}: field {key!r} is missing or of the wrong type")
-    return value
-
-
-def _manifest_record(s, where: str) -> SampleRecord:
-    label = _manifest_field(s, "class", str, where)
-    try:
-        vclass = VehicleClass(label)
-    except ValueError:
-        raise ManifestError(f"{where}: unknown class {label!r}") from None
-    path = _manifest_field(s, "path", str, where)
-    # lexical, so loading costs no filesystem call per sample
-    if PurePath(path).is_absolute() or ".." in PurePath(path).parts:
-        raise ManifestError(f"{where}: path {path!r} leaves the dataset root")
-    return SampleRecord(
-        sample_id=_manifest_field(s, "id", str, where),
-        class_label=vclass,
-        path=path,
-        speed=_manifest_field(s, "speed", (int, float), where),
-        seed=_manifest_field(s, "seed", int, where),
-    )
+        return {"format_version": MANIFEST_VERSION, **RunConfig(**self.settings).to_record(DATA_KEYS)}
 
 
 def load_dataset(root) -> Dataset:
@@ -304,25 +277,22 @@ def load_dataset(root) -> Dataset:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"{where}: not a UTF-8 JSON document ({exc})") from exc
-    version = _manifest_field(manifest, "format_version", int, where)
-    if version != MANIFEST_VERSION:
-        raise ManifestError(f"{where}: format version {version}, expected {MANIFEST_VERSION}")
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{where}: not a JSON object")
+    version = manifest.get("format_version")
+    if type(version) is not int or version != MANIFEST_VERSION:
+        raise ManifestError(f"{where}: format version {version!r}, expected {MANIFEST_VERSION}")
+    for key in manifest:
+        if key != "format_version" and key not in DATA_KEYS:
+            raise ManifestError(f"{where}: unknown field {key!r}")
     try:
         made = RunConfig.from_record(manifest, DATA_KEYS)
         shape = tensor_shape(made.radar, made.target_width, made.freq_range)
+        if math.prod(shape) > MAX_ELEMENTS:
+            raise ValueError(f"tensor shape {shape} exceeds {MAX_ELEMENTS} elements")
+        return Dataset(root, **{key: getattr(made, key) for key in DATA_KEYS})
     except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from None
-    if math.prod(shape) > MAX_ELEMENTS:
-        raise ManifestError(f"{where}: tensor shape {shape} exceeds {MAX_ELEMENTS} elements")
-    samples = _manifest_field(manifest, "samples", list, where)
-    ds = Dataset(
-        root=root,
-        records=[_manifest_record(s, f"{where}, sample {i}") for i, s in enumerate(samples)],
-        **{key: getattr(made, key) for key in DATA_KEYS},
-    )
-    if len(ds._index) != len(ds):
-        raise ManifestError(f"{where}: sample ids repeat")
-    return ds
 
 
 def generate_dataset(
@@ -338,56 +308,43 @@ def generate_dataset(
 ) -> Dataset:
     """Simulate, tensorize and persist a labeled dataset.
 
-    Sample i (class-major, classes in A..G order) uses seed base_seed + i, so
-    regeneration under the same seed is byte-identical on any number of
-    cores.  Each sample is simulated, tensorized and written as one job of
-    run_on_cores, so the first failure stops the rest and is raised.  Files go
-    to a hidden sibling, renamed to out_dir when complete, removed on failure.
+    Sample i of sample_records uses seed base_seed + i, so regeneration under
+    the same seed is byte-identical on any number of cores.  Each sample is
+    simulated, tensorized and written as one job of run_on_cores, so the first
+    failure stops the rest and is raised.  Files go to a hidden sibling,
+    renamed to out_dir when complete, removed on failure.
     """
     out_dir = Path(out_dir)
-    counts = {VehicleClass.from_label(k).value: int(v) for k, v in counts_per_class.items()}
-    if not counts:
-        raise ValueError("no class requested: the class-count table is empty")
-    requested = []
-    for label in CLASS_ORDER:
-        if label in counts:
-            if counts[label] < 1:
-                raise ValueError(f"class {label} requested with count {counts[label]}")
-            requested.append((VehicleClass(label), counts[label]))
+    partial = out_dir.with_name(f".{out_dir.name}.partial")
+    ds = Dataset(partial, counts_per_class, base_seed, radar, profiles, target_width, freq_range)
     if not out_dir.parent.exists():
         raise FileNotFoundError(f"parent directory {out_dir.parent} does not exist")
     if out_dir.exists() and not (out_dir.is_dir() and not any(out_dir.iterdir())):
         raise FileExistsError(f"{out_dir} exists and is not an empty directory")
-    partial = out_dir.with_name(f".{out_dir.name}.partial")
-
-    jobs = [(f"{vclass.value}{k:04d}", vclass) for vclass, count in requested for k in range(count)]
+    records = ds.records    # built here, not by the first threads at once
 
     def write_sample(i):
         # each thread writes its own files, so no sample's arrays outlive its job
-        sample_id, vclass = jobs[i]
-        seed = base_seed + i
-        scenario = sample_vehicle_scenario(vclass, seed, profiles)
-        sig = synthesize_beat_signal(scenario, radar)
-        tensor = signal_to_tensor(sig, radar, target_width, freq_range=freq_range).values
-        rel = f"tensors/{sample_id}.rdt"
-        save_tensor(tensor, partial / rel)
+        rec = records[i]
+        sig = synthesize_beat_signal(sample_vehicle_scenario(rec.class_label, rec.seed, profiles), radar)
+        save_tensor(signal_to_tensor(sig, radar, target_width, freq_range=freq_range).values,
+                    ds.tensor_file(rec.sample_id))
         if keep_signals:
-            save_signal(sig, partial / f"signals/{sample_id}.rbs")
-        return SampleRecord(sample_id, vclass, rel, scenario.speed, seed)
+            save_signal(sig, partial / "signals" / f"{rec.sample_id}.rbs")
 
     partial.mkdir()
     try:
         (partial / "tensors").mkdir()
         if keep_signals:
             (partial / "signals").mkdir()
-        ds = Dataset(out_dir, run_on_cores(len(jobs), write_sample), radar, profiles, target_width, freq_range)
+        run_on_cores(len(records), write_sample)
         manifest = json.dumps(ds.manifest_dict(), indent=2, sort_keys=True) + "\n"
         (partial / "manifest.json").write_text(manifest, encoding="utf-8")
         partial.rename(out_dir)     # replaces an empty directory
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
         raise
-    return ds
+    return replace(ds, root=out_dir)
 
 
 @dataclass(frozen=True)

@@ -214,17 +214,12 @@ def test_criterion_7_pipeline_invariant_suite():
     np.testing.assert_allclose(s1, s2, atol=1e-6)
 
     # fold disjointness/quotas and balanced-batch class coverage
-    from radarnet.dataset import Dataset, SampleRecord, balanced_batches
-
-    records = [
-        SampleRecord(f"{c}{i:03d}", rn.VehicleClass(c), f"{c}{i}.rdt", 25.0, i)
-        for c in "ABCDEG"
-        for i in range(50)
-    ]
+    from radarnet.dataset import Dataset, balanced_batches
     from pathlib import Path
 
-    ds = Dataset(Path("."), records, P, rn.ProfileTable(), 32)
-    all_ids = {r.sample_id for r in records}
+    ds = Dataset(Path("."), {c: 50 for c in "ABCDEG"}, 0, P, rn.ProfileTable(), 32)
+    all_ids = {r.sample_id for r in ds.records}
+    assert len(all_ids) == len(ds) == 300
     for fold in stratified_fold_split(ds, 4, 30, 10, seed=1):
         tr, va, te = set(fold.train_ids), set(fold.val_ids), set(fold.test_ids)
         assert not (tr & va) and not (tr & te) and not (va & te)

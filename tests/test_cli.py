@@ -133,7 +133,10 @@ class TestGenerate:
         assert rc == 0
         assert len(list((tmp_path / "desk" / "tensors").glob("*.rdt"))) == 600
         manifest = json.loads((tmp_path / "desk" / "manifest.json").read_text())
-        assert manifest["class_counts"] == {c: 100 for c in "ABCDEG"}
+        assert manifest["counts_per_class"] == {c: 100 for c in "ABCDEG"}
+        assert sorted(manifest) == ["base_seed", "counts_per_class", "format_version", "freq_range", "profiles",
+                                    "radar", "target_width"]
+        assert len((tmp_path / "desk" / "manifest.json").read_bytes()) <= 4096
 
 
 class TestPlot:
@@ -303,7 +306,7 @@ class TestTrainEvalPredict:
     @pytest.mark.parametrize("command", ["train", "cv"])
     def test_train_and_cv_refuse_a_config_of_another_generation(self, workspace, tmp_path, capsys, command, key,
                                                                  value):
-        # the data's class counts and base seed (its first sample's seed) are the run's, as its radar is
+        # the data's class counts and base seed are the run's, as its radar is
         (tmp_path / "run.json").write_text(json.dumps({key: value}))
         rc = main([command, "-d", str(workspace / "ds"), "-o", str(tmp_path / "out"),
                    "--config", str(tmp_path / "run.json"), *SPLIT_ARGS, "--epochs", "1"])
@@ -316,7 +319,7 @@ class TestTrainEvalPredict:
 
     def test_a_config_repeating_the_generation_is_accepted(self, workspace, tmp_path):
         ds = load_dataset(workspace / "ds")
-        for named in [{}, {"base_seed": 1, "counts_per_class": ds.class_counts}]:
+        for named in [{}, {"base_seed": 1, "counts_per_class": ds.counts_per_class}]:
             (tmp_path / "run.json").write_text(json.dumps(named))
             args = build_parser().parse_args(["train", "-d", str(workspace / "ds"), "-o", "m.rdw",
                                               "--config", str(tmp_path / "run.json")])
@@ -557,23 +560,26 @@ class TestMalformedModelMeta:
 
 class TestMalformedManifest:
     @pytest.mark.parametrize("key, value", [
-        ("samples", 5),
+        ("samples", 5),     # a leftover of format 3
         ("target_width", "x"),
         ("format_version", "zz"),
         ("format_version", 1),
         ("format_version", 2),
-        ("path", "../../x"),
+        ("format_version", 3),
         ("radar", {"no_such_field": 1}),
         ("target_width", 0),
         ("freq_range", [0, 300]),
         ("profiles", 5),
+        ("class_counts", {"A": 8}),     # a leftover of format 3
+        ("counts_per_class", {"A": 0}),
+        ("counts_per_class", {"Q": 8}),
+        ("counts_per_class", 8),
+        ("counts_per_class", {"A": 1 << 21}),
+        ("base_seed", "1"),
     ])
     def test_train_exits_1(self, workspace, tmp_path, capsys, key, value):
         manifest = json.loads((workspace / "ds" / "manifest.json").read_text())
-        if key == "path":
-            manifest["samples"][0]["path"] = value
-        else:
-            manifest[key] = value
+        manifest[key] = value
         (tmp_path / "ds").mkdir()
         (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
         rc = main(["train", "-d", str(tmp_path / "ds"), "-o", str(tmp_path / "m.rdw"), *SPLIT_ARGS])
@@ -752,6 +758,35 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "empty" in err
         assert not out.exists()
+
+    def test_class_keys_repeating_after_case_folding_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.json"
+        cfg.write_text('{"counts_per_class": {"a": 2, "A": 3}}')
+        out = tmp_path / "ds"
+        assert main(["generate", "--config", str(cfg), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: counts_per_class names class A twice, as 'a' and 'A'\n"
+        assert not out.exists()
+
+    def test_unknown_class_key_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "unknown.json"
+        cfg.write_text('{"counts_per_class": {"A": 2, "q": 2}}')
+        out = tmp_path / "ds"
+        assert main(["generate", "--config", str(cfg), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: counts_per_class: unknown vehicle class 'q'"), err
+        assert not out.exists()
+
+    def test_lowercase_class_keys_name_the_data_they_made(self, tmp_path, capsys):
+        # the config's keys are read as class letters in A..G order, so the data it made is the data it names
+        counts = {c: 3 for c in "gedcba"}
+        assert list(RunConfig.from_dict({"counts_per_class": counts}).counts_per_class) == list("ABCDEG")
+        (tmp_path / "lower.json").write_text(json.dumps({"counts_per_class": counts}))
+        ds = tmp_path / "ds"
+        assert main(["generate", "--config", str(tmp_path / "lower.json"), "-o", str(ds)]) == 0
+        assert load_dataset(ds).counts_per_class == {c: 3 for c in "ABCDEG"}
+        assert main(["cv", "-d", str(ds), "--config", str(tmp_path / "lower.json"), "--folds", "1",
+                     "--train-per-class", "1", "--val-per-class", "1", "--epochs", "1"]) == 0
+        capsys.readouterr()
 
     def test_config_types_cover_every_field(self):
         assert set(JSON_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}

@@ -12,10 +12,12 @@ import pytest
 import radarnet.dataset as dataset_mod
 from radarnet.config import RunConfig
 from radarnet.dataset import (
+    DATA_KEYS,
     BadMagicError,
     Dataset,
     DimensionOverflowError,
     HeaderFieldError,
+    MAX_DIM,
     ManifestError,
     SampleRecord,
     TensorFormatError,
@@ -189,7 +191,7 @@ def small_dataset(tmp_path_factory):
 class TestGenerateDataset:
     def test_counts_and_manifest(self, small_dataset):
         assert len(small_dataset) == 60
-        assert small_dataset.class_counts == {c: 10 for c in "ABCDEG"}
+        assert small_dataset.counts_per_class == {c: 10 for c in "ABCDEG"}
         assert small_dataset.tensor_shape == (3, 257, 32)
         reloaded = load_dataset(small_dataset.root)
         assert len(reloaded) == 60
@@ -209,20 +211,20 @@ class TestGenerateDataset:
         ds = load_dataset(tmp_path / "ds")
         assert (ds.radar, ds.profiles, ds.target_width, ds.freq_range) == (radar, profiles, 30, (5, 205))
         assert ds.tensor_shape == (3, 200, 30)
+        assert (ds.counts_per_class, ds.base_seed) == ({"A": 3, "G": 2}, 9)
         for rec in ds.records:
             scenario = sample_vehicle_scenario(rec.class_label, rec.seed, ds.profiles)
             tensor = signal_to_tensor(synthesize_beat_signal(scenario, ds.radar), ds.radar, ds.target_width,
                                       freq_range=ds.freq_range).values
-            assert (ds.root / rec.path).read_bytes() == tensor_to_bytes(tensor), rec.sample_id
-            assert rec.speed == scenario.speed
+            assert ds.tensor_file(rec.sample_id).read_bytes() == tensor_to_bytes(tensor), rec.sample_id
 
     def test_regeneration_byte_identical(self, small_dataset, tmp_path):
         again = generate_dataset(
             {c: 10 for c in "ABCDEG"}, 1, ProfileTable(), P, tmp_path / "ds2", target_width=32
         )
         for rec in small_dataset.records:
-            a = (small_dataset.root / rec.path).read_bytes()
-            b = (tmp_path / "ds2" / rec.path).read_bytes()
+            a = small_dataset.tensor_file(rec.sample_id).read_bytes()
+            b = again.tensor_file(rec.sample_id).read_bytes()
             assert a == b, rec.sample_id
         assert (small_dataset.root / "manifest.json").read_text() == (
             tmp_path / "ds2" / "manifest.json"
@@ -242,14 +244,21 @@ class TestGenerateDataset:
         monkeypatch.setattr(dataset_mod, "save_tensor", save_once)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        run = RunConfig(counts_per_class={c: 3 for c in "ABCDEG"}, base_seed=5)
         try:
-            ds = generate_dataset({c: 3 for c in "ABCDEG"}, 5, ProfileTable(), P, tmp_path / "ds",
-                                  target_width=32, keep_signals=True)
+            ds = generate_dataset(run.counts_per_class, run.base_seed, run.profiles, run.radar, tmp_path / "ds",
+                                  target_width=run.target_width, freq_range=run.freq_range, keep_signals=True)
         finally:
             sys.setswitchinterval(interval)
+        ids = [f"{c}{k:04d}" for c in "ABCDEG" for k in range(3)]
+        # the loaded data names the samples generation made, and the run it was made from
+        loaded = load_dataset(tmp_path / "ds")
+        assert [(r.sample_id, r.class_label.value, r.seed) for r in loaded.records] == [
+            (sample_id, sample_id[0], 5 + i) for i, sample_id in enumerate(ids)]
+        assert RunConfig(**loaded.settings) == RunConfig(**ds.settings) == run
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-        ids = [s["id"] for s in manifest["samples"]]
-        assert ids == [f"{c}{k:04d}" for c in "ABCDEG" for k in range(3)]
+        record = json.loads(json.dumps(RunConfig.from_record(manifest, DATA_KEYS).to_record(DATA_KEYS)))
+        assert record == {key: value for key, value in manifest.items() if key != "format_version"}
         for i, sample_id in enumerate(ids):
             scenario = sample_vehicle_scenario(sample_id[0], 5 + i, ProfileTable())
             sig = synthesize_beat_signal(scenario, P)
@@ -259,8 +268,6 @@ class TestGenerateDataset:
             assert (tmp_path / "ds" / f"signals/{sample_id}.rbs").read_bytes() == (
                 tmp_path / "ref.rbs"
             ).read_bytes()
-            assert manifest["samples"][i]["seed"] == 5 + i
-            assert manifest["samples"][i]["speed"] == scenario.speed
         assert sorted(saved) == sorted(f"{sample_id}.rdt" for sample_id in ids)
         assert len(ds) == 18
 
@@ -343,18 +350,18 @@ class TestGenerateDataset:
 class TestStackedTensors:
     @staticmethod
     def _dataset(root, shapes):
-        records = []
-        for i, shape in enumerate(shapes):
-            save_tensor(_random_tensor(i, shape), root / f"{i}.rdt")
-            records.append(SampleRecord(f"A{i:04d}", VehicleClass.CAR, f"{i}.rdt", 25.0, i))
         _, height, width = shapes[0]
-        return Dataset(root, records, P, ProfileTable(), width, freq_range=(0, height))
+        ds = Dataset(root, {"A": len(shapes)}, 0, P, ProfileTable(), width, freq_range=(0, height))
+        (root / "tensors").mkdir()
+        for rec, shape in zip(ds.records, shapes):
+            save_tensor(_random_tensor(rec.seed, shape), ds.tensor_file(rec.sample_id))
+        return ds
 
     def test_rows_are_the_files_in_record_order(self, tmp_path):
         ds = self._dataset(tmp_path, [(3, 7, 5)] * 3)
         assert ds.tensors.shape == (3, 3, 7, 5) and ds.tensors.dtype == np.float32
         for row, rec in enumerate(ds.records):
-            values = load_tensor(tmp_path / rec.path)
+            values = load_tensor(tmp_path / "tensors" / f"A{row:04d}.rdt")
             np.testing.assert_array_equal(ds.tensors[row], values)
             np.testing.assert_array_equal(ds.load(rec.sample_id).values, values)
 
@@ -371,21 +378,9 @@ class TestStackedTensors:
 
 
 def _manifest(**fields):
-    """A manifest of one (3, 7, 5) sample at the default radar and profiles."""
-    sample = {"id": "A0000", "class": "A", "path": "tensors/A0000.rdt", "speed": 25.0, "seed": 1}
-    made = RunConfig(target_width=5, freq_range=(0, 7)).to_dict()
-    manifest = {
-        "format_version": 3,
-        **{key: made[key] for key in ("radar", "profiles", "target_width", "freq_range")},
-        "class_counts": {"A": 1},
-        "samples": [sample],
-    }
-    for key, value in fields.items():
-        if key in sample:
-            sample[key] = value
-        else:
-            manifest[key] = value
-    return manifest
+    """A manifest of one (3, 7, 5) sample, A0000, at the default radar and profiles."""
+    made = RunConfig(target_width=5, freq_range=(0, 7), counts_per_class={"A": 1}, base_seed=1)
+    return {"format_version": 4, **made.to_record(DATA_KEYS), **fields}
 
 
 class TestManifest:
@@ -397,7 +392,7 @@ class TestManifest:
     def test_valid_manifest_loads(self, tmp_path):
         ds = self._load(tmp_path, _manifest())
         assert ds.tensor_shape == (3, 7, 5)
-        assert ds.record("A0000").class_label is VehicleClass.CAR
+        assert ds.records == [SampleRecord("A0000", VehicleClass.CAR, 1)]
 
     def test_valid_manifest_loads_its_settings(self, tmp_path):
         wide = RunConfig(radar=RadarParams(delta_f=150e6)).to_dict()["radar"]
@@ -407,8 +402,8 @@ class TestManifest:
         assert ds.tensor_shape == (3, P.fft_size // 2 + 1, 40)
 
     @pytest.mark.parametrize("fields", [
-        {"samples": 5},
-        {"samples": [5]},
+        {"samples": 5},                                     # a leftover of format 3
+        {"class_counts": {"A": 1}},                         # a leftover of format 3
         {"target_width": "x"},
         {"target_width": 0},
         {"target_width": 5.0},
@@ -418,18 +413,24 @@ class TestManifest:
         {"format_version": "zz"},
         {"format_version": 2},
         {"radar": {"no_such_field": 1}},
-        {"class": "Q"},
-        {"class": "AB"},
-        {"id": 7},
-        {"speed": "fast"},
-        {"seed": True},
-        {"path": "../../x"},
-        {"path": "tensors/../../x"},
-        {"path": "/etc/hostname"},
+        {"format_version": 3},
+        {"counts_per_class": [1]},
+        {"counts_per_class": {"A": 0}},
+        {"counts_per_class": {"A": -1}},
+        {"counts_per_class": {"Q": 1}},
+        {"counts_per_class": {}},                           # names no class
+        {"base_seed": "1"},
+        {"counts_per_class": {"A": MAX_DIM + 1}},           # a total above the bound
         {"profiles": 5},
         {"profiles": {"classes": {"Q": RunConfig().to_dict()["profiles"]["classes"]["A"]}}},   # no class Q
         {"radar": {"fft_size": 600}},
         {"freq_range": [0]},
+        {"counts_per_class": {c: MAX_DIM // 4 for c in "ABCDEG"}},   # each count below the bound, the total above
+        {"counts_per_class": {"A": True}},
+        {"counts_per_class": {"A": 1.0}},
+        {"counts_per_class": {"a": 1}},                     # not as the run config spells it
+        {"base_seed": True},
+        {"base_seed": 1.5},
     ])
     def test_malformed_manifest_rejected(self, tmp_path, fields):
         with pytest.raises(ManifestError):
@@ -437,11 +438,25 @@ class TestManifest:
 
     def test_version_2_manifest_refused(self, tmp_path):
         old = {"format_version": 2, "radar_params_hash": "db8eff3b1afb826e", "tensor_shape": [3, 7, 5],
-               "class_counts": {"A": 1}, "samples": _manifest()["samples"]}
-        with pytest.raises(ManifestError, match="format version 2, expected 3"):
+               "class_counts": {"A": 1}, "samples": [{"id": "A0000", "class": "A", "path": "tensors/A0000.rdt",
+                                                      "speed": 25.0, "seed": 1}]}
+        with pytest.raises(ManifestError, match="format version 2, expected 4"):
             self._load(tmp_path, old)
 
-    @pytest.mark.parametrize("key", ["radar", "profiles", "target_width", "freq_range"])
+    def test_version_3_manifest_refused(self, tmp_path):
+        # format 3 listed every sample beside the settings that made the data
+        old = {**_manifest(), "format_version": 3, "class_counts": {"A": 1}, "samples": [
+            {"id": "A0000", "class": "A", "path": "tensors/A0000.rdt", "speed": 25.0, "seed": 1}]}
+        del old["counts_per_class"], old["base_seed"]
+        with pytest.raises(ManifestError, match="format version 3, expected 4"):
+            self._load(tmp_path, old)
+
+    @pytest.mark.parametrize("key", ["samples", "class_counts", "tensor_shape"])
+    def test_unknown_field_named(self, tmp_path, key):
+        with pytest.raises(ManifestError, match=f"unknown field '{key}'"):
+            self._load(tmp_path, _manifest(**{key: 1}))
+
+    @pytest.mark.parametrize("key", DATA_KEYS)
     def test_manifest_without_a_setting_rejected(self, tmp_path, key):
         manifest = _manifest()
         del manifest[key]
@@ -467,7 +482,7 @@ class TestManifest:
         root = tmp_path / "ds"
         generate_dataset({c: 1 for c in "ABCDEG"}, 1, ProfileTable(), P, root, target_width=32)
         text = (root / "manifest.json").read_text(encoding="utf-8")
-        assert load_dataset(root).class_counts == {c: 1 for c in "ABCDEG"}
+        assert load_dataset(root).counts_per_class == {c: 1 for c in "ABCDEG"}
         for n in range(len(text.rstrip())):   # every cut inside the JSON object
             (root / "manifest.json").write_text(text[:n], encoding="utf-8")
             with pytest.raises(ManifestError):
@@ -477,12 +492,6 @@ class TestManifest:
         (tmp_path / "manifest.json").write_bytes(json.dumps(_manifest()).encode() + b"\xff")
         with pytest.raises(ManifestError):
             load_dataset(tmp_path)
-
-    def test_repeated_sample_id_rejected(self, tmp_path):
-        manifest = _manifest()
-        manifest["samples"].append(dict(manifest["samples"][0], path="tensors/other.rdt"))
-        with pytest.raises(ManifestError, match="repeat"):
-            self._load(tmp_path, manifest)
 
     def test_symlink_out_of_the_root_rejected(self, tmp_path):
         outside = tmp_path / "outside.rdt"
@@ -503,14 +512,8 @@ class TestManifest:
 
 
 def _fake_dataset(per_class):
-    """In-memory dataset, no files: enough for split logic."""
-    records = []
-    for label, count in per_class.items():
-        for i in range(count):
-            records.append(
-                SampleRecord(f"{label}{i:05d}", VehicleClass(label), f"tensors/{label}{i:05d}.rdt", 25.0, i)
-            )
-    return Dataset(Path("."), records, P, ProfileTable(), 32)
+    """Dataset with no files: enough for split logic."""
+    return Dataset(Path("."), per_class, 0, P, ProfileTable(), 32)
 
 
 class TestStratifiedFoldSplit:

@@ -9,7 +9,6 @@ import pytest
 from radarnet.config import RunConfig
 from radarnet.dataset import (
     Dataset,
-    SampleRecord,
     balanced_batches,
     load_tensor,
     save_tensor,
@@ -79,18 +78,10 @@ def _marker_tensor(label, seed, shape=(3, 257, 32)):
 def marker_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("markers") / "ds"
     (root / "tensors").mkdir(parents=True)
-    records = []
-    n_per_class = 8
-    i = 0
-    for letter in CLASS_ORDER:
-        label = VehicleClass(letter)
-        for k in range(n_per_class):
-            sid = f"{letter}{k:04d}"
-            t = _marker_tensor(label, seed=1000 + i)
-            save_tensor(t, root / f"tensors/{sid}.rdt")
-            records.append(SampleRecord(sid, label, f"tensors/{sid}.rdt", 25.0, i))
-            i += 1
-    return Dataset(root, records, RadarParams(), ProfileTable(), 32)
+    ds = Dataset(root, {c: 8 for c in CLASS_ORDER}, 0, RadarParams(), ProfileTable(), 32)
+    for rec in ds.records:
+        save_tensor(_marker_tensor(rec.class_label, seed=1000 + rec.seed), ds.tensor_file(rec.sample_id))
+    return ds
 
 
 class TestTrainFold:
@@ -139,7 +130,7 @@ class TestTrainFold:
         trained = train_fold(marker_dataset, fold, cfg)
         ids_by_class = {}
         for sid in fold.train_ids:
-            ids_by_class.setdefault(marker_dataset.record(sid).class_label, []).append(sid)
+            ids_by_class.setdefault(marker_dataset.load(sid).label, []).append(sid)
         mean = trained.mean_tensor
         expected = [
             np.stack([marker_dataset.load(sid).values - mean for sid in batch])
@@ -171,7 +162,7 @@ class TestTrainFold:
         # float64 sum of the training files, one at a time in fold order
         acc = np.zeros(marker_dataset.tensor_shape, dtype=np.float64)
         for sid in fold.train_ids:
-            acc += load_tensor(marker_dataset.root / marker_dataset.record(sid).path)
+            acc += load_tensor(marker_dataset.tensor_file(sid))
         expected = (acc / len(fold.train_ids)).astype(np.float32)
         assert trained.mean_tensor.dtype == np.float32
         assert trained.mean_tensor.tobytes() == expected.tobytes()
@@ -181,7 +172,7 @@ class TestTrainFold:
         cfg = TrainConfig(epochs=3)
         ids_by_class = {}
         for sid in fold.train_ids:
-            ids_by_class.setdefault(marker_dataset.record(sid).class_label, []).append(sid)
+            ids_by_class.setdefault(marker_dataset.load(sid).label, []).append(sid)
         forbidden = set(fold.val_ids) | set(fold.test_ids)
         for epoch in range(1, cfg.epochs + 1):
             for batch in balanced_batches(ids_by_class, [cfg.seed, fold.fold_index, epoch]):
