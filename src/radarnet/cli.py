@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import dataset as ds_mod
 from . import evaluation, network
-from .config import COUNT_PRESETS, QUOTA_PRESETS, RunConfig, apply_count_preset
+from .config import COUNT_PRESETS, QUOTA_PRESETS, RUN_FIELDS, RunConfig
 from .radar import CLASS_ORDER
 from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor
 
@@ -24,7 +24,7 @@ def _parse_counts(text):
     counts = {}
     for part in text.split(","):
         label, _, num = part.partition("=")
-        label = label.strip().upper()
+        label = label.strip()
         if label in counts:
             raise ValueError(f"--counts: class {label} is given twice")
         try:
@@ -34,43 +34,42 @@ def _parse_counts(text):
     return counts
 
 
-RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 TRAIN_FIELDS = {f"train.{f.name}" for f in dataclasses.fields(network.TrainConfig)}
 
 
 def _load_run_config(args, data=None) -> RunConfig:
-    """The --config file (or the defaults), then the presets, then each override flag given,
-    whose dest is the field it sets: a RunConfig field, or train.<field> of its TrainConfig.
-    With data, a loaded dataset, its settings replace the file's; a file that names one of
-    them with another value is a ValueError naming both."""
+    """The --config file (or the defaults) over the settings of data, a loaded dataset, then the
+    presets, then each override flag given, whose dest is the field it sets: a RunConfig field,
+    or train.<field> of its TrainConfig.  A file that names a setting of data with another value
+    is a ValueError naming both; every value meets RunConfig's checks."""
     given = vars(args)
     named = {} if args.config is None else json.loads(Path(args.config).read_text(encoding="utf-8"))
-    cfg = RunConfig.from_dict(named)
-    for key, theirs in ({} if data is None else data.settings).items():
+    settings = {} if data is None else data.settings
+    made = RunConfig(**settings).to_record(settings)
+    cfg = RunConfig.from_dict({**made, **named} if isinstance(named, dict) else named)
+    for key, theirs in settings.items():
         ours = getattr(cfg, key)
-        if key in named and ours != theirs:
+        if ours != theirs:
             raise ValueError(f"{args.config} sets {key} {ours}, but {args.data} was made with {key} {theirs}")
-        setattr(cfg, key, theirs)
+    changes, train = {}, {}
     if "count_preset" in given:
-        apply_count_preset(cfg, args.count_preset)
+        changes["counts_per_class"] = COUNT_PRESETS[args.count_preset]
     if "quota_preset" in given:
-        cfg = dataclasses.replace(cfg, **QUOTA_PRESETS[args.quota_preset])
+        changes.update(QUOTA_PRESETS[args.quota_preset])
     if "counts" in given:
-        cfg.counts_per_class = _parse_counts(args.counts)
+        changes["counts_per_class"] = _parse_counts(args.counts)
     if "freq_crop" in given:
         lo, _, hi = args.freq_crop.partition(":")
         try:
-            cfg.freq_range = (int(lo), int(hi))
+            changes["freq_range"] = (int(lo), int(hi))
         except ValueError:
             raise ValueError(f"--freq-range: {args.freq_crop!r} is not LO:HI") from None
-    train = {}
     for dest, value in given.items():
         if dest in RUN_FIELDS:
-            setattr(cfg, dest, value)
+            changes[dest] = value
         elif dest in TRAIN_FIELDS:
             train[dest.removeprefix("train.")] = value
-    cfg.train = dataclasses.replace(cfg.train, **train)   # validates the train fields
-    return cfg
+    return dataclasses.replace(cfg, **changes, train=dataclasses.replace(cfg.train, **train))
 
 
 def cmd_generate(args) -> int:
@@ -88,7 +87,7 @@ def cmd_generate(args) -> int:
     print(f"wrote {len(ds)} samples to {args.out_dir}")
     for label, count in ds.counts_per_class.items():
         print(f"  class {label}: {count}")
-    print(f"tensor shape: {ds.tensor_shape}, radar hash {ds.radar_hash}")
+    print(f"tensor shape: {ds.tensor_shape}")
     return 0
 
 
@@ -197,7 +196,7 @@ def _load_model(weights_path):
         fold = meta.get("fold")
         if isinstance(fold, bool) or not isinstance(fold, int) or not 0 <= fold < model.folds:
             raise network.ConfigError(f"fold {fold!r} is not one of its {model.folds} folds")
-    except network.ConfigError as exc:
+    except ValueError as exc:
         raise network.ConfigError(f"model meta {metapath}: {exc}") from None
     mean = ds_mod.load_tensor(mpath)
     net = network.build_network(model.preset, input_shape=mean.shape)

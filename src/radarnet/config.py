@@ -8,10 +8,11 @@ reproduces any run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from .network import ConfigError, TrainConfig
+from .network import PRESETS, ConfigError, TrainConfig
 from .radar import CLASS_ORDER, ClassProfile, ProfileTable, RadarParams, VehicleClass
+from .spectrogram import tensor_shape
 
 DESK_COUNTS = {c: 100 for c in "ABCDEG"}
 # Imbalanced highway mix: car, cargo truck and bus dominate.
@@ -26,59 +27,59 @@ QUOTA_PRESETS = {
 }
 
 
-# The JSON type of each top-level field.  The nested objects (radar, profiles,
-# train) check their own fields when they are built.
-JSON_TYPES = {
-    "radar": dict,
-    "profiles": dict,
-    "counts_per_class": dict,
-    "target_width": int,
-    "freq_range": (list, type(None)),
-    "preset": str,
-    "train": dict,
-    "folds": int,
-    "train_per_class": int,
-    "val_per_class": int,
-    "base_seed": int,
-    "split_seed": int,
-}
-NESTED = {"radar", "profiles", "train"}
+def _check_object(key, value):
+    """Reject a value that is not a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field {key!r} must be dict, got {value!r}")
 
 
-def _check_type(key, value, types):
-    """Reject a JSON value of the wrong type; a bool is not an integer here."""
-    if isinstance(value, bool) or not isinstance(value, types):
-        names = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
-        raise ConfigError(f"config field {key!r} must be {names}, got {value!r}")
+def _check_whole(key, value, low):
+    """Reject a value that is not an integer >= low; a bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
 def _build(cls, path, value, **given):
     """cls from the JSON object at path, its lists as tuples."""
-    _check_type(path, value, dict)
+    _check_object(path, value)
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}, **given)
     except TypeError as exc:    # a field that is unknown or of the wrong type
         raise ConfigError(f"bad config field: {exc}") from exc
 
 
-def canonical_counts(counts) -> dict:
-    """counts keyed by class letter, in A..G order; a count that is not an integer, or a key
-    that is no class or names the class of another key, is a ConfigError naming it."""
+def canonical_classes(table, path) -> dict:
+    """The values of the table at path keyed by class letter, in A..G order; a key that is no
+    class, or names the class of another key, is a ConfigError naming it."""
+    _check_object(path, table)
     keys = {}   # class letter -> the key naming it
-    for key, count in counts.items():
-        _check_type(f"counts_per_class.{key}", count, int)
+    for key in table:
         try:
             label = VehicleClass.from_label(key).value
         except ValueError as exc:
-            raise ConfigError(f"counts_per_class: {exc}") from None
+            raise ConfigError(f"{path}: {exc}") from None
         if label in keys:
-            raise ConfigError(f"counts_per_class names class {label} twice, as {keys[label]!r} and {key!r}")
+            raise ConfigError(f"{path} names class {label} twice, as {keys[label]!r} and {key!r}")
         keys[label] = key
-    return {label: counts[keys[label]] for label in CLASS_ORDER if label in keys}
+    return {label: table[keys[label]] for label in CLASS_ORDER if label in keys}
+
+
+def canonical_counts(counts) -> dict:
+    """counts keyed by class letter, in A..G order: at least one class, each counted by an integer
+    >= 1, under the class-key rule of canonical_classes."""
+    counts = canonical_classes(counts, "counts_per_class")
+    if not counts:
+        raise ConfigError("no class requested: the class-count table is empty")
+    for label, count in counts.items():
+        _check_whole(f"counts_per_class.{label}", count, 1)
+    return counts
 
 
 @dataclass
 class RunConfig:
+    """Every setting of a run, from the radar to the split and the training; each way of building
+    one (a JSON file, the flags, a manifest, a model meta or Python) passes __post_init__."""
+
     radar: RadarParams = field(default_factory=RadarParams)
     profiles: ProfileTable = field(default_factory=ProfileTable)
     counts_per_class: dict = field(default_factory=lambda: dict(DESK_COUNTS))
@@ -92,6 +93,27 @@ class RunConfig:
     base_seed: int = 1              # dataset generation
     split_seed: int = 0
 
+    def __post_init__(self):
+        """Every rule on the run's own values, however it is built: a value of the wrong type or out
+        of range is a ConfigError naming its field, a crop outside the radar's bins a ValueError."""
+        for key, cls in (("radar", RadarParams), ("profiles", ProfileTable), ("train", TrainConfig)):
+            if not isinstance(getattr(self, key), cls):
+                raise ConfigError(f"{key} must be a {cls.__name__}, got {getattr(self, key)!r}")
+        if not (isinstance(self.preset, str) and self.preset in PRESETS):
+            raise ConfigError(f"preset must be one of {sorted(PRESETS)}, got {self.preset!r}")
+        for key in ("target_width", "folds", "train_per_class", "val_per_class"):
+            _check_whole(key, getattr(self, key), 1)
+        for key in ("base_seed", "split_seed"):
+            _check_whole(key, getattr(self, key), 0)
+        if self.freq_range is not None:
+            crop = self.freq_range
+            if not (isinstance(crop, (list, tuple)) and len(crop) == 2
+                    and all(isinstance(b, int) and not isinstance(b, bool) for b in crop)):
+                raise ConfigError(f"freq_range must be None or two integer bins, got {crop!r}")
+            self.freq_range = tuple(crop)
+        tensor_shape(self.radar, self.target_width, self.freq_range)   # the crop fits the radar's bins
+        self.counts_per_class = canonical_counts(self.counts_per_class)
+
     def to_dict(self) -> dict:
         d = asdict(self)
         # the profile table is keyed by VehicleClass; JSON keys are the class letters
@@ -100,35 +122,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """The run a JSON object names; its nested objects are built here, every value is checked
+        by the constructor."""
         if not isinstance(d, dict):
             raise ConfigError(f"a run config is a JSON object, not {type(d).__name__}")
-        for key, value in d.items():
-            if key not in JSON_TYPES:
+        values = dict(d)
+        for key in d:
+            if key not in RUN_FIELDS:
                 raise ConfigError(f"unknown config field {key!r}")
-            _check_type(key, value, JSON_TYPES[key])
-        if d.get("freq_range") is not None:
-            if len(d["freq_range"]) != 2:
-                raise ConfigError(f"config field 'freq_range' must hold two bins, got {d['freq_range']!r}")
-            for bound in d["freq_range"]:
-                _check_type("freq_range", bound, int)
-        cfg = cls()
         if "radar" in d:
-            cfg.radar = _build(RadarParams, "radar", d["radar"])
+            values["radar"] = _build(RadarParams, "radar", d["radar"])
         if "profiles" in d:
+            _check_object("profiles", d["profiles"])
             table = dict(d["profiles"])
-            classes = table.pop("classes", {})
-            _check_type("profiles.classes", classes, dict)
-            profs = dict(cfg.profiles.profiles)
-            for label, values in classes.items():
-                profs[VehicleClass.from_label(label)] = _build(ClassProfile, f"profiles.classes.{label}", values)
-            cfg.profiles = _build(ProfileTable, "profiles", table, profiles=profs)
+            profs = dict(ProfileTable().profiles)
+            for label, spec in canonical_classes(table.pop("classes", {}), "profiles.classes").items():
+                profs[VehicleClass(label)] = _build(ClassProfile, f"profiles.classes.{label}", spec)
+            values["profiles"] = _build(ProfileTable, "profiles", table, profiles=profs)
         if "train" in d:
-            cfg.train = _build(TrainConfig, "train", d["train"])
-        for key, value in d.items():
-            if key not in NESTED:
-                setattr(cfg, key, tuple(value) if key == "freq_range" and value is not None else value)
-        cfg.counts_per_class = canonical_counts(cfg.counts_per_class)
-        return cfg
+            values["train"] = _build(TrainConfig, "train", d["train"])
+        return cls(**values)
 
     def to_record(self, keys) -> dict:
         """The keys' slice of to_dict: what an artifact records of its run."""
@@ -152,6 +165,9 @@ class RunConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+RUN_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def apply_count_preset(cfg: RunConfig, name: str) -> RunConfig:

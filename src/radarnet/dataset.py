@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import RunConfig, canonical_counts
+from .config import RunConfig
 from .cores import run_on_cores
 from .radar import (
     CLASS_ORDER,
@@ -34,7 +34,6 @@ from .radar import (
     RadarParams,
     RampPolarity,
     VehicleClass,
-    radar_params_hash,
     sample_vehicle_scenario,
     synthesize_beat_signal,
 )
@@ -192,14 +191,10 @@ class Dataset:
     freq_range: tuple | None = None
 
     def __post_init__(self):
-        # refused before any record is built, so a small manifest cannot ask for billions of them
-        self.counts_per_class = canonical_counts(self.counts_per_class)
-        if not self.counts_per_class:
-            raise ValueError("no class requested: the class-count table is empty")
-        for label, count in self.counts_per_class.items():
-            if count < 1:
-                raise ValueError(f"class {label} requested with count {count}")
-        if len(self) > MAX_DIM:
+        # the settings pass the run's rules, before any record is built or file written
+        made = RunConfig(**self.settings)
+        self.counts_per_class, self.freq_range = made.counts_per_class, made.freq_range
+        if len(self) > MAX_DIM:     # so a small manifest cannot ask for billions of records
             raise ValueError(f"{len(self)} samples requested, more than {MAX_DIM}")
 
     @cached_property
@@ -210,10 +205,6 @@ class Dataset:
     def _index(self) -> dict:
         """Sample id -> row."""
         return {r.sample_id: row for row, r in enumerate(self.records)}
-
-    @property
-    def radar_hash(self) -> str:
-        return radar_params_hash(self.radar)
 
     @property
     def tensor_shape(self) -> tuple:

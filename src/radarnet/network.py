@@ -125,8 +125,9 @@ class TrainConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if not 0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must lie in [0, 1)")
 

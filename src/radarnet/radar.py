@@ -16,11 +16,9 @@ footprint along the lane.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,7 +48,7 @@ class VehicleClass(enum.Enum):
             return label
         try:
             return cls(label.upper())
-        except ValueError:
+        except (ValueError, AttributeError):     # a label that is no class, or no string
             raise ValueError(f"unknown vehicle class {label!r}, expected one of {CLASS_ORDER}") from None
 
 
@@ -80,7 +78,7 @@ class RadarParams:
     mount_height: float = 5.3   # above the lane [m]
 
     def __post_init__(self):
-        # each value is stored as a float or an int, so equal radars hash alike
+        # each value is stored as a float or an int, so equal radars are written as the same JSON
         for name in ("f0", "delta_f", "t_ramp", "mount_height"):
             if not (_finite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ValueError(f"radar {name} must be positive and finite, got {getattr(self, name)}")
@@ -111,12 +109,6 @@ class RadarParams:
     def bin_hz(self) -> float:
         """Spectral bin width of the per-ramp FFT [Hz]."""
         return self.sample_rate / self.fft_size
-
-
-def radar_params_hash(p: RadarParams) -> str:
-    """Short digest of the radar's six values, as manifests record it."""
-    blob = json.dumps(asdict(p), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def beat_frequencies(target_range, v_radial, p: RadarParams):

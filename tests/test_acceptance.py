@@ -10,13 +10,22 @@ import time
 import numpy as np
 import pytest
 
-import radarnet as rn
 from radarnet import fourier
 from radarnet.config import RunConfig
 from radarnet.dataset import generate_dataset, load_tensor, save_tensor, stratified_fold_split
 from radarnet.evaluation import cross_validate, train_fold
-from radarnet.network import build_network, gradient_check, load_weights, save_weights
+from radarnet.network import TrainConfig, build_network, gradient_check, load_weights, save_weights
+from radarnet.radar import (
+    PointTarget,
+    ProfileTable,
+    RadarParams,
+    VehicleClass,
+    beat_frequencies,
+    invert_beat,
+    synthesize_point_targets,
+)
 from radarnet.spectrogram import (
+    RdTensor,
     build_spectrograms,
     build_tensor,
     compute_mean_tensor,
@@ -27,7 +36,7 @@ from radarnet.spectrogram import (
 
 from _oracles import naive_dft_modulus_onesided, parseval_one_sided
 
-P = rn.RadarParams()
+P = RadarParams()
 BIN = P.bin_hz                      # 25 Hz at the default waveform
 RANGE_TOL = 1.25                    # one bin through the delay-to-range map [m]
 SPEED_TOL = 0.16                    # one bin through the Doppler-to-speed map [m/s]
@@ -43,11 +52,11 @@ def test_criterion_1_static_beat_physics_oracle():
     worst = 0.0
     for _ in range(100):
         r = rng.uniform(5.0, 100.0)
-        sig = rn.synthesize_point_targets([rn.PointTarget(r)], 2, P, seed=int(rng.integers(1 << 31)))
+        sig = synthesize_point_targets([PointTarget(r)], 2, P, seed=int(rng.integers(1 << 31)))
         up, down = build_spectrograms(sig, P)
         f_up = np.argmax(up[:, 0]) * BIN
         f_down = np.argmax(down[:, 0]) * BIN
-        r_est, _ = rn.invert_beat(f_up, f_down, P)
+        r_est, _ = invert_beat(f_up, f_down, P)
         worst = max(worst, abs(r_est - r))
         assert abs(r_est - r) <= RANGE_TOL
     elapsed = time.perf_counter() - start
@@ -63,17 +72,17 @@ def test_criterion_2_moving_target_oracle():
     while accepted < 100:
         r = rng.uniform(5.0, 100.0)
         v = rng.uniform(10.0, 38.0)
-        f_up, f_down = rn.beat_frequencies(r, v, P)
+        f_up, f_down = beat_frequencies(r, v, P)
         if max(abs(f_up), abs(f_down)) >= 0.98 * P.sample_rate / 2:
             continue  # keep the tone below Nyquist; redraw
         accepted += 1
-        sig = rn.synthesize_point_targets(
-            [rn.PointTarget(r, v)], 2, P, seed=int(rng.integers(1 << 31))
+        sig = synthesize_point_targets(
+            [PointTarget(r, v)], 2, P, seed=int(rng.integers(1 << 31))
         )
         up, down = build_spectrograms(sig, P)
         f_up_est = np.argmax(up[:, 0]) * BIN
         f_down_est = math.copysign(np.argmax(down[:, 0]) * BIN, f_down)
-        r_est, v_est = rn.invert_beat(f_up_est, f_down_est, P)
+        r_est, v_est = invert_beat(f_up_est, f_down_est, P)
         worst_r = max(worst_r, abs(r_est - r))
         worst_v = max(worst_v, abs(v_est - v))
         assert abs(r_est - r) <= RANGE_TOL
@@ -151,14 +160,14 @@ def test_criterion_5_architecture_fidelity():
 def desk_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("desk") / "ds"
     return generate_dataset(
-        {c: 100 for c in "ABCDEG"}, 1, rn.ProfileTable(), P, root, target_width=32
+        {c: 100 for c in "ABCDEG"}, 1, ProfileTable(), P, root, target_width=32
     )
 
 
 @pytest.mark.slow
 def test_criterion_6_end_to_end_benchmark(desk_dataset):
     start = time.perf_counter()
-    cfg = rn.TrainConfig()   # lr 0.0001, momentum 0.9, weight decay 0.0005, 15 epochs
+    cfg = TrainConfig()   # lr 0.0001, momentum 0.9, weight decay 0.0005, 15 epochs
     report = cross_validate(
         desk_dataset, RunConfig(folds=10, train_per_class=40, val_per_class=10, split_seed=0, train=cfg)
     )
@@ -197,7 +206,7 @@ def test_criterion_7_pipeline_invariant_suite():
     tensors = np.stack([(rng.random((3, 16, 8)) * 100).astype(np.float32) for _ in range(32)])
     mean = compute_mean_tensor(tensors, range(32))
     residual = np.mean(
-        [mean_normalize(rn.RdTensor(x), mean).values.astype(np.float64) for x in tensors], axis=0
+        [mean_normalize(RdTensor(x), mean).values.astype(np.float64) for x in tensors], axis=0
     )
     assert np.max(np.abs(residual)) < 1e-5
 
@@ -217,7 +226,7 @@ def test_criterion_7_pipeline_invariant_suite():
     from radarnet.dataset import Dataset, balanced_batches
     from pathlib import Path
 
-    ds = Dataset(Path("."), {c: 50 for c in "ABCDEG"}, 0, P, rn.ProfileTable(), 32)
+    ds = Dataset(Path("."), {c: 50 for c in "ABCDEG"}, 0, P, ProfileTable(), 32)
     all_ids = {r.sample_id for r in ds.records}
     assert len(all_ids) == len(ds) == 300
     for fold in stratified_fold_split(ds, 4, 30, 10, seed=1):
@@ -227,7 +236,7 @@ def test_criterion_7_pipeline_invariant_suite():
         for c in "ABCDEG":
             assert sum(1 for i in fold.train_ids if i.startswith(c)) == 30
             assert sum(1 for i in fold.val_ids if i.startswith(c)) == 10
-    ids_by_class = {rn.VehicleClass(c): [f"{c}{i}" for i in range(7 + ord(c) % 3)] for c in "ABCDEG"}
+    ids_by_class = {VehicleClass(c): [f"{c}{i}" for i in range(7 + ord(c) % 3)] for c in "ABCDEG"}
     batches = balanced_batches(ids_by_class, seed=3)
     assert len(batches) == min(len(v) for v in ids_by_class.values())
     for batch in batches:
@@ -236,8 +245,8 @@ def test_criterion_7_pipeline_invariant_suite():
     # confusion-matrix totals
     from radarnet.evaluation import confusion_matrix
 
-    preds = [rn.VehicleClass(c) for c in "AABCDEGGG"]
-    labels = [rn.VehicleClass(c) for c in "ABBCDEGGA"]
+    preds = [VehicleClass(c) for c in "AABCDEGGG"]
+    labels = [VehicleClass(c) for c in "ABBCDEGGA"]
     m = confusion_matrix(preds, labels)
     assert m.total == len(preds)
     assert m.accuracy == np.trace(m.counts) / len(preds)

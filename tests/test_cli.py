@@ -17,9 +17,9 @@ import pytest
 import radarnet
 from radarnet import evaluation
 from radarnet.cli import RUN_FIELDS, TRAIN_FIELDS, _load_run_config, build_parser, main
-from radarnet.config import JSON_TYPES, SKEWED_COUNTS, RunConfig
+from radarnet.config import SKEWED_COUNTS, RunConfig
 from radarnet.dataset import load_dataset, load_tensor, save_signal, save_tensor, stratified_fold_split
-from radarnet.network import TrainConfig
+from radarnet.network import ConfigError, TrainConfig
 from radarnet.radar import (
     PointTarget,
     RadarParams,
@@ -94,14 +94,15 @@ class TestGenerate:
         assert str(tmp_path / "a" / "b") in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, words", [
-        (["--target-width", "0"], ["target width", "0"]),
+        (["--target-width", "0"], ["target_width", "0"]),
         (["--freq-range", "10:5"], ["(10, 5)"]),
         (["--freq-range", "0:258"], ["(0, 258)"]),
         (["--freq-range", "5"], ["--freq-range", "'5'"]),
         (["--freq-range", "a:9"], ["--freq-range", "'a:9'"]),
         (["--counts", "A"], ["--counts", "'A'"]),
         (["--counts", "A=1,B=x"], ["--counts", "'B=x'"]),
-        (["--counts", "A=1,a=2"], ["--counts", "class A", "twice"]),
+        (["--counts", "A=1,a=2"], ["counts_per_class", "class A", "twice"]),
+        (["--counts", "A=1,A=2"], ["--counts", "class A", "twice"]),
     ])
     def test_bad_argument_exits_1_before_writing(self, tmp_path, capsys, args, words):
         out = tmp_path / "ds"
@@ -186,7 +187,7 @@ class TestPlot:
                    "--crop", "--target-width", "0"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == "error: target width must be at least 1, got 0\n"
+        assert err == "error: target_width must be an integer >= 1, got 0\n"
         assert not (tmp_path / "x.pgm").exists()
 
     def test_sweep_of_another_bandwidth_exits_1(self, wide_sweep_signal, tmp_path, capsys):
@@ -642,7 +643,8 @@ class TestCv:
         rc = main([command, "-d", str(workspace / "ds"), "-o", str(tmp_path / "out"),
                    *SPLIT_ARGS, *quotas, "--epochs", "1"])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: folds and quotas must be at least 1")
+        field = quotas[0].removeprefix("--").replace("-", "_")
+        assert capsys.readouterr().err == f"error: {field} must be an integer >= 1, got {quotas[1]}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -788,8 +790,82 @@ class TestConfig:
                      "--train-per-class", "1", "--val-per-class", "1", "--epochs", "1"]) == 0
         capsys.readouterr()
 
-    def test_config_types_cover_every_field(self):
-        assert set(JSON_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}
+    # for every field, values of the wrong type or out of range
+    _BAD_VALUES = [
+        ("radar", 5), ("radar", {"f0": -1}),
+        ("profiles", 5), ("profiles", {"snr_db": "x"}),
+        ("counts_per_class", 5), ("counts_per_class", {}), ("counts_per_class", {"A": 0}),
+        ("counts_per_class", {"A": 1.5}), ("counts_per_class", {"A": True}), ("counts_per_class", {"Q": 1}),
+        ("counts_per_class", {1: 2}),
+        ("target_width", "32"), ("target_width", 0), ("target_width", True), ("target_width", 2.0),
+        ("freq_range", [0]), ("freq_range", "0:9"), ("freq_range", [0.0, 9]), ("freq_range", [-1, 9]),
+        ("freq_range", [9, 9]), ("freq_range", [0, 258]),
+        ("preset", "huge"), ("preset", 1), ("preset", ["mini"]),
+        ("train", 5), ("train", {"seed": -1}),
+        ("folds", 0), ("folds", "2"), ("folds", True),
+        ("train_per_class", 0), ("train_per_class", 1.5),
+        ("val_per_class", -1), ("val_per_class", None),
+        ("base_seed", -1), ("base_seed", "1"), ("base_seed", False),
+        ("split_seed", -1), ("split_seed", 2.5),
+    ]
+
+    def test_bad_values_cover_every_field(self):
+        assert {key for key, _ in self._BAD_VALUES} == {f.name for f in dataclasses.fields(RunConfig)}
+
+    @pytest.mark.parametrize("key, value", _BAD_VALUES)
+    def test_bad_value_refused_from_python_and_from_json(self, tmp_path, capsys, key, value):
+        with pytest.raises(ValueError):
+            RunConfig(**{key: value})
+        (tmp_path / "bad.json").write_text(json.dumps({key: value}))
+        assert main(["config", "--config", str(tmp_path / "bad.json"), "--dump"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+    _UNRUNNABLE = {"preset": "huge", "folds": 0, "base_seed": -2, "target_width": -1, "train": {"seed": -5}}
+
+    @pytest.mark.parametrize("key", [*_UNRUNNABLE, None])
+    def test_dump_refuses_a_run_that_cannot_run(self, tmp_path, capsys, key):
+        # each value alone is refused by its name, and the run of all five is refused
+        run = self._UNRUNNABLE if key is None else {key: self._UNRUNNABLE[key]}
+        (tmp_path / "bad.json").write_text(json.dumps(run))
+        assert main(["config", "--config", str(tmp_path / "bad.json"), "--dump"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert key is None or ("seed" if key == "train" else key) in err, err
+
+    @pytest.mark.parametrize("command, flag, run, words", [
+        ("generate", ["--seed", "-1"], {"base_seed": -1}, "base_seed must be an integer >= 0, got -1"),
+        ("train", ["--split-seed", "-1"], {"split_seed": -1}, "split_seed must be an integer >= 0, got -1"),
+        ("train", ["--train-seed", "-1"], {"train": {"seed": -1}}, "seed must be >= 0"),
+        ("cv", ["--split-seed", "-1"], {"split_seed": -1}, "split_seed must be an integer >= 0, got -1"),
+    ], ids=["generate-seed", "train-split-seed", "train-train-seed", "cv-split-seed"])
+    @pytest.mark.parametrize("given", ["flag", "json"])
+    def test_negative_seed_exits_1_before_writing(self, workspace, tmp_path, capsys, command, flag, run, words,
+                                                  given):
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "cfg" / "neg.json").write_text(json.dumps(run))
+        out = tmp_path / "out" / "neg"
+        (tmp_path / "out").mkdir()
+        where = ["-o", str(out), "--counts", "A=2"] if command == "generate" else ["-d", str(workspace / "ds"),
+                                                                                  "-o", str(out), *SPLIT_ARGS]
+        source = flag if given == "flag" else ["--config", str(tmp_path / "cfg" / "neg.json")]
+        assert main([command, *where, *source]) == 1
+        assert capsys.readouterr().err == f"error: {words}\n"
+        assert list((tmp_path / "out").iterdir()) == []     # neither the output nor a .partial sibling
+
+    _TWO_A = {"length_range": [4.5, 5.0], "speed_range": [25, 36], "reflectivity_range": [0.1, 0.18]}
+
+    def test_profile_class_named_twice_is_refused_by_from_dict(self):
+        with pytest.raises(ConfigError, match="profiles.classes names class A twice, as 'A' and 'a'"):
+            RunConfig.from_dict({"profiles": {"classes": {"A": self._TWO_A, "a": self._TWO_A}}})
+
+    def test_profile_class_named_twice_exits_1(self, tmp_path, capsys):
+        (tmp_path / "twice.json").write_text(json.dumps({"profiles": {"classes": {"A": self._TWO_A,
+                                                                                  "a": self._TWO_A}}}))
+        out = tmp_path / "ds"
+        assert main(["generate", "--config", str(tmp_path / "twice.json"), "-o", str(out), "--counts", "A=2"]) == 1
+        assert capsys.readouterr().err == "error: profiles.classes names class A twice, as 'A' and 'a'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["twice.json"]
 
     # a config file whose values differ from the defaults and from every flag value below
     _FILE = {"base_seed": 11, "target_width": 20, "freq_range": [0, 100], "counts_per_class": {"A": 1},
