@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import dataset as ds_mod
 from . import evaluation, network
-from .config import COUNT_PRESETS, QUOTA_PRESETS, RUN_FIELDS, RunConfig
+from .config import COUNT_PRESETS, QUOTA_PRESETS, RUN_FIELDS, RunConfig, dump_json, read_json
 from .radar import CLASS_ORDER
-from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor
+from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor, tensor_shape
 
 
 def _parse_counts(text):
@@ -43,7 +42,7 @@ def _load_run_config(args, data=None) -> RunConfig:
     or train.<field> of its TrainConfig.  A file that names a setting of data with another value
     is a ValueError naming both; every value meets RunConfig's checks."""
     given = vars(args)
-    named = {} if args.config is None else json.loads(Path(args.config).read_text(encoding="utf-8"))
+    named = {} if args.config is None else read_json(args.config)
     settings = {} if data is None else data.settings
     made = RunConfig(**settings).to_record(settings)
     cfg = RunConfig.from_dict({**made, **named} if isinstance(named, dict) else named)
@@ -129,7 +128,7 @@ def cmd_plot(args) -> int:
 
 
 def _write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(dump_json(obj), encoding="utf-8")
 
 
 def _model_paths(weights_path):
@@ -148,8 +147,7 @@ def _save_model(weights_path, net, mean_tensor, cfg: RunConfig, fold: int):
     wpath, mpath, metapath = _model_paths(weights_path)
     network.save_weights(net, wpath)
     ds_mod.save_tensor(mean_tensor, mpath)
-    _write_json(metapath, {"format_version": MODEL_VERSION, "class_order": list(CLASS_ORDER), "fold": fold,
-                           **cfg.to_record(MODEL_KEYS)})
+    cfg.write_record(metapath, MODEL_VERSION, MODEL_KEYS, class_order=list(CLASS_ORDER), fold=fold)
 
 
 def _split_fold(ds, cfg: RunConfig, index):
@@ -181,25 +179,21 @@ def _load_model(weights_path):
     """The network, its fold mean, the run settings it is valid for (the MODEL_KEYS its meta
     holds) and the index of the fold of that split it was trained on."""
     wpath, mpath, metapath = _model_paths(weights_path)
-    if not mpath.exists():
-        raise FileNotFoundError(f"mean tensor {mpath} not found beside the weights")
-    if not metapath.exists():
-        raise FileNotFoundError(f"model meta {metapath} not found beside the weights")
-    meta = json.loads(metapath.read_text(encoding="utf-8"))
-    try:
-        if not isinstance(meta, dict):
-            raise network.ConfigError("not a JSON object")
-        for key, expected in (("format_version", MODEL_VERSION), ("class_order", list(CLASS_ORDER))):
-            if meta.get(key) != expected:
-                raise network.ConfigError(f"{key.replace('_', ' ')} {meta.get(key)}, expected {expected}")
-        model = RunConfig.from_record(meta, MODEL_KEYS)
-        fold = meta.get("fold")
-        if isinstance(fold, bool) or not isinstance(fold, int) or not 0 <= fold < model.folds:
-            raise network.ConfigError(f"fold {fold!r} is not one of its {model.folds} folds")
-    except ValueError as exc:
-        raise network.ConfigError(f"model meta {metapath}: {exc}") from None
     mean = ds_mod.load_tensor(mpath)
-    net = network.build_network(model.preset, input_shape=mean.shape)
+    try:
+        model, meta = RunConfig.read_record(metapath, MODEL_VERSION, MODEL_KEYS, extra=("class_order", "fold"))
+        if meta["class_order"] != list(CLASS_ORDER):
+            raise network.ConfigError(f"{metapath}: class order {meta['class_order']}, expected {list(CLASS_ORDER)}")
+        fold = meta["fold"]
+        if isinstance(fold, bool) or not isinstance(fold, int) or not 0 <= fold < model.folds:
+            raise network.ConfigError(f"{metapath}: fold {fold!r} is not one of its {model.folds} folds")
+    except ValueError as exc:     # its message begins with the meta's path
+        raise network.ConfigError(f"model meta {exc}") from None
+    shape = tensor_shape(model.radar, model.target_width, model.freq_range)
+    if mean.shape != shape:
+        raise network.ConfigError(f"mean tensor {mpath} has shape {mean.shape}, "
+                                  f"but model meta {metapath} gives the input shape {shape}")
+    net = network.build_network(model.preset, input_shape=shape)
     network.load_weights(net, wpath)
     return net, mean, model, fold
 
@@ -257,7 +251,7 @@ def cmd_predict(args) -> int:
 def cmd_config(args) -> int:
     cfg = _load_run_config(args)
     if args.dump:
-        sys.stdout.write(cfg.to_json())
+        sys.stdout.write(dump_json(cfg.to_dict()))
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 
 from .network import PRESETS, ConfigError, TrainConfig
 from .radar import CLASS_ORDER, ClassProfile, ProfileTable, RadarParams, VehicleClass
@@ -25,6 +26,19 @@ QUOTA_PRESETS = {
     "desk": {"train_per_class": 40, "val_per_class": 10},
     "full": {"train_per_class": 400, "val_per_class": 45},
 }
+
+
+def dump_json(obj) -> str:
+    """obj as every artifact spells JSON: indented two spaces, keys sorted, one closing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def read_json(path):
+    """The JSON document in the file at path; a file that is not UTF-8 JSON is a ConfigError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:   # a UnicodeDecodeError or a JSONDecodeError
+        raise ConfigError(f"{path}: not a UTF-8 JSON document ({exc})") from None
 
 
 def _check_object(key, value):
@@ -148,23 +162,40 @@ class RunConfig:
         d = self.to_dict()
         return {key: d[key] for key in keys}
 
-    @classmethod
-    def from_record(cls, record: dict, keys) -> "RunConfig":
-        """The run a record names, which must give every key and spell each value whole: a value
-        that does not read back through to_record and JSON as written (one left to a default) is
-        a ConfigError naming its key."""
-        for key in keys:
-            if key not in record:
-                raise ConfigError(f"field {key!r} is missing")
-        cfg = cls.from_dict({key: record[key] for key in keys})
-        spelled = json.loads(json.dumps(cfg.to_record(keys)))
-        for key in keys:
-            if spelled[key] != record[key]:
-                raise ConfigError(f"field {key!r} does not name every value; it reads as {spelled[key]}")
-        return cfg
+    def write_record(self, path, version, keys, **extra) -> None:
+        """Write at path the record of this run an artifact keeps: its format version, the extra
+        fields and the keys' slice of to_dict."""
+        Path(path).write_text(dump_json({"format_version": version, **extra, **self.to_record(keys)}),
+                              encoding="utf-8")
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+    @classmethod
+    def read_record(cls, path, version, keys, extra=()) -> tuple:
+        """The run the record at path names, and the record.  The record is a JSON object of
+        format_version, an int equal to version, and of the extra fields and the keys, each
+        present and no other; every key's value must read back through to_record and JSON as
+        written, so a value left to a default is refused.  Each refusal is a ConfigError that
+        begins with the path."""
+        record = read_json(path)
+        try:
+            if not isinstance(record, dict):
+                raise ConfigError("not a JSON object")
+            found = record.get("format_version")
+            if type(found) is not int or found != version:
+                raise ConfigError(f"format version {found!r}, expected {version}")
+            for key in record:
+                if key != "format_version" and key not in extra and key not in keys:
+                    raise ConfigError(f"unknown field {key!r}")
+            for key in (*extra, *keys):
+                if key not in record:
+                    raise ConfigError(f"field {key!r} is missing")
+            cfg = cls.from_dict({key: record[key] for key in keys})
+            spelled = json.loads(json.dumps(cfg.to_record(keys)))
+            for key in keys:
+                if spelled[key] != record[key]:
+                    raise ConfigError(f"field {key!r} does not name every value; it reads as {spelled[key]}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        return cfg, record
 
 
 RUN_FIELDS = {f.name for f in fields(RunConfig)}

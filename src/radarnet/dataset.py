@@ -14,7 +14,6 @@ construction).
 
 from __future__ import annotations
 
-import json
 import math
 import shutil
 import struct
@@ -107,8 +106,9 @@ def _check_size(data: bytes, expected: int) -> None:
         raise TrailingBytesError(f"{len(data) - expected} trailing bytes")
 
 
-def tensor_from_bytes(data: bytes) -> np.ndarray:
+def load_tensor(path) -> np.ndarray:
     """The float32 [3, H, W] array an .rdt file holds."""
+    data = Path(path).read_bytes()
     _check_header(data, TENSOR_MAGIC, 16)
     c, h, w = struct.unpack("<III", data[4:16])
     if min(c, h, w) == 0 or max(c, h, w) > MAX_DIM or c * h * w > MAX_ELEMENTS:
@@ -117,10 +117,6 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
         raise HeaderFieldError(f"{c} channels, expected 3 (up, down, average)")
     _check_size(data, 16 + c * h * w * 4)
     return np.frombuffer(data, dtype="<f4", count=c * h * w, offset=16).reshape(c, h, w).copy()
-
-
-def load_tensor(path) -> np.ndarray:
-    return tensor_from_bytes(Path(path).read_bytes())
 
 
 def save_signal(sig: BeatSignal, path) -> None:
@@ -255,35 +251,22 @@ class Dataset:
         row = self._index[sample_id]
         return RdTensor(values=self.tensors[row], label=self.records[row].class_label)
 
-    def manifest_dict(self) -> dict:
-        return {"format_version": MANIFEST_VERSION, **RunConfig(**self.settings).to_record(DATA_KEYS)}
-
 
 def load_dataset(root) -> Dataset:
     """The dataset a manifest.json describes; ManifestError if it describes none."""
     root = Path(root)
     path = root / "manifest.json"
-    where = str(path)
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"{where}: not a UTF-8 JSON document ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise ManifestError(f"{where}: not a JSON object")
-    version = manifest.get("format_version")
-    if type(version) is not int or version != MANIFEST_VERSION:
-        raise ManifestError(f"{where}: format version {version!r}, expected {MANIFEST_VERSION}")
-    for key in manifest:
-        if key != "format_version" and key not in DATA_KEYS:
-            raise ManifestError(f"{where}: unknown field {key!r}")
+        made, _ = RunConfig.read_record(path, MANIFEST_VERSION, DATA_KEYS)
+    except ValueError as exc:     # its message begins with the path
+        raise ManifestError(str(exc)) from None
     try:
-        made = RunConfig.from_record(manifest, DATA_KEYS)
         shape = tensor_shape(made.radar, made.target_width, made.freq_range)
         if math.prod(shape) > MAX_ELEMENTS:
             raise ValueError(f"tensor shape {shape} exceeds {MAX_ELEMENTS} elements")
         return Dataset(root, **{key: getattr(made, key) for key in DATA_KEYS})
     except ValueError as exc:
-        raise ManifestError(f"{where}: {exc}") from None
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 def generate_dataset(
@@ -329,8 +312,7 @@ def generate_dataset(
         if keep_signals:
             (partial / "signals").mkdir()
         run_on_cores(len(records), write_sample)
-        manifest = json.dumps(ds.manifest_dict(), indent=2, sort_keys=True) + "\n"
-        (partial / "manifest.json").write_text(manifest, encoding="utf-8")
+        RunConfig(**ds.settings).write_record(partial / "manifest.json", MANIFEST_VERSION, DATA_KEYS)
         partial.rename(out_dir)     # replaces an empty directory
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)

@@ -478,25 +478,17 @@ def read_weight_records(path) -> dict:
 
 
 def load_weights(net: Network, path) -> None:
-    """Load parameters in place.  A record that names no parameter of the
-    network raises WeightShapeError before anything is loaded.
+    """Load parameters in place through set_params.  A record that names no parameter of the
+    network, or a parameter without a record of its shape, raises WeightShapeError before
+    anything is loaded.
     """
     records = read_weight_records(path)
     params = net.params()
     extra = sorted(set(records) - set(params))
     if extra:
         raise WeightShapeError("weight records matching no parameter: " + ", ".join(extra))
-    bad = []
-    for name in sorted(params):
-        layer_name = name.split(".")[0]
-        rec = records.get(name)
-        if rec is None or rec.shape != params[name].shape:
-            bad.append(layer_name)
-            continue
-        params[name][...] = rec.astype(net.dtype)
+    bad = {name.split(".")[0] for name, arr in params.items()
+           if name not in records or records[name].shape != arr.shape}
     if bad:
-        raise WeightShapeError(
-            "missing or mismatched weight records for layer(s): "
-            + ", ".join(sorted(set(bad)))
-        )
-    net.bump_version()
+        raise WeightShapeError("missing or mismatched weight records for layer(s): " + ", ".join(sorted(bad)))
+    net.set_params(records)

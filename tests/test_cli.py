@@ -429,7 +429,7 @@ class TestTrainEvalPredict:
         rc = main(["predict", "-w", str(orphan),
                    str(workspace / "ds" / "tensors" / "A0000.rdt")])
         assert rc == 1
-        assert "mean" in capsys.readouterr().err
+        assert "orphan.mean.rdt" in capsys.readouterr().err
 
     def test_missing_meta_exits_1(self, workspace, tmp_path, capsys):
         for suffix in (".rdw", ".mean.rdt"):
@@ -539,10 +539,14 @@ class TestMalformedModelMeta:
         # the other five radar values would come from the defaults, which may move under the model
         (lambda m: {**m, "radar": {"delta_f": 120e6}}, ["field 'radar' does not name every value"]),
         (lambda m: {k: v for k, v in m.items() if k != "base_seed"}, ["field 'base_seed' is missing"]),
+        # the manifest's rule: the version is the integer 4, and no key beyond the record's
+        (lambda m: {**m, "format_version": 4.0}, ["format version 4.0, expected 4"]),
+        (lambda m: {**m, "format_version": True}, ["format version True, expected 4"]),
+        (lambda m: {**m, "typo_fold": 7}, ["unknown field 'typo_fold'"]),
     ], ids=["unknown-radar-field", "string-samples-per-ramp", "scalar-freq-range", "list", "no-preset",
             "no-format-version", "format-version-1", "format-version-2", "format-version-3", "old-radar-keys",
             "class-order", "no-split-seed", "fold-out-of-range", "string-fold", "radar-without-every-value",
-            "no-base-seed"])
+            "no-base-seed", "float-format-version", "bool-format-version", "unknown-key"])
     def test_exits_1(self, workspace, tmp_path, capsys, command, edit, words):
         for suffix in (".rdw", ".mean.rdt"):
             (tmp_path / f"model{suffix}").write_bytes((workspace / f"model{suffix}").read_bytes())
@@ -557,6 +561,29 @@ class TestMalformedModelMeta:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "model.meta.json" in err
         assert all(w in err for w in words), err
+
+    @pytest.mark.parametrize("text", [b'{"format_version": 4, ', b'{"format_version": 4}\xff'],
+                             ids=["truncated", "not-utf8"])
+    def test_undecodable_meta_exits_1(self, workspace, tmp_path, capsys, text):
+        for suffix in (".rdw", ".mean.rdt"):
+            (tmp_path / f"model{suffix}").write_bytes((workspace / f"model{suffix}").read_bytes())
+        (tmp_path / "model.meta.json").write_bytes(text)
+        rc = main(["predict", "-w", str(tmp_path / "model.rdw"), str(workspace / "ds" / "tensors" / "A0000.rdt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model meta {tmp_path / 'model.meta.json'}: not a UTF-8 JSON document"), err
+
+    def test_mean_of_another_width_exits_1(self, workspace, tmp_path, capsys):
+        # an input as wide as the mean would pass mean_normalize, and the net would take it
+        for suffix in (".rdw", ".meta.json"):
+            (tmp_path / f"model{suffix}").write_bytes((workspace / f"model{suffix}").read_bytes())
+        save_tensor(np.zeros((3, 257, 33), dtype=np.float32), tmp_path / "model.mean.rdt")
+        save_tensor(np.ones((3, 257, 33), dtype=np.float32), tmp_path / "wide.rdt")
+        rc = main(["predict", "-w", str(tmp_path / "model.rdw"), str(tmp_path / "wide.rdt")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "model.meta.json" in err
+        assert "(3, 257, 33)" in err and "(3, 257, 32)" in err
 
 
 class TestMalformedManifest:
@@ -670,6 +697,14 @@ class TestConfig:
         assert len(cfg["radar"]) == 6
         assert cfg["target_width"] == 32
         assert cfg["folds"] == 10
+
+    @pytest.mark.parametrize("text", [b'{"folds": ', b'{"folds": 2}\xff'], ids=["truncated", "not-utf8"])
+    def test_undecodable_config_exits_1_naming_it(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        assert main(["config", "--config", str(bad), "--dump"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bad}: not a UTF-8 JSON document"), err
 
     def test_invalid_config_field_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

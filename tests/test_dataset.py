@@ -17,6 +17,7 @@ from radarnet.dataset import (
     Dataset,
     DimensionOverflowError,
     HeaderFieldError,
+    MANIFEST_VERSION,
     MAX_DIM,
     ManifestError,
     SampleRecord,
@@ -255,8 +256,8 @@ class TestGenerateDataset:
         assert [(r.sample_id, r.class_label.value, r.seed) for r in loaded.records] == [
             (sample_id, sample_id[0], 5 + i) for i, sample_id in enumerate(ids)]
         assert RunConfig(**loaded.settings) == RunConfig(**ds.settings) == run
-        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-        record = json.loads(json.dumps(RunConfig.from_record(manifest, DATA_KEYS).to_record(DATA_KEYS)))
+        made, manifest = RunConfig.read_record(tmp_path / "ds" / "manifest.json", MANIFEST_VERSION, DATA_KEYS)
+        record = json.loads(json.dumps(made.to_record(DATA_KEYS)))
         assert record == {key: value for key, value in manifest.items() if key != "format_version"}
         for i, sample_id in enumerate(ids):
             scenario = sample_vehicle_scenario(sample_id[0], 5 + i, ProfileTable())

@@ -869,6 +869,16 @@ class TestWeightPersistence:
         for name, arr in target.params().items():
             np.testing.assert_array_equal(arr, before[name])
 
+    def test_refused_file_leaves_every_parameter_unchanged(self, tmp_path):
+        # every record but fc1's fits the target; none of them may be loaded
+        save_weights(build_network("mini", (3, 129, 32), seed=0), tmp_path / "w.rdw")
+        target = _mini(seed=8)
+        before = target.snapshot()
+        with pytest.raises(WeightShapeError, match="fc1"):
+            load_weights(target, tmp_path / "w.rdw")
+        for name, arr in target.params().items():
+            assert arr.tobytes() == before[name].tobytes(), name
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "w.rdw").write_bytes(b"ZZZZ betrayal")
         with pytest.raises(WeightsFormatError):
