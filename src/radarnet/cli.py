@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import dataset as ds_mod
 from . import evaluation, network
-from .config import COUNT_PRESETS, QUOTA_PRESETS, RUN_FIELDS, RunConfig, dump_json, read_json
+from .config import COUNT_PRESETS, QUOTA_PRESETS, RUN_FIELDS, ConfigError, RunConfig, dump_json, read_json
 from .radar import CLASS_ORDER
 from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor, tensor_shape
 
@@ -40,12 +40,16 @@ def _load_run_config(args, data=None) -> RunConfig:
     """The --config file (or the defaults) over the settings of data, a loaded dataset, then the
     presets, then each override flag given, whose dest is the field it sets: a RunConfig field,
     or train.<field> of its TrainConfig.  A file that names a setting of data with another value
-    is a ValueError naming both; every value meets RunConfig's checks."""
+    is a ValueError naming both; every value meets RunConfig's checks, and a refusal of the
+    file's contents names the file."""
     given = vars(args)
     named = {} if args.config is None else read_json(args.config)
     settings = {} if data is None else data.settings
     made = RunConfig(**settings).to_record(settings)
-    cfg = RunConfig.from_dict({**made, **named} if isinstance(named, dict) else named)
+    try:
+        cfg = RunConfig.from_dict({**made, **named} if isinstance(named, dict) else named)
+    except ValueError as exc:   # the data's own settings passed these checks when it was read
+        raise ConfigError(f"{args.config}: {exc}") from None
     for key, theirs in settings.items():
         ours = getattr(cfg, key)
         if ours != theirs:

@@ -8,7 +8,7 @@ reproduces any run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .network import PRESETS, ConfigError, TrainConfig
@@ -202,7 +202,7 @@ RUN_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def apply_count_preset(cfg: RunConfig, name: str) -> RunConfig:
+    """A new run: cfg with the named preset's class counts; cfg is left as it is."""
     if name not in COUNT_PRESETS:
         raise ValueError(f"unknown count preset {name!r}, expected one of {sorted(COUNT_PRESETS)}")
-    cfg.counts_per_class = dict(COUNT_PRESETS[name])
-    return cfg
+    return replace(cfg, counts_per_class=dict(COUNT_PRESETS[name]))

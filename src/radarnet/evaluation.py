@@ -154,8 +154,8 @@ def train_fold(
             x -= mean
             # row j keeps the dropout stream it had as the batch's j-th sample
             seeds = [[cfg.seed, fold.fold_index, epoch, b_i, j] for j in range(len(batch))]
-            scores, cache = net.forward(x, rng=seeds)
-            loss, dlogits = loss_and_grad(scores, [train_labels[pos] for pos in batch])
+            logits, cache = net.forward(x, rng=seeds)
+            loss, dlogits = loss_and_grad(logits, [train_labels[pos].index for pos in batch])
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at fold {fold.fold_index} epoch {epoch} batch {b_i}"

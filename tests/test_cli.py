@@ -17,7 +17,7 @@ import pytest
 import radarnet
 from radarnet import evaluation
 from radarnet.cli import RUN_FIELDS, TRAIN_FIELDS, _load_run_config, build_parser, main
-from radarnet.config import SKEWED_COUNTS, RunConfig
+from radarnet.config import DESK_COUNTS, SKEWED_COUNTS, RunConfig, apply_count_preset
 from radarnet.dataset import load_dataset, load_tensor, save_signal, save_tensor, stratified_fold_split
 from radarnet.network import ConfigError, TrainConfig
 from radarnet.radar import (
@@ -118,7 +118,7 @@ class TestGenerate:
         rc = main(["generate", "-o", str(tmp_path / "g"), "--counts", "A=2", "--config", str(cfg)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: scatterers must sit at or behind the radar"), err
+        assert err.startswith(f"error: {cfg}: scatterers must sit at or behind the radar"), err
         assert not (tmp_path / "g").exists()
 
     def test_nyquist_failure_leaves_no_directory(self, tmp_path, capsys):
@@ -706,6 +706,26 @@ class TestConfig:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {bad}: not a UTF-8 JSON document"), err
 
+    @pytest.mark.parametrize("text, words", [
+        ("[1]", "a run config is a JSON object, not list"),
+        ('{"typo": 1}', "unknown config field 'typo'"),
+        ('{"folds": 0}', "folds must be an integer >= 1, got 0"),
+    ], ids=["list", "unknown-field", "zero-folds"])
+    def test_refused_config_contents_name_the_file(self, tmp_path, capsys, text, words):
+        bad = tmp_path / "arr.json"
+        bad.write_text(text)
+        assert main(["config", "--config", str(bad), "--dump"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {bad}: {words}\n"
+
+    def test_count_preset_makes_a_new_run(self):
+        cfg = RunConfig(counts_per_class={"A": 2})
+        made = apply_count_preset(cfg, "desk")
+        assert made == RunConfig(counts_per_class=DESK_COUNTS) and made is not cfg
+        assert cfg == RunConfig(counts_per_class={"A": 2})
+        with pytest.raises(ValueError, match="unknown count preset 'huge'"):
+            apply_count_preset(cfg, "huge")
+
     def test_invalid_config_field_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"no_such_field": 1}')
@@ -776,7 +796,7 @@ class TestConfig:
         cfg.write_text(text)
         out = tmp_path / "ds"
         assert main(["generate", "--config", str(cfg), "-o", str(out), *GEN_ARGS]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {words}")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {words}")
         assert not out.exists()
         assert main(["config", "--config", str(cfg), "--dump"]) == 1
 
@@ -785,7 +805,7 @@ class TestConfig:
         cfg.write_text('{"train": {"learning_rate": NaN}}')
         assert main(["config", "--config", str(cfg), "--dump"]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: learning_rate must be positive and finite, got nan\n"
+        assert out == "" and err == f"error: {cfg}: learning_rate must be positive and finite, got nan\n"
 
     def test_empty_class_counts_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "empty.json"
@@ -801,7 +821,7 @@ class TestConfig:
         cfg.write_text('{"counts_per_class": {"a": 2, "A": 3}}')
         out = tmp_path / "ds"
         assert main(["generate", "--config", str(cfg), "-o", str(out)]) == 1
-        assert capsys.readouterr().err == "error: counts_per_class names class A twice, as 'a' and 'A'\n"
+        assert capsys.readouterr().err == f"error: {cfg}: counts_per_class names class A twice, as 'a' and 'A'\n"
         assert not out.exists()
 
     def test_unknown_class_key_exits_1(self, tmp_path, capsys):
@@ -810,7 +830,7 @@ class TestConfig:
         out = tmp_path / "ds"
         assert main(["generate", "--config", str(cfg), "-o", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: counts_per_class: unknown vehicle class 'q'"), err
+        assert err.startswith(f"error: {cfg}: counts_per_class: unknown vehicle class 'q'"), err
         assert not out.exists()
 
     def test_lowercase_class_keys_name_the_data_they_made(self, tmp_path, capsys):
@@ -885,7 +905,8 @@ class TestConfig:
                                                                                   "-o", str(out), *SPLIT_ARGS]
         source = flag if given == "flag" else ["--config", str(tmp_path / "cfg" / "neg.json")]
         assert main([command, *where, *source]) == 1
-        assert capsys.readouterr().err == f"error: {words}\n"
+        named = "" if given == "flag" else f"{tmp_path / 'cfg' / 'neg.json'}: "     # a flag is in no file
+        assert capsys.readouterr().err == f"error: {named}{words}\n"
         assert list((tmp_path / "out").iterdir()) == []     # neither the output nor a .partial sibling
 
     _TWO_A = {"length_range": [4.5, 5.0], "speed_range": [25, 36], "reflectivity_range": [0.1, 0.18]}
@@ -899,7 +920,8 @@ class TestConfig:
                                                                                   "a": self._TWO_A}}}))
         out = tmp_path / "ds"
         assert main(["generate", "--config", str(tmp_path / "twice.json"), "-o", str(out), "--counts", "A=2"]) == 1
-        assert capsys.readouterr().err == "error: profiles.classes names class A twice, as 'A' and 'a'\n"
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'twice.json'}: "
+                                           "profiles.classes names class A twice, as 'A' and 'a'\n")
         assert [p.name for p in tmp_path.iterdir()] == ["twice.json"]
 
     # a config file whose values differ from the defaults and from every flag value below

@@ -34,6 +34,7 @@ from radarnet.network import (
     read_weight_records,
     save_weights,
     sgd_step,
+    softmax,
 )
 from radarnet.radar import VehicleClass
 
@@ -43,6 +44,7 @@ from _oracles import (
     naive_conv2d_weight_grad,
     naive_maxpool_backward,
     naive_response_norm,
+    two_step_loss_and_grad,
 )
 
 MINI_SHAPE = (3, 257, 32)
@@ -80,8 +82,8 @@ class TestBuildNetwork:
 
     def test_mini_preset_output(self):
         net = _mini()
-        scores, _ = net.forward(_x32()[None])
-        assert scores.shape == (1, 6)
+        logits, _ = net.forward(_x32()[None])
+        assert logits.shape == (1, 6)
 
     def test_bad_preset_and_shapes(self):
         with pytest.raises(ValueError):
@@ -181,20 +183,25 @@ class TestWithPrecision:
 
 class TestForward:
     def test_probabilities(self):
+        # forward ends at the output layer's logits; softmax makes them probabilities
         net = _mini()
         for seed in range(5):
-            scores, _ = net.forward(_x32(seed)[None])
-            assert scores.sum() == pytest.approx(1.0, abs=1e-6)
-            assert np.all(scores > 0.0)
+            x = _x32(seed)[None]
+            logits, cache = net.forward(x)
+            layer, fc2_cache = cache.entries[-1]
+            assert layer.name == "fc2"
+            np.testing.assert_array_equal(logits, layer.forward(fc2_cache[0])[0])
+            probs = softmax(logits)
+            assert probs.dtype == np.float32
+            assert probs.sum() == pytest.approx(1.0, abs=1e-6)
+            assert np.all(probs > 0.0)
 
     def test_shift_invariance_of_softmax(self):
-        from radarnet.layers import Softmax
-
-        sm = Softmax("s")
-        logits = np.array([1.0, -2.0, 0.5, 3.0, 0.0, -1.0])
-        a, _ = sm.forward(logits)
-        b, _ = sm.forward(logits + 123.456)
-        np.testing.assert_allclose(a, b, atol=1e-6)
+        logits = np.array([[1.0, -2.0, 0.5, 3.0, 0.0, -1.0], [0.0, 0.0, 1e3, 0.0, -1e3, 2.0]])
+        a = softmax(logits)
+        np.testing.assert_allclose(a, softmax(logits + 123.456), atol=1e-6)
+        np.testing.assert_allclose(a, softmax(logits - [[5.0], [-7.0]]), atol=1e-6)
+        np.testing.assert_array_equal(a[1], softmax(logits[1]))
 
     def test_identity_conv(self):
         conv = Conv2d("c", 1, 1, 1, 1, 0, rng=np.random.default_rng(0))
@@ -255,55 +262,55 @@ class TestForward:
 
 class TestLossAndGrad:
     def test_uniform_scores(self):
-        loss, grad = loss_and_grad(np.full((1, 6), 1 / 6), [0])
+        loss, grad = loss_and_grad(np.zeros((1, 6)), [0])    # equal logits: p = 1/6 each
         assert loss == pytest.approx(np.log(6.0), abs=1e-12)
         np.testing.assert_allclose(grad, [np.full(6, 1 / 6) - np.eye(6)[0]])
 
     def test_certain_correct(self):
-        scores = np.zeros((1, 6))
-        scores[0, 2] = 1.0
-        loss, grad = loss_and_grad(scores, [2])
+        # a gap of 1000 makes exp(-1000) 0, so p_true is exactly 1 and the rest exactly 0
+        logits = np.zeros((1, 6))
+        logits[0, 2] = 1000.0
+        loss, grad = loss_and_grad(logits, [2])
         assert loss == 0.0
         np.testing.assert_array_equal(grad, np.zeros((1, 6)))
 
     def test_clamped_log(self):
-        scores = np.zeros((1, 6))
-        scores[0, 1] = 1.0
-        loss, _ = loss_and_grad(scores, [0])   # p_true = 0 clamps
-        assert np.isfinite(loss)
-
-    def test_accepts_vehicle_class(self):
-        loss_a, _ = loss_and_grad(np.full((1, 6), 1 / 6), [VehicleClass.CAR])
-        loss_b, _ = loss_and_grad(np.full((1, 6), 1 / 6), [0])
-        assert loss_a == loss_b
+        logits = np.zeros((1, 6))
+        logits[0, 1] = 1000.0
+        loss, _ = loss_and_grad(logits, [0])   # p_true = 0 clamps to 1e-12
+        assert loss == -np.log(1e-12)
 
     def test_one_label_per_row_required(self):
         with pytest.raises(ValueError, match="1 labels for 2 rows"):
-            loss_and_grad(np.full((2, 6), 1 / 6), [0])
+            loss_and_grad(np.zeros((2, 6)), [0])
 
     def test_dlogits_matches_finite_differences(self):
-        # differentiate loss(softmax(logits)) numerically w.r.t. the logits
         rng = np.random.default_rng(8)
-        logits = rng.normal(size=6)
+        logits = rng.normal(size=(1, 6))
         true = 3
-
-        def loss_of(z):
-            e = np.exp(z - z.max())
-            p = e / e.sum()
-            return -np.log(max(p[true], 1e-12))
-
-        e_z = np.exp(logits - logits.max())
-        probs = e_z / e_z.sum()
-        _, (analytic,) = loss_and_grad(probs[None], [true])
+        _, (analytic,) = loss_and_grad(logits, [true])
         eps = 1e-6
         for i in range(6):
             z = logits.copy()
-            z[i] += eps
-            hi = loss_of(z)
-            z[i] -= 2 * eps
-            lo = loss_of(z)
+            z[0, i] += eps
+            hi, _ = loss_and_grad(z, [true])
+            z[0, i] -= 2 * eps
+            lo, _ = loss_and_grad(z, [true])
             numeric = (hi - lo) / (2 * eps)
             assert abs(numeric - analytic[i]) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_softmax_layer_then_loss_bit_for_bit(self, dtype):
+        # the numbers of a network that ended in a softmax layer, from logits of every scale
+        rng = np.random.default_rng(31)
+        logits = np.concatenate([rng.normal(size=(6, 6)), rng.normal(scale=40.0, size=(6, 6)),
+                                 _mini().forward(np.stack([_x32(s) for s in range(6)]))[0]]).astype(dtype)
+        labels = [int(c) for c in rng.integers(0, 6, size=len(logits))]
+        loss, dlogits = loss_and_grad(logits, labels)
+        want_loss, want_dlogits = two_step_loss_and_grad(logits, labels)
+        assert loss == want_loss
+        assert dlogits.dtype == want_dlogits.dtype == np.float64
+        assert dlogits.tobytes() == want_dlogits.tobytes()
 
 
 class TestBackward:
@@ -326,8 +333,8 @@ class TestBackward:
         x = _x32()[None]
 
         def run():
-            scores, cache = net.forward(x, rng=[7])
-            _, dlogits = loss_and_grad(scores, [1])
+            logits, cache = net.forward(x, rng=[7])
+            _, dlogits = loss_and_grad(logits, [1])
             return net.backward(cache, dlogits)
 
         a, b = run(), run()
@@ -422,13 +429,13 @@ class TestBatch:
         net = _mini(seed=2, precision="high")
         x = np.random.default_rng(9).normal(size=(6, *MINI_SHAPE))
         labels = [0, 1, 2, 3, 4, 5]
-        scores, cache = net.forward(x, rng=self._rngs(6))
-        loss, dlogits = loss_and_grad(scores, labels)
+        logits, cache = net.forward(x, rng=self._rngs(6))
+        loss, dlogits = loss_and_grad(logits, labels)
         batch = net.backward(cache, dlogits)
         singles, losses = [], []
         for row, label, rng in zip(x, labels, self._rngs(6)):
-            s, c = net.forward(row[None], rng=[rng])
-            one_loss, one_dlogits = loss_and_grad(s, [label])
+            row_logits, c = net.forward(row[None], rng=[rng])
+            one_loss, one_dlogits = loss_and_grad(row_logits, [label])
             losses.append(one_loss)
             singles.append(net.backward(c, one_dlogits))
         assert loss == pytest.approx(np.mean(losses), rel=1e-12)
@@ -466,8 +473,8 @@ class TestBatch:
         x = _x32(6)
         _, one = predict(net, x)
         assert one.shape == (6,)
-        np.testing.assert_array_equal(one, net.forward(x[None])[0][0])
-        rows, _ = net.forward(np.stack([x, _x32(7), _x32(8)]))
+        np.testing.assert_array_equal(one, softmax(net.forward(x[None])[0])[0])
+        rows = softmax(net.forward(np.stack([x, _x32(7), _x32(8)]))[0])
         assert rows.shape == (3, 6)
         np.testing.assert_allclose(rows[0], one, rtol=1e-5, atol=1e-7)
 
@@ -710,8 +717,8 @@ class TestOuterSum:
     def test_full_preset_fc_gradients_stay_small(self):
         net = build_network("full", (3, 227, 227), seed=0)
         x = np.random.default_rng(0).normal(size=(1, 3, 227, 227)).astype(np.float32)
-        scores, cache = net.forward(x, rng=[0])
-        grads = net.backward(cache, loss_and_grad(scores, [2])[1])
+        logits, cache = net.forward(x, rng=[0])
+        grads = net.backward(cache, loss_and_grad(logits, [2])[1])
         for name in ("fc6.W", "fc7.W"):
             g = grads[name]
             assert isinstance(g, OuterSum) and g.shape == net.params()[name].shape
@@ -746,15 +753,12 @@ class TestGradientCheck:
         assert gradient_check(net, x, 2, epsilon=1e-4, num_params=60, seed=7) > 1e-4
 
     def test_smooth_network(self):
-        # no rectifier, no pooling: conv -> fc -> fc -> softmax stays smooth
-        from radarnet.layers import Softmax
-
+        # no rectifier, no pooling: conv -> fc -> fc, then the loss's softmax, stays smooth
         rng = np.random.default_rng(2)
         layers = [
             Conv2d("conv1", 3, 4, 3, 2, 1, dtype=np.float64, rng=rng),
             Linear("fc1", 4 * 5 * 4, 16, dtype=np.float64, rng=rng),
             Linear("fc2", 16, 6, dtype=np.float64, rng=rng),
-            Softmax("softmax"),
         ]
         net = Network(layers, (3, 9, 7), precision="high")
         x = np.random.default_rng(6).normal(size=(3, 9, 7))
@@ -765,11 +769,9 @@ class TestGradientCheck:
         # 3.6 M parameters: a list of every (name, index) pair would hold about 360 MB
         import tracemalloc
 
-        from radarnet.layers import Softmax
-
         rng = np.random.default_rng(0)
         layers = [Linear("fc1", 48, 1 << 16, dtype=np.float64, rng=rng),
-                  Linear("fc2", 1 << 16, 6, dtype=np.float64, rng=rng), Softmax("softmax")]
+                  Linear("fc2", 1 << 16, 6, dtype=np.float64, rng=rng)]
         net = Network(layers, (3, 4, 4), precision="high")
         param_bytes = sum(a.nbytes for a in net.params().values())
         x = np.random.default_rng(1).normal(size=(3, 4, 4))
@@ -921,10 +923,8 @@ class TestWeightPersistence:
             read_weight_records(path)
 
     def test_every_truncation_raises_typed_error(self, tmp_path):
-        from radarnet.layers import Softmax
-
         rng = np.random.default_rng(0)
-        layers = [Conv2d("c", 1, 2, 1, 1, 0, rng=rng), Linear("f", 8, 3, rng=rng), Softmax("s")]
+        layers = [Conv2d("c", 1, 2, 1, 1, 0, rng=rng), Linear("f", 8, 3, rng=rng)]
         save_weights(Network(layers, (1, 2, 2)), tmp_path / "w.rdw")
         blob = (tmp_path / "w.rdw").read_bytes()
         assert len(read_weight_records(tmp_path / "w.rdw")) == 4
@@ -947,8 +947,8 @@ class TestTrainingSanity:
         def batch_loss_and_grads():
             total, grads_acc = 0.0, None
             for x, label in batch:
-                scores, cache = net.forward(x[None], rng=[0])
-                loss, dlogits = loss_and_grad(scores, [label])
+                logits, cache = net.forward(x[None], rng=[0])
+                loss, dlogits = loss_and_grad(logits, [label])
                 total += loss / len(batch)
                 g = net.backward(cache, dlogits)
                 if grads_acc is None:
