@@ -121,7 +121,9 @@ def train_fold(
     applied to every split.  Batch order, dropout masks and initialization
     all derive from (cfg.seed, fold index): fold f initializes from net seed
     cfg.seed + f unless net_seed says otherwise, so identical calls produce
-    bit-identical networks.
+    bit-identical networks.  A fold holds one batch's activations at a time: a
+    batch's forward cache goes after the next batch is gathered, and the epoch's
+    last before its update, so the update and the validation pass hold none.
     """
     net_seed = cfg.seed + fold.fold_index if net_seed is None else net_seed
 
@@ -154,6 +156,8 @@ def train_fold(
             x -= mean
             # row j keeps the dropout stream it had as the batch's j-th sample
             seeds = [[cfg.seed, fold.fold_index, epoch, b_i, j] for j in range(len(batch))]
+            # freed after the gather, the previous cache lies below x on glibc's heap, and the forward reuses it
+            logits = cache = None
             logits, cache = net.forward(x, rng=seeds)
             loss, dlogits = loss_and_grad(logits, [train_labels[pos].index for pos in batch])
             if not np.isfinite(loss):
@@ -161,7 +165,11 @@ def train_fold(
                     f"non-finite loss at fold {fold.fold_index} epoch {epoch} batch {b_i}"
                 )
             losses.append(loss)
-            sgd_step(net.params(), net.backward(cache, dlogits), velocity, cfg)
+            grads = net.backward(cache, dlogits)
+            if b_i == len(batches) - 1:
+                cache = None    # the epoch's update and validation hold no activations
+            sgd_step(net.params(), grads, velocity, cfg)
+            del grads
             net.bump_version()
         val_acc = evaluate(net, val_tensors, val_labels).accuracy
         history.append(EpochStats(epoch=epoch, train_loss=float(np.mean(losses)), val_accuracy=val_acc))

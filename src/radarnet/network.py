@@ -283,6 +283,9 @@ def loss_and_grad(logits, labels):
     probs = np.asarray(softmax(logits), dtype=float)
     if len(labels) != len(probs):
         raise ValueError(f"{len(labels)} labels for {len(probs)} rows of logits")
+    for c in labels:
+        if not 0 <= c < probs.shape[1]:
+            raise ValueError(f"class index {c} is outside 0..{probs.shape[1] - 1}")
     at = (np.arange(len(labels)), labels)
     loss = float(np.mean(-np.log(np.maximum(probs[at], 1e-12))))
     probs[at] -= 1.0

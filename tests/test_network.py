@@ -284,6 +284,11 @@ class TestLossAndGrad:
         with pytest.raises(ValueError, match="1 labels for 2 rows"):
             loss_and_grad(np.zeros((2, 6)), [0])
 
+    @pytest.mark.parametrize("label", [-1, 6])
+    def test_class_index_outside_the_classes_refused(self, label):
+        with pytest.raises(ValueError, match=f"class index {label} "):
+            loss_and_grad(np.zeros((2, 6)), [0, label])
+
     def test_dlogits_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         logits = rng.normal(size=(1, 6))
