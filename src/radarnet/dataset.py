@@ -6,10 +6,13 @@ made them (radar, profiles, width, crop, class counts and base seed): each
 sample's id, class, seed and file follow from the counts and the base seed.
 Beat signals can optionally be kept alongside as .rbs files.  A loaded dataset
 holds all its tensors in one read-only [N, 3, H, W] array, rows in generation
-order.  Folds follow the repeated-shuffle protocol: each fold independently
-reshuffles every class and takes fixed train and validation quotas, the
-remainder becoming that fold's test set (so test sets overlap across folds by
-construction).
+order.  Folds and batches are drawn by one rule: group by class in A..G order,
+then permute each class with one seeded generator, one class after another.
+Folds follow the repeated-shuffle protocol: each fold independently reshuffles
+every class's ids and takes fixed train and validation quotas, the remainder
+becoming that fold's test set (so test sets overlap across folds by
+construction).  An epoch's batches reshuffle positions into a fold's training
+split and take one per class per batch.
 """
 
 from __future__ import annotations
@@ -217,12 +220,6 @@ class Dataset:
     def tensor_file(self, sample_id: str) -> Path:
         return self.root / "tensors" / f"{sample_id}.rdt"
 
-    def ids_by_class(self) -> dict:
-        out = {}
-        for rec in self.records:
-            out.setdefault(rec.class_label, []).append(rec.sample_id)
-        return out
-
     def rows(self, sample_ids) -> np.ndarray:
         """Row of each sample id in `tensors`."""
         return np.array([self._index[sid] for sid in sample_ids], dtype=np.intp)
@@ -328,6 +325,18 @@ class FoldSplit:
     test_ids: tuple
 
 
+def _shuffled_by_class(items, classes, seeds):
+    """For each seed, the items grouped by class in A..G order, each group in item order and
+    then permuted by one generator seeded with that seed, one class after another.  This one
+    rule draws both the folds and the batches; the groups are formed once for all seeds."""
+    groups = {VehicleClass(label): [] for label in CLASS_ORDER}
+    for item, vclass in zip(items, classes):
+        groups[vclass].append(item)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        yield [[group[j] for j in rng.permutation(len(group))] for group in groups.values()]
+
+
 def stratified_fold_split(
     ds: Dataset,
     k: int,
@@ -337,31 +346,28 @@ def stratified_fold_split(
 ) -> list:
     """k independently shuffled stratified draws with fixed per-class quotas.
 
-    Each fold reshuffles every class (seeded by (seed, fold)), takes
-    train_per_class then val_per_class samples, and sends the remainder to
-    test.  Test sets of different folds therefore overlap.  A negative quota
-    would put samples in two sets and an empty validation set scores every epoch 0,
-    so k and both quotas must be at least 1.
+    Each fold reshuffles every class's ids, sorted as strings, with generator
+    [seed, fold], takes train_per_class then val_per_class samples, and sends
+    the remainder to test.  Test sets of different folds therefore overlap.  A
+    negative quota would put samples in two sets and an empty validation set
+    scores every epoch 0, so k and both quotas must be at least 1.
     """
     if min(k, train_per_class, val_per_class) < 1:
         raise ValueError(f"folds and quotas must be at least 1, got k={k}, "
                          f"train_per_class={train_per_class}, val_per_class={val_per_class}")
-    by_class = ds.ids_by_class()
+    records = sorted(ds.records, key=lambda r: r.sample_id)
+    draws = _shuffled_by_class([r.sample_id for r in records], [r.class_label for r in records],
+                               [[int(seed), fold] for fold in range(k)])
     folds = []
     need = train_per_class + val_per_class + 1
-    for fold in range(k):
-        rng = np.random.default_rng([int(seed), fold])
+    for fold, by_class in enumerate(draws):
         train, val, test = [], [], []
-        for label in CLASS_ORDER:
-            vclass = VehicleClass(label)
-            ids = sorted(by_class.get(vclass, []))
-            if len(ids) < need:
+        for label, shuffled in zip(CLASS_ORDER, by_class):
+            if len(shuffled) < need:
                 raise ValueError(
-                    f"class {label} has {len(ids)} samples; "
+                    f"class {label} has {len(shuffled)} samples; "
                     f"need at least {need} for quotas {train_per_class}+{val_per_class}"
                 )
-            perm = rng.permutation(len(ids))
-            shuffled = [ids[j] for j in perm]
             train.extend(shuffled[:train_per_class])
             val.extend(shuffled[train_per_class : train_per_class + val_per_class])
             test.extend(shuffled[train_per_class + val_per_class :])
@@ -376,29 +382,17 @@ def stratified_fold_split(
     return folds
 
 
-def balanced_batches(ids_by_class: Mapping, seed) -> list:
-    """One epoch of class-balanced batches: each batch holds exactly one
-    sample of every class, in A..G order.
+def balanced_batches(labels, seed) -> list:
+    """One epoch of class-balanced batches over a training split whose position i
+    holds class labels[i]: each batch is a tuple of positions, one of every class,
+    in A..G order.
 
     The epoch spans min-class-count batches; every class is drawn without
     replacement within the epoch, larger classes being subsampled.  Reshuffle
     by calling again with a fresh (per-epoch) seed.
     """
-    normalized = {}
-    for label, ids in ids_by_class.items():
-        normalized[VehicleClass.from_label(label)] = list(ids)
-    missing = [c for c in CLASS_ORDER if not normalized.get(VehicleClass(c))]
+    (shuffled,) = _shuffled_by_class(range(len(labels)), labels, [seed])
+    missing = [label for label, positions in zip(CLASS_ORDER, shuffled) if not positions]
     if missing:
         raise ValueError(f"training set is missing class(es) {', '.join(missing)}")
-
-    rng = np.random.default_rng(seed)
-    shuffled = {}
-    for label in CLASS_ORDER:
-        vclass = VehicleClass(label)
-        ids = normalized[vclass]
-        shuffled[vclass] = [ids[j] for j in rng.permutation(len(ids))]
-    n_batches = min(len(v) for v in shuffled.values())
-    return [
-        tuple(shuffled[VehicleClass(label)][b] for label in CLASS_ORDER)
-        for b in range(n_batches)
-    ]
+    return list(zip(*shuffled))

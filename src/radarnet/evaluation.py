@@ -17,7 +17,7 @@ import numpy as np
 from .config import RunConfig
 from .dataset import Dataset, FoldSplit, balanced_batches, stratified_fold_split
 from .network import Network, TrainConfig, build_network, loss_and_grad, predict, sgd_step
-from .radar import CLASS_ORDER, VehicleClass
+from .radar import CLASS_ORDER
 from .spectrogram import compute_mean_tensor
 
 
@@ -60,6 +60,7 @@ class ConfusionMatrix:
 
 
 def confusion_matrix(preds, labels) -> ConfusionMatrix:
+    """Counts of (true, predicted) VehicleClass pairs."""
     preds = list(preds)
     labels = list(labels)
     if len(preds) != len(labels):
@@ -68,9 +69,7 @@ def confusion_matrix(preds, labels) -> ConfusionMatrix:
     if not preds:
         warnings.warn("confusion matrix over zero samples; accuracy defined as 0")
     for p, t in zip(preds, labels):
-        pi = VehicleClass.from_label(p).index
-        ti = VehicleClass.from_label(t).index
-        counts[ti, pi] += 1
+        counts[t.index, p.index] += 1
     return ConfusionMatrix(counts=counts)
 
 
@@ -133,9 +132,6 @@ def train_fold(
 
     # batches hold positions within the training split
     train_labels = [ds.records[r].class_label for r in train_rows]
-    positions_by_class = {}
-    for pos, label in enumerate(train_labels):
-        positions_by_class.setdefault(label, []).append(pos)
 
     net = build_network(
         preset,
@@ -149,7 +145,7 @@ def train_fold(
     best_acc, best_epoch, best_params = -1.0, 0, None
 
     for epoch in range(1, cfg.epochs + 1):
-        batches = balanced_batches(positions_by_class, [cfg.seed, fold.fold_index, epoch])
+        batches = balanced_batches(train_labels, [cfg.seed, fold.fold_index, epoch])
         losses = []
         for b_i, batch in enumerate(batches):
             x = ds.tensors[train_rows[list(batch)]]
@@ -244,4 +240,6 @@ def cross_validate(ds: Dataset, run: RunConfig, *, progress=None) -> CvReport:
         histories.append(trained.history)
         if progress is not None:
             progress(fold.fold_index, matrix.accuracy)
+        # the next fold builds its network with none of this fold's arrays held
+        trained = test_tensors = None
     return CvReport(run=run, fold_matrices=matrices, fold_best_epochs=best_epochs, histories=histories)

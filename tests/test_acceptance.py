@@ -240,11 +240,11 @@ def test_criterion_7_pipeline_invariant_suite():
         for c in "ABCDEG":
             assert sum(1 for i in fold.train_ids if i.startswith(c)) == 30
             assert sum(1 for i in fold.val_ids if i.startswith(c)) == 10
-    ids_by_class = {VehicleClass(c): [f"{c}{i}" for i in range(7 + ord(c) % 3)] for c in "ABCDEG"}
-    batches = balanced_batches(ids_by_class, seed=3)
-    assert len(batches) == min(len(v) for v in ids_by_class.values())
+    labels = [VehicleClass(c) for c in "ABCDEG" for _ in range(7 + ord(c) % 3)]
+    batches = balanced_batches(labels, seed=3)
+    assert len(batches) == min(labels.count(VehicleClass(c)) for c in "ABCDEG")
     for batch in batches:
-        assert {i[0] for i in batch} == set("ABCDEG")
+        assert {labels[pos].value for pos in batch} == set("ABCDEG")
 
     # confusion-matrix totals
     from radarnet.evaluation import confusion_matrix

@@ -1,5 +1,6 @@
 """Tensor/signal file formats, generation, fold splitting and batching."""
 
+import hashlib
 import json
 import os
 import struct
@@ -577,31 +578,63 @@ class TestStratifiedFoldSplit:
 
 
 class TestBalancedBatches:
-    IDS = {
-        VehicleClass(c): [f"{c}{i}" for i in range(n)]
-        for c, n in zip("ABCDEG", [10, 7, 8, 12, 9, 7])
-    }
+    LABELS = [VehicleClass(c) for c, n in zip("ABCDEG", [10, 7, 8, 12, 9, 7]) for _ in range(n)]
 
     def test_each_batch_covers_all_classes(self):
-        for batch in balanced_batches(self.IDS, seed=0):
-            labels = {i[0] for i in batch}
+        for batch in balanced_batches(self.LABELS, seed=0):
+            labels = {self.LABELS[pos].value for pos in batch}
             assert labels == set("ABCDEG")
             assert len(batch) == 6
 
     def test_epoch_length_is_min_class_count(self):
-        assert len(balanced_batches(self.IDS, seed=0)) == 7
+        assert len(balanced_batches(self.LABELS, seed=0)) == 7
 
     def test_no_replacement_within_epoch(self):
-        batches = balanced_batches(self.IDS, seed=1)
+        batches = balanced_batches(self.LABELS, seed=1)
         for label in "ABCDEG":
-            seen = [i for b in batches for i in b if i.startswith(label)]
+            seen = [pos for b in batches for pos in b if self.LABELS[pos].value == label]
             assert len(seen) == len(set(seen))
 
     def test_deterministic_and_epoch_dependent(self):
-        assert balanced_batches(self.IDS, seed=5) == balanced_batches(self.IDS, seed=5)
-        assert balanced_batches(self.IDS, seed=5) != balanced_batches(self.IDS, seed=6)
+        assert balanced_batches(self.LABELS, seed=5) == balanced_batches(self.LABELS, seed=5)
+        assert balanced_batches(self.LABELS, seed=5) != balanced_batches(self.LABELS, seed=6)
 
     def test_missing_class_rejected(self):
-        partial = {k: v for k, v in self.IDS.items() if k is not VehicleClass.BUS}
+        partial = [label for label in self.LABELS if label is not VehicleClass.BUS]
         with pytest.raises(ValueError, match="E"):
             balanced_batches(partial, seed=0)
+
+
+class TestPinnedDraws:
+    """The draws of the fold split and of the batches, as computed once and written down, so a
+    change to how they are made that moves any of them shows here."""
+
+    def test_split_ids(self):
+        ds = _fake_dataset({"A": 4, "B": 5, "C": 4, "D": 6, "E": 4, "G": 5})
+        folds = stratified_fold_split(ds, 2, 2, 1, seed=3)
+        assert [(f.train_ids, f.val_ids, f.test_ids) for f in folds] == [
+            (("A0003", "A0002", "B0003", "B0000", "C0001", "C0000", "D0004", "D0003", "E0002", "E0000",
+              "G0002", "G0003"),
+             ("A0001", "B0002", "C0002", "D0000", "E0001", "G0001"),
+             ("A0000", "B0001", "B0004", "C0003", "D0005", "D0002", "D0001", "E0003", "G0004", "G0000")),
+            (("A0000", "A0001", "B0002", "B0001", "C0003", "C0000", "D0002", "D0003", "E0002", "E0001",
+              "G0001", "G0003"),
+             ("A0002", "B0004", "C0001", "D0000", "E0003", "G0002"),
+             ("A0003", "B0000", "B0003", "C0002", "D0004", "D0005", "D0001", "E0000", "G0004", "G0000")),
+        ]
+
+    def test_split_permutes_ids_sorted_as_strings(self):
+        # A10000 sorts between A1000 and A1001, so generation order would draw other ids
+        ds = _fake_dataset({"A": 10001, "B": 4, "C": 4, "D": 4, "E": 4, "G": 4})
+        (fold,) = stratified_fold_split(ds, 1, 2, 1, seed=3)
+        assert fold.train_ids == ("A3193", "A8925", "B0003", "B0001", "C0003", "C0000", "D0002", "D0003",
+                                  "E0003", "E0000", "G0003", "G0001")
+        assert fold.val_ids == ("A0096", "B0002", "C0001", "D0000", "E0001", "G0002")
+        assert len(fold.test_ids) == 10003 and fold.test_ids[:3] == ("A3088", "A5106", "A3178")
+        assert hashlib.sha256(" ".join(fold.test_ids).encode()).hexdigest() == (
+            "626f497c5458948dbfbb16e0f8d2faca0e8172721b1f2c32150fc943afa82be1")
+
+    def test_batch_positions(self):
+        # classes A..G of 4, 4, 3, 3, 2 and 3 positions, interleaved
+        labels = [VehicleClass(c) for c in "GABDCAEBDGACBEDAGCB"]
+        assert balanced_batches(labels, [0, 1, 2]) == [(5, 7, 17, 8, 6, 16), (1, 12, 4, 3, 13, 0)]
