@@ -187,16 +187,16 @@ def _load_model(weights_path):
     try:
         model, meta = RunConfig.read_record(metapath, MODEL_VERSION, MODEL_KEYS, extra=("class_order", "fold"))
         if meta["class_order"] != list(CLASS_ORDER):
-            raise network.ConfigError(f"{metapath}: class order {meta['class_order']}, expected {list(CLASS_ORDER)}")
+            raise ConfigError(f"{metapath}: class order {meta['class_order']}, expected {list(CLASS_ORDER)}")
         fold = meta["fold"]
         if isinstance(fold, bool) or not isinstance(fold, int) or not 0 <= fold < model.folds:
-            raise network.ConfigError(f"{metapath}: fold {fold!r} is not one of its {model.folds} folds")
+            raise ConfigError(f"{metapath}: fold {fold!r} is not one of its {model.folds} folds")
     except ValueError as exc:     # its message begins with the meta's path
-        raise network.ConfigError(f"model meta {exc}") from None
+        raise ConfigError(f"model meta {exc}") from None
     shape = tensor_shape(model.radar, model.target_width, model.freq_range)
     if mean.shape != shape:
-        raise network.ConfigError(f"mean tensor {mpath} has shape {mean.shape}, "
-                                  f"but model meta {metapath} gives the input shape {shape}")
+        raise ConfigError(f"mean tensor {mpath} has shape {mean.shape}, "
+                          f"but model meta {metapath} gives the input shape {shape}")
     net = network.build_network(model.preset, input_shape=shape)
     network.load_weights(net, wpath)
     return net, mean, model, fold
@@ -216,7 +216,7 @@ def cmd_eval(args) -> int:
         ids = [r.sample_id for r in ds.records]
     else:
         ids = list(_split_fold(ds, model, fold).test_ids)
-    matrix = evaluation.evaluate(net, *evaluation._normalized(ds, ids, mean))
+    matrix = evaluation.evaluate(net, *evaluation.normalized(ds, ids, mean))
     print(f"samples: {matrix.total}  accuracy: {matrix.accuracy:.4f}")
     print("rows=true, cols=predicted, order " + " ".join(CLASS_ORDER))
     print(matrix.counts)

@@ -63,15 +63,15 @@ def _build(cls, path, value, **given):
 
 
 def canonical_classes(table, path) -> dict:
-    """The values of the table at path keyed by class letter, in A..G order; a key that is no
-    class, or names the class of another key, is a ConfigError naming it."""
+    """The values of the table at path keyed by class letter, in A..G order; a key that is not a
+    string whose upper case is one class letter, or names the class of another key, is a
+    ConfigError naming it."""
     _check_object(path, table)
     keys = {}   # class letter -> the key naming it
     for key in table:
-        try:
-            label = VehicleClass.from_label(key).value
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        label = key.upper() if isinstance(key, str) else None
+        if label not in tuple(CLASS_ORDER):     # whole letters: "" and "AB" are substrings of CLASS_ORDER
+            raise ConfigError(f"{path}: unknown vehicle class {key!r}, expected one of {CLASS_ORDER}")
         if label in keys:
             raise ConfigError(f"{path} names class {label} twice, as {keys[label]!r} and {key!r}")
         keys[label] = key

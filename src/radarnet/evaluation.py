@@ -50,11 +50,6 @@ class ConfusionMatrix:
             rates = np.where(sums > 0, self.counts / np.maximum(sums, 1), 0.0)
         return rates
 
-    @property
-    def per_class_accuracy(self) -> dict:
-        diag = self.row_rates.diagonal()
-        return {label: float(diag[i]) for i, label in enumerate(CLASS_ORDER)}
-
     def to_dict(self) -> dict:
         return {"accuracy": self.accuracy, "counts": self.counts.tolist(), "row_rates": self.row_rates.tolist()}
 
@@ -98,7 +93,7 @@ def evaluate(net: Network, tensors, labels) -> ConfusionMatrix:
     return confusion_matrix([predict(net, t)[0] for t in tensors], labels)
 
 
-def _normalized(ds: Dataset, ids, mean: np.ndarray):
+def normalized(ds: Dataset, ids, mean: np.ndarray):
     """The samples' tensors as one [N, C, H, W] copy with the mean subtracted, and their labels."""
     rows = ds.rows(ids)
     x = ds.tensors[rows]
@@ -128,7 +123,7 @@ def train_fold(
 
     train_rows = ds.rows(fold.train_ids)
     mean = compute_mean_tensor(ds.tensors, train_rows)
-    val_tensors, val_labels = _normalized(ds, fold.val_ids, mean)
+    val_tensors, val_labels = normalized(ds, fold.val_ids, mean)
 
     # batches hold positions within the training split
     train_labels = [ds.records[r].class_label for r in train_rows]
@@ -233,7 +228,7 @@ def cross_validate(ds: Dataset, run: RunConfig, *, progress=None) -> CvReport:
     matrices, best_epochs, histories = [], [], []
     for fold in folds:
         trained = train_fold(ds, fold, run.train, preset=run.preset)
-        test_tensors, test_labels = _normalized(ds, fold.test_ids, trained.mean_tensor)
+        test_tensors, test_labels = normalized(ds, fold.test_ids, trained.mean_tensor)
         matrix = evaluate(trained.net, test_tensors, test_labels)
         matrices.append(matrix)
         best_epochs.append(trained.best_epoch)

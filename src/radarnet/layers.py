@@ -163,13 +163,6 @@ class MaxPool2d(ParamFree):
             raise ValueError(f"layer {self.name}: input {in_shape} too small to pool")
         return (c, oh, ow)
 
-    def _windows(self, shape):
-        """The k*k strided slices, in window order, that cover every window."""
-        k, s = self.kernel, self.stride
-        oh, ow = self.output_shape(shape[1:])[1:]
-        return [(..., slice(kh, kh + s * (oh - 1) + 1, s), slice(kw, kw + s * (ow - 1) + 1, s))
-                for kh in range(k) for kw in range(k)]
-
     def forward(self, x, rng=None):
         k, s = self.kernel, self.stride
         oh, ow = self.output_shape(x.shape[1:])[1:]

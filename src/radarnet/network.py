@@ -150,7 +150,6 @@ class Network:
     def __init__(self, layers, input_shape, precision="standard"):
         self.layers = layers
         self.input_shape = tuple(input_shape)
-        self.precision = precision
         self.dtype = _dtype(precision)
         self._version = 0
 
@@ -377,7 +376,8 @@ def gradient_check(
     rather than float32 finite-difference noise.  The relative-error
     denominator is floored (1e-6 in high precision, 1e-2 in standard) so
     parameters with negligible gradients compare absolutely.  Where the two
-    perturbed forwards differ in a ReLU mask or a max-pool winner, the step
+    perturbed forwards differ in a ReLU mask, or in where a max-pool layer's
+    backward routes its gradient (the first maximum of each window), the step
     crosses a kink, so that parameter is measured again at epsilon / 100, then
     epsilon / 10**4.
     """
@@ -399,11 +399,11 @@ def gradient_check(
     x64 = x.astype(np.float64)
 
     def loss_at():
-        """The loss, the ReLU masks and, per max-pool window offset, where the maxima lie."""
+        """The loss, the ReLU masks and, per max-pool layer, how many windows route their gradient
+        to each input: the layer's own backward of a unit gradient."""
         logits, cache = probe.forward(x64)
-        switches = [c for layer, c in cache.entries if isinstance(layer, ReLU)]
-        switches += [c[0][win] == c[1] for layer, c in cache.entries if isinstance(layer, MaxPool2d)
-                     for win in layer._windows(c[0].shape)]
+        switches = [c if isinstance(layer, ReLU) else layer.backward(np.ones_like(c[1]), c)[0]
+                    for layer, c in cache.entries if isinstance(layer, (ReLU, MaxPool2d))]
         return loss_and_grad(logits, [true_class])[0], switches
 
     worst = 0.0

@@ -42,15 +42,6 @@ class VehicleClass(enum.Enum):
     def index(self) -> int:
         return CLASS_ORDER.index(self.value)
 
-    @classmethod
-    def from_label(cls, label: "str | VehicleClass") -> "VehicleClass":
-        if isinstance(label, VehicleClass):
-            return label
-        try:
-            return cls(label.upper())
-        except (ValueError, AttributeError):     # a label that is no class, or no string
-            raise ValueError(f"unknown vehicle class {label!r}, expected one of {CLASS_ORDER}") from None
-
 
 class RampPolarity(enum.Enum):
     UP = "up"
@@ -406,29 +397,24 @@ class ProfileTable:
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
 
-def sample_vehicle_scenario(
-    class_label: "str | VehicleClass",
-    seed: int,
-    profiles: ProfileTable | None = None,
-) -> Scenario:
-    """Draw one labeled vehicle pass, deterministic under (class, seed).
+def sample_vehicle_scenario(vclass: VehicleClass, seed: int, profiles: ProfileTable) -> Scenario:
+    """Draw one labeled vehicle pass of vclass from its profile in profiles, deterministic
+    under (class, seed); class letters are read by config, not here.
 
     Speed is drawn inside the class range then clamped to the global
     [v_min, v_max] band that keeps beat frequencies representable.  Scatterer
     count scales with drawn length; front and rear corners always reflect.
     """
-    vclass = VehicleClass.from_label(class_label)
-    table = profiles if profiles is not None else ProfileTable()
     try:
-        prof = table.profiles[vclass]
+        prof = profiles.profiles[vclass]
     except KeyError:
         raise ValueError(f"profile table has no entry for class {vclass.value}") from None
 
     rng = np.random.default_rng([int(seed), vclass.index])
     speed = float(rng.uniform(*prof.speed_range))
-    speed = min(max(speed, table.v_min), table.v_max)
+    speed = min(max(speed, profiles.v_min), profiles.v_max)
     length = float(rng.uniform(*prof.length_range))
-    entry = float(rng.uniform(*table.entry_range))
+    entry = float(rng.uniform(*profiles.entry_range))
 
     n_scat = max(2, int(round(length / prof.scatterer_spacing)) + int(rng.integers(-1, 2)))
     interior = np.sort(rng.uniform(0.0, length, max(n_scat - 2, 0)))
@@ -444,12 +430,12 @@ def sample_vehicle_scenario(
     if prof.trailer_gain != 1.0:
         amplitudes = np.where(offsets > length * 0.5, amplitudes * prof.trailer_gain, amplitudes)
 
-    noise_sigma = float(np.sum(amplitudes)) * 10.0 ** (-table.snr_db / 20.0)
+    noise_sigma = float(np.sum(amplitudes)) * 10.0 ** (-profiles.snr_db / 20.0)
     return Scenario(
         class_label=vclass,
         speed=speed,
         entry_distance=entry,
-        footprint_length=table.footprint_length,
+        footprint_length=profiles.footprint_length,
         offsets=offsets,
         amplitudes=amplitudes,
         noise_sigma=noise_sigma,

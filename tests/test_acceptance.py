@@ -187,9 +187,9 @@ def test_criterion_6_end_to_end_benchmark(desk_dataset):
     # determinism spot check: retraining fold 0 reproduces its matrix exactly
     fold0 = stratified_fold_split(desk_dataset, 10, 40, 10, 0)[0]
     trained = train_fold(desk_dataset, fold0, cfg, net_seed=cfg.seed + 0)
-    from radarnet.evaluation import _normalized, evaluate
+    from radarnet.evaluation import evaluate, normalized
 
-    tensors, labels = _normalized(desk_dataset, fold0.test_ids, trained.mean_tensor)
+    tensors, labels = normalized(desk_dataset, fold0.test_ids, trained.mean_tensor)
     matrix = evaluate(trained.net, tensors, labels)
     assert np.array_equal(matrix.counts, report.fold_matrices[0].counts)
 

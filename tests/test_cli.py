@@ -224,11 +224,11 @@ class TestTrainEvalPredict:
         assert "input_shape" not in meta
         scored = []
 
-        def spy(ds, ids, mean, normalized=evaluation._normalized):
+        def spy(ds, ids, mean, normalized=evaluation.normalized):
             scored.append(ids)
             return normalized(ds, ids, mean)
 
-        monkeypatch.setattr(evaluation, "_normalized", spy)
+        monkeypatch.setattr(evaluation, "normalized", spy)
         assert main(["eval", "-d", str(workspace / "ds"), "-w", model, "-o", str(tmp_path / "r.json")]) == 0
         expected = stratified_fold_split(load_dataset(workspace / "ds"), 2, 4, 2, 5)[1]
         assert scored == [list(expected.test_ids)]
@@ -845,6 +845,8 @@ class TestConfig:
                      "--train-per-class", "1", "--val-per-class", "1", "--epochs", "1"]) == 0
         capsys.readouterr()
 
+    _PROFILE = {"length_range": [4.5, 5.0], "speed_range": [25, 36], "reflectivity_range": [0.1, 0.18]}
+
     # for every field, values of the wrong type or out of range
     _BAD_VALUES = [
         ("radar", 5), ("radar", {"f0": -1}),
@@ -862,6 +864,11 @@ class TestConfig:
         ("val_per_class", -1), ("val_per_class", None),
         ("base_seed", -1), ("base_seed", "1"), ("base_seed", False),
         ("split_seed", -1), ("split_seed", 2.5),
+        # class keys are whole letters: "" and "AB" are substrings of ABCDEG, yet name no class
+        ("counts_per_class", {"A": 1, "": 1}), ("counts_per_class", {"A": 1, "AB": 1}),
+        ("counts_per_class", {"A": 1, "a ": 1}),
+        ("profiles", {"classes": {"": _PROFILE}}), ("profiles", {"classes": {"AB": _PROFILE}}),
+        ("profiles", {"classes": {"a ": _PROFILE}}),
     ]
 
     def test_bad_values_cover_every_field(self):

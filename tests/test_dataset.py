@@ -261,7 +261,7 @@ class TestGenerateDataset:
         record = json.loads(json.dumps(made.to_record(DATA_KEYS)))
         assert record == {key: value for key, value in manifest.items() if key != "format_version"}
         for i, sample_id in enumerate(ids):
-            scenario = sample_vehicle_scenario(sample_id[0], 5 + i, ProfileTable())
+            scenario = sample_vehicle_scenario(VehicleClass(sample_id[0]), 5 + i, ProfileTable())
             sig = synthesize_beat_signal(scenario, P)
             tensor = signal_to_tensor(sig, P, 32).values
             assert (tmp_path / "ds" / f"tensors/{sample_id}.rdt").read_bytes() == tensor_to_bytes(tensor)

@@ -300,9 +300,9 @@ class TestEvaluate:
     def test_matrix_invariants_on_live_model(self, marker_dataset):
         fold = stratified_fold_split(marker_dataset, 1, 4, 2, seed=0)[0]
         trained = train_fold(marker_dataset, fold, TrainConfig(epochs=1))
-        from radarnet.evaluation import _normalized
+        from radarnet.evaluation import normalized
 
-        tensors, labels = _normalized(marker_dataset, fold.test_ids, trained.mean_tensor)
+        tensors, labels = normalized(marker_dataset, fold.test_ids, trained.mean_tensor)
         m = evaluate(trained.net, tensors, labels)
         assert m.total == len(fold.test_ids)
         assert 0.0 <= m.accuracy <= 1.0

@@ -757,6 +757,17 @@ class TestGradientCheck:
         monkeypatch.setattr(ReLU, "backward", lambda self, dy, mask: (dy * mask * 1.001, {}))
         assert gradient_check(net, x, 2, epsilon=1e-4, num_params=60, seed=7) > 1e-4
 
+    def test_wrong_pool_backward_still_fails(self, monkeypatch):
+        backward = MaxPool2d.backward
+
+        def scaled(self, dy, cache):
+            return backward(self, dy, cache)[0] * 1.001, {}
+
+        net = _mini(seed=1, precision="high")
+        x = np.random.default_rng(3).normal(size=MINI_SHAPE)
+        monkeypatch.setattr(MaxPool2d, "backward", scaled)
+        assert gradient_check(net, x, 2, epsilon=1e-4, num_params=60, seed=7) > 1e-4
+
     def test_smooth_network(self):
         # no rectifier, no pooling: conv -> fc -> fc, then the loss's softmax, stays smooth
         rng = np.random.default_rng(2)

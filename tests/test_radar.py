@@ -242,8 +242,8 @@ class TestSynthesizeBeatSignal:
     # right under the radar, the nearest scatterer a Scenario accepts
     ORACLE_CASES = [
         *[(lambda c=c: sample_vehicle_scenario(c, 41, ProfileTable()), RampPolarity.UP, P)
-          for c in "ABCDEG"],
-        (lambda: sample_vehicle_scenario("B", 42, ProfileTable()), RampPolarity.DOWN, P),
+          for c in VehicleClass],
+        (lambda: sample_vehicle_scenario(VehicleClass.CAR_TRAILER, 42, ProfileTable()), RampPolarity.DOWN, P),
         (lambda: _single_scatterer_scenario(footprint_length=1.0), RampPolarity.UP, P),
         (lambda: _single_scatterer_scenario(footprint_length=1.0), RampPolarity.DOWN, P),
         (lambda: _single_scatterer_scenario(footprint_length=5.5, noise_sigma=0.1), RampPolarity.UP, P),
@@ -305,16 +305,16 @@ class TestSynthesizeBeatSignal:
 
 class TestScenarioSampling:
     def test_deterministic(self):
-        a = sample_vehicle_scenario("G", 7)
-        b = sample_vehicle_scenario("G", 7)
+        a = sample_vehicle_scenario(VehicleClass.MOTORCYCLE, 7, ProfileTable())
+        b = sample_vehicle_scenario(VehicleClass.MOTORCYCLE, 7, ProfileTable())
         assert a == b
 
     def test_speed_within_clamped_profile_range(self):
         table = ProfileTable()
-        for label in "ABCDEG":
-            prof = table.profiles[VehicleClass(label)]
+        for vclass in VehicleClass:
+            prof = table.profiles[vclass]
             for seed in range(25):
-                s = sample_vehicle_scenario(label, seed, table)
+                s = sample_vehicle_scenario(vclass, seed, table)
                 lo = max(prof.speed_range[0], table.v_min)
                 hi = min(prof.speed_range[1], table.v_max)
                 assert lo <= s.speed <= hi
@@ -323,22 +323,20 @@ class TestScenarioSampling:
         table = ProfileTable()
         max_len = table.profiles[VehicleClass.MOTORCYCLE].length_range[1]
         for seed in range(25):
-            s = sample_vehicle_scenario("G", seed, table)
+            s = sample_vehicle_scenario(VehicleClass.MOTORCYCLE, seed, table)
             length = max(s.offsets)
             assert length <= max_len + 1e-9
 
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError):
-            sample_vehicle_scenario("Z", 0)
-
     def test_distinct_classes_distinct_scenes(self):
-        assert sample_vehicle_scenario("A", 3) != sample_vehicle_scenario("B", 3)
+        table = ProfileTable()
+        assert (sample_vehicle_scenario(VehicleClass.CAR, 3, table)
+                != sample_vehicle_scenario(VehicleClass.CAR_TRAILER, 3, table))
 
     def test_global_clamp_applies(self):
         table = ProfileTable(
             profiles={VehicleClass.CAR: ClassProfile((3.5, 5.0), (50.0, 60.0), (0.1, 0.2))}
         )
-        s = sample_vehicle_scenario("A", 1, table)
+        s = sample_vehicle_scenario(VehicleClass.CAR, 1, table)
         assert s.speed == table.v_max
 
     @pytest.mark.parametrize("fields, words", [
@@ -361,7 +359,7 @@ class TestScenarioSampling:
 
     def test_profile_table_edges_accepted(self):
         table = ProfileTable(entry_range=(0.0, 0.0), v_min=20.0, v_max=20.0, snr_db=-5.0)
-        assert sample_vehicle_scenario("A", 1, table).entry_distance == 0.0
+        assert sample_vehicle_scenario(VehicleClass.CAR, 1, table).entry_distance == 0.0
 
     @pytest.mark.parametrize("spacing", [0.0, -1.0, float("nan")])
     def test_nonpositive_scatterer_spacing_rejected(self, spacing):
