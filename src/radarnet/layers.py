@@ -4,9 +4,12 @@ Every layer works on a batch: feature maps are [N, channels, height, width],
 fully connected activations are [N, features], and row n of the output
 depends on row n of the input alone.  forward returns the output plus an
 opaque cache; backward consumes that cache and returns the input gradient
-and the parameter gradients, summed over the batch.  A fully connected weight
-gradient stays as its batch factors, an OuterSum, and is never formed whole; every
-other gradient is an array.  The parametric layers' backward takes
+and the parameter gradients, summed over the batch.  A cache holds what backward
+cannot rebuild cheaply: a convolution with COLUMNS_CACHED_BELOW or more output
+channels keeps its padded input and gathers its im2col columns again, a
+narrower one keeps the columns.  A fully connected weight gradient stays as its
+batch factors, an OuterSum, and is never formed whole; every other gradient is
+an array.  The parametric layers' backward takes
 input_grad=False to skip the input gradient (returned as None).
 forward's rng is None in evaluation; in training it holds one generator per
 row, and only Dropout reads it.  No layer makes class probabilities: a
@@ -23,6 +26,15 @@ from .cores import run_on_cores
 
 # float64 values drawn per chunk of the He init (8 MB of scratch per thread)
 INIT_CHUNK = 1 << 20
+
+# A conv with fewer output channels caches its im2col columns for backward; a wider one
+# caches its padded input, about k*k/s^2 times smaller, and gathers the columns again.
+# The weight-gradient product does 2 * out_channels flops per column value and the gather
+# one copy, so the gather is a small share of a wide layer's backward and a large one of
+# a narrow layer's: the five full-preset convs cache 100 MB less at batch 6 for 10-35 ms
+# more of their 165 ms backward, while gathering again in the mini convs cost about 1 ms
+# per batch of 6.
+COLUMNS_CACHED_BELOW = 64
 
 
 def normal_init(rng, std, shape, dtype):
@@ -50,9 +62,12 @@ def normal_init(rng, std, shape, dtype):
 class Conv2d:
     """2-D convolution (cross-correlation) via an im2col matrix product.
 
-    With padding, forward copies the input once into a zeroed buffer in the
-    input's own memory order; the windows are then a read-only strided view of
-    that buffer (of the input itself without padding), gathered into the columns."""
+    Forward copies the input once into a zeroed buffer, padded or not, in the input's
+    own memory order; the windows are then a read-only strided view of that buffer,
+    gathered into the columns.  The cache holds the columns when the layer has fewer
+    than COLUMNS_CACHED_BELOW output channels and the padded buffer otherwise, from
+    which backward gathers the same columns for the weight gradient.  Either way the
+    cache never aliases the caller's batch."""
 
     kind = "conv"
 
@@ -64,6 +79,7 @@ class Conv2d:
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
+        self.caches_columns = out_channels < COLUMNS_CACHED_BELOW
         weight_std = np.sqrt(2.0 / (in_channels * kernel * kernel))
         self.W = normal_init(rng, weight_std, (out_channels, in_channels, kernel, kernel), dtype)
         self.b = np.zeros(out_channels, dtype=dtype)
@@ -84,33 +100,41 @@ class Conv2d:
             raise ValueError(f"layer {self.name}: input {in_shape} too small for kernel/stride")
         return (self.out_channels, oh, ow)
 
-    def forward(self, x, rng=None):
-        k, s, p = self.kernel, self.stride, self.padding
-        if p:
-            xp = np.zeros_like(x, shape=x.shape[:2] + (x.shape[2] + 2 * p, x.shape[3] + 2 * p))
-            xp[:, :, p:-p, p:-p] = x
-            x = xp
-        n, c, h, w = x.shape
+    def _columns(self, xp):
+        """The im2col columns of padded batch xp, channel-major (c, kh, kw) x (n, ow, oh):
+        the output keeps height fastest in memory, so the ops downstream run along the
+        long axis of these tall maps."""
+        k, s = self.kernel, self.stride
+        n, c, h, w = xp.shape
         oh, ow = (h - k) // s + 1, (w - k) // s + 1
-        sn, sc, sh, sw = x.strides
-        win = as_strided(x, (n, c, oh, ow, k, k), (sn, sc, s * sh, s * sw, sh, sw),
+        sn, sc, sh, sw = xp.strides
+        win = as_strided(xp, (n, c, oh, ow, k, k), (sn, sc, s * sh, s * sw, sh, sw),
                          writeable=False)                                     # [N, C, OH, OW, k, k]
-        # channel-major columns (c, kh, kw) x (n, ow, oh): the output keeps height fastest
-        # in memory, so the ops downstream run along the long axis of these tall maps
-        cols = win.transpose(1, 4, 5, 0, 3, 2).reshape(self.in_channels * k * k, n * ow * oh)
+        return win.transpose(1, 4, 5, 0, 3, 2).reshape(c * k * k, n * ow * oh)
+
+    def forward(self, x, rng=None):
+        p = self.padding
+        n, c, h, w = x.shape
+        xp = np.zeros_like(x, shape=(n, c, h + 2 * p, w + 2 * p))
+        xp[:, :, p : p + h, p : p + w] = x
+        cols = self._columns(xp)
         y = self.W.reshape(self.out_channels, -1) @ cols
         y += self.b[:, None]
-        return y.reshape(self.out_channels, n, ow, oh).transpose(1, 0, 3, 2), (cols, x.shape)
+        _, oh, ow = self.output_shape(x.shape[1:])
+        return y.reshape(self.out_channels, n, ow, oh).transpose(1, 0, 3, 2), (
+            cols if self.caches_columns else xp, xp.shape)
 
     def backward(self, dy, cache, input_grad=True):
-        cols, (n, c, hp, wp) = cache
+        kept, (n, c, hp, wp) = cache
         k, s, p = self.kernel, self.stride, self.padding
         _, _, oh, ow = dy.shape
         dy_mat = dy.transpose(1, 0, 3, 2).reshape(self.out_channels, -1)
+        cols = kept if self.caches_columns else self._columns(kept)
         # cols @ dy_mat.T walks both operands along their contiguous rows, the orientation
         # BLAS runs fastest for this short-and-wide product; the values are the same
         grads = {f"{self.name}.W": (cols @ dy_mat.T).T.reshape(self.W.shape),
                  f"{self.name}.b": dy_mat.sum(axis=1)}
+        del cols    # a rebuilt copy goes before dcols, which is as large
         if not input_grad:
             return None, grads
         dcols = (self.W.reshape(self.out_channels, -1).T @ dy_mat).reshape(c, k, k, n, ow, oh)

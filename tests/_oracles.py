@@ -170,6 +170,29 @@ def naive_conv2d_weight_grad(x, dy, kernel, stride, padding):
     return dw
 
 
+def im2col_weight_grad(x, dy, kernel, stride, padding):
+    """The conv weight gradient as one matrix product over im2col columns, in x's dtype:
+    the columns, C-ordered (c, kh, kw) x (n, ow, oh), are filled tap by tap from a
+    np.pad copy of x, dy is copied to a C-ordered (f) x (n, ow, oh) matrix, and the
+    product is taken as (cols @ dy.T).T.  Those operand layouts and that order are the
+    ones a convolution that keeps its columns from forward hands to BLAS, so its weight
+    gradient must equal this one bit for bit."""
+    x = np.asarray(x)
+    dy = np.asarray(dy, dtype=x.dtype)
+    k, s, p = kernel, stride, padding
+    n, c, _, _ = x.shape
+    _, f, oh, ow = dy.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = np.empty((c, k, k, n, ow, oh), dtype=x.dtype)
+    for kh in range(k):
+        for kw in range(k):
+            taps = xp[:, :, kh : kh + s * (oh - 1) + 1 : s, kw : kw + s * (ow - 1) + 1 : s]
+            cols[:, kh, kw] = taps.transpose(1, 0, 3, 2)
+    cols = cols.reshape(c * k * k, n * ow * oh)
+    dy_mat = np.ascontiguousarray(dy.transpose(1, 0, 3, 2)).reshape(f, n * ow * oh)
+    return (cols @ dy_mat.T).T.reshape(f, c, k, k)
+
+
 def naive_maxpool_backward(x, dy, kernel, stride):
     """Input gradient of max pooling in float32, window by window in window order.
 

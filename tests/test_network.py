@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from radarnet.layers import (
+    COLUMNS_CACHED_BELOW,
     INIT_CHUNK,
     ChannelResponseNorm,
     Conv2d,
@@ -40,6 +41,7 @@ from radarnet.radar import VehicleClass
 
 from _oracles import (
     cumsum_box_sum_channels,
+    im2col_weight_grad,
     naive_conv2d,
     naive_conv2d_weight_grad,
     naive_maxpool_backward,
@@ -56,6 +58,15 @@ def _mini(seed=0, precision="standard"):
 
 def _x32(seed=0, shape=MINI_SHAPE):
     return np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+
+
+def _arrays(cache):
+    """Every array a layer cache holds, however its tuples nest."""
+    if isinstance(cache, np.ndarray):
+        yield cache
+    elif isinstance(cache, tuple):
+        for part in cache:
+            yield from _arrays(part)
 
 
 class TestBuildNetwork:
@@ -384,6 +395,8 @@ class TestBackward:
         (3, 16, 5, 2, 2, 13, 10),     # conv1 of the mini preset
         (16, 32, 3, 1, 1, 9, 7),      # conv2
         (32, 32, 3, 1, 1, 5, 4),      # conv3
+        (96, 256, 5, 1, 2, 7, 6),     # conv2 of the full preset: wide, columns rebuilt
+        (3, 96, 11, 4, 0, 23, 19),    # conv1 of the full preset: wide and unpadded
     ])
     def test_conv_weight_grad_matches_naive_loops(self, cin, cout, kernel, stride, padding, h, w):
         rng = np.random.default_rng(cin + cout)
@@ -396,6 +409,76 @@ class TestBackward:
         expected = naive_conv2d_weight_grad(x, dy, kernel, stride, padding)
         np.testing.assert_allclose(grads["c.W"], expected, rtol=0, atol=1e-10)
         np.testing.assert_allclose(grads["c.b"], dy.sum(axis=(0, 2, 3)), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin, cout, kernel, stride, padding, h, w", [
+        (16, 32, 3, 1, 1, 9, 7),      # conv2 of the mini preset: keeps its columns
+        (16, 64, 3, 1, 1, 9, 7),      # the narrowest conv that rebuilds them
+        (3, 96, 11, 4, 0, 23, 19),    # conv1 of the full preset
+    ])
+    def test_conv_gradients_equal_the_product_over_the_columns_bit_for_bit(
+            self, dtype, cin, cout, kernel, stride, padding, h, w):
+        rng = np.random.default_rng(cin + cout)
+        conv = Conv2d("c", cin, cout, kernel, stride, padding, dtype=dtype, rng=rng)
+        assert conv.caches_columns == (cout < COLUMNS_CACHED_BELOW)
+        x = rng.normal(size=(3, cin, h, w)).astype(dtype)
+        y, cache = conv.forward(x)
+        # (C, N, W, H) in memory, as the gradients of pool and norm outputs are stored
+        dy = np.ascontiguousarray(rng.normal(size=y.shape).astype(dtype).transpose(1, 0, 3, 2)).transpose(1, 0, 3, 2)
+        want_w = im2col_weight_grad(x, dy, kernel, stride, padding)
+        want_b = np.ascontiguousarray(dy.transpose(1, 0, 3, 2)).reshape(cout, -1).sum(axis=1)
+        for input_grad in (True, False):
+            _, grads = conv.backward(dy, cache, input_grad=input_grad)
+            assert grads["c.W"].dtype == dtype
+            assert grads["c.W"].tobytes() == want_w.tobytes()
+            assert grads["c.b"].tobytes() == want_b.tobytes()
+
+    @pytest.mark.parametrize("cin, cout, kernel, stride, padding, h, w", [
+        (3, 96, 11, 4, 0, 35, 31),    # conv1 of the full preset
+        (96, 256, 5, 1, 2, 9, 8),     # conv2 of the full preset
+        (16, 64, 3, 1, 1, 9, 7),
+        (3, 16, 5, 2, 2, 13, 10),     # conv1 of the mini preset
+        (16, 32, 3, 1, 1, 9, 7),      # conv2 of the mini preset
+    ])
+    def test_wide_conv_caches_its_padded_input_narrow_its_columns(
+            self, cin, cout, kernel, stride, padding, h, w):
+        n = 6
+        conv = Conv2d("c", cin, cout, kernel, stride, padding, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(n, cin, h, w)).astype(np.float32)
+        y, cache = conv.forward(x)
+        held = list(_arrays(cache))
+        if cout >= COLUMNS_CACHED_BELOW:
+            padded = x.itemsize * n * cin * (h + 2 * padding) * (w + 2 * padding)
+            assert max(a.nbytes for a in held) <= padded
+        else:
+            _, _, oh, ow = y.shape
+            assert (cin * kernel * kernel, n * ow * oh) in [a.shape for a in held]
+
+    def test_full_preset_batch_of_six_caches_under_40_mb(self):
+        net = build_network("full", (3, 227, 227), seed=0)
+        x = np.random.default_rng(0).normal(size=(6, 3, 227, 227)).astype(np.float32)
+        _, cache = net.forward(x, rng=list(range(6)))
+        buffers = {}        # views counted once, as the buffer they keep alive
+        for _, layer_cache in cache.entries:
+            for a in _arrays(layer_cache):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                buffers[id(a)] = a.nbytes
+        assert sum(buffers.values()) < 40 << 20, f"{sum(buffers.values()) / 2**20:.1f} MB"
+
+    def test_conv_cache_does_not_alias_the_callers_batch(self):
+        rng = np.random.default_rng(3)
+        layers = [Conv2d("conv1", 3, 64, 3, 2, 0, rng=rng), Linear("fc1", 64 * 3 * 3, 6, rng=rng)]
+        net = Network(layers, (3, 7, 7))
+        x = rng.normal(size=(2, 3, 7, 7)).astype(np.float32)
+        logits, cache = net.forward(x)
+        dlogits = loss_and_grad(logits, [1, 4])[1]
+        want = {name: np.asarray(g).copy() for name, g in net.backward(cache, dlogits).items()}
+        _, cache = net.forward(x)
+        x[...] = rng.normal(size=x.shape)
+        got = net.backward(cache, dlogits)
+        for name, g in want.items():
+            assert np.asarray(got[name]).tobytes() == g.tobytes(), name
 
     @pytest.mark.parametrize("channels", [1, 3, 5, 16])
     def test_response_norm_matches_naive_loops(self, channels):
@@ -779,6 +862,20 @@ class TestGradientCheck:
         net = Network(layers, (3, 9, 7), precision="high")
         x = np.random.default_rng(6).normal(size=(3, 9, 7))
         err = gradient_check(net, x, 4, epsilon=1e-5, num_params=200, seed=9)
+        assert err < 1e-7
+
+    def test_smooth_network_with_a_wide_conv(self):
+        # conv2 has COLUMNS_CACHED_BELOW output channels, so its backward rebuilds its columns
+        rng = np.random.default_rng(4)
+        layers = [
+            Conv2d("conv1", 3, 4, 3, 1, 1, dtype=np.float64, rng=rng),
+            Conv2d("conv2", 4, COLUMNS_CACHED_BELOW, 3, 2, 0, dtype=np.float64, rng=rng),
+            Linear("fc1", COLUMNS_CACHED_BELOW * 3 * 2, 6, dtype=np.float64, rng=rng),
+        ]
+        net = Network(layers, (3, 7, 6), precision="high")
+        assert not net.layer_named("conv2").caches_columns
+        x = np.random.default_rng(6).normal(size=(3, 7, 6))
+        err = gradient_check(net, x, 1, epsilon=1e-5, num_params=400, seed=9)
         assert err < 1e-7
 
     def test_memory_stays_near_one_gradient_copy(self):
