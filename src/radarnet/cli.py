@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import dataset as ds_mod
 from . import evaluation, network
-from .config import COUNT_PRESETS, QUOTA_PRESETS, RUN_FIELDS, ConfigError, RunConfig, dump_json, read_json
+from .config import COUNT_PRESETS, QUOTA_PRESETS, RUN_FIELDS, ConfigError, RunConfig, TrainConfig, dump_json, read_json
 from .radar import CLASS_ORDER
 from .spectrogram import RdTensor, export_pgm, mean_normalize, signal_to_tensor, tensor_shape
 
@@ -33,7 +33,7 @@ def _parse_counts(text):
     return counts
 
 
-TRAIN_FIELDS = {f"train.{f.name}" for f in dataclasses.fields(network.TrainConfig)}
+TRAIN_FIELDS = {f"train.{f.name}" for f in dataclasses.fields(TrainConfig)}
 
 
 def _load_run_config(args, data=None) -> RunConfig:

@@ -8,10 +8,11 @@ reproduces any run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .network import PRESETS, ConfigError, TrainConfig
+from .network import PRESETS
 from .radar import CLASS_ORDER, ClassProfile, ProfileTable, RadarParams, VehicleClass
 from .spectrogram import tensor_shape
 
@@ -26,6 +27,10 @@ QUOTA_PRESETS = {
     "desk": {"train_per_class": 40, "val_per_class": 10},
     "full": {"train_per_class": 400, "val_per_class": 45},
 }
+
+
+class ConfigError(ValueError):
+    """A run-configuration field of the wrong type or out of range."""
 
 
 def dump_json(obj) -> str:
@@ -51,6 +56,35 @@ def _check_whole(key, value, low):
     """Reject a value that is not an integer >= low; a bool is not an integer here."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
+@dataclass
+class TrainConfig:
+    """The training settings of a run: sgd_step's three rates, the epochs, the seed of the
+    batches and dropout masks, and the dropout rate."""
+
+    learning_rate: float = 0.0001
+    momentum: float = 0.9
+    weight_decay: float = 0.0005
+    epochs: int = 15
+    seed: int = 0
+    dropout_rate: float = 0.5
+
+    def __post_init__(self):
+        for name in ("epochs", "seed"):
+            _check_whole(name, getattr(self, name), 0)
+        for name in ("learning_rate", "momentum", "weight_decay", "dropout_rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not 0 < self.learning_rate < math.inf:   # NaN fails both comparisons
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ConfigError("momentum must lie in [0, 1)")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if not (0.0 <= self.dropout_rate < 1.0):
+            raise ConfigError("dropout_rate must lie in [0, 1)")
 
 
 def _build(cls, path, value, **given):

@@ -77,6 +77,10 @@ class HeaderFieldError(TensorFormatError):
     """A header field outside its valid range."""
 
 
+class NonFiniteValueError(TensorFormatError):
+    """A NaN or an infinity in a payload; no file the package writes holds one."""
+
+
 class ManifestError(ValueError):
     """A manifest.json that does not describe a dataset."""
 
@@ -89,8 +93,16 @@ def tensor_to_bytes(values: np.ndarray) -> bytes:
     return TENSOR_MAGIC + struct.pack("<III", *values.shape) + payload
 
 
+def _check_finite(values, path) -> None:
+    """Refuse a payload holding a NaN or an infinity, on write and on read alike."""
+    if not np.isfinite(values).all():
+        raise NonFiniteValueError(f"{path}: payload holds a NaN or infinite value")
+
+
 def save_tensor(values: np.ndarray, path) -> None:
-    Path(path).write_bytes(tensor_to_bytes(values))
+    blob = tensor_to_bytes(values)
+    _check_finite(np.frombuffer(blob, dtype="<f4", offset=16), path)     # the float32 values as written
+    Path(path).write_bytes(blob)
 
 
 def _check_header(data: bytes, magic: bytes, header_size: int) -> None:
@@ -119,10 +131,13 @@ def load_tensor(path) -> np.ndarray:
     if c != 3:
         raise HeaderFieldError(f"{c} channels, expected 3 (up, down, average)")
     _check_size(data, 16 + c * h * w * 4)
-    return np.frombuffer(data, dtype="<f4", count=c * h * w, offset=16).reshape(c, h, w).copy()
+    values = np.frombuffer(data, dtype="<f4", count=c * h * w, offset=16).reshape(c, h, w).copy()
+    _check_finite(values, path)
+    return values
 
 
 def save_signal(sig: BeatSignal, path) -> None:
+    _check_finite(sig.samples, path)
     r = sig.radar
     header = SIGNAL_MAGIC + struct.pack(
         SIGNAL_HEADER,
@@ -151,6 +166,7 @@ def load_signal(path) -> BeatSignal:
         raise HeaderFieldError(f"header radar: {exc}") from None
     _check_size(data, header_size + count * 8)
     samples = np.frombuffer(data, dtype="<f8", count=count, offset=header_size).copy()
+    _check_finite(samples, path)
     label = None if label_idx < 0 else VehicleClass(CLASS_ORDER[label_idx])
     return BeatSignal(
         samples=samples,

@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, TrainConfig
 from .dataset import Dataset, FoldSplit, balanced_batches, stratified_fold_split
-from .network import Network, TrainConfig, build_network, loss_and_grad, predict, sgd_step
+from .network import Network, build_network, loss_and_grad, predict, sgd_step
 from .radar import CLASS_ORDER
 from .spectrogram import compute_mean_tensor
 

@@ -12,7 +12,6 @@ little-endian float32 records).
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 from dataclasses import dataclass
@@ -99,38 +98,6 @@ class StaleCacheError(RuntimeError):
     """backward() called with a cache from before a parameter update."""
 
 
-class ConfigError(ValueError):
-    """A run-configuration field of the wrong type or out of range."""
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.0001
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-    epochs: int = 15
-    seed: int = 0
-    dropout_rate: float = 0.5
-
-    def __post_init__(self):
-        for name in ("learning_rate", "momentum", "weight_decay", "epochs", "seed", "dropout_rate"):
-            value = getattr(self, name)
-            whole = name in ("epochs", "seed")
-            if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
-                raise ConfigError(f"{name} must be {'an integer' if whole else 'a number'}, got {value!r}")
-        if not 0 < self.learning_rate < math.inf:   # NaN fails both comparisons
-            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError("momentum must lie in [0, 1)")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
-        for name in ("epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError("dropout_rate must lie in [0, 1)")
-
-
 def _dtype(precision: str):
     if precision not in PRECISIONS:
         raise ValueError(f"unknown precision {precision!r}, expected one of {sorted(PRECISIONS)}")
@@ -171,21 +138,6 @@ class Network:
     def snapshot(self) -> dict:
         return {name: arr.copy() for name, arr in self.params().items()}
 
-    def layer_named(self, name: str):
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(name)
-
-    def shape_chain(self) -> list:
-        """(layer name, output shape) through the whole stack."""
-        shape = self.input_shape
-        chain = []
-        for layer in self.layers:
-            shape = layer.output_shape(shape)
-            chain.append((layer.name, shape))
-        return chain
-
     def forward(self, x, rng=None):
         """Run the stack on a batch [N, C, H, W]; returns the [N, classes]
         logits and the cache for backward.  rng None evaluates (dropout is
@@ -219,14 +171,6 @@ class Network:
         if first.params:    # nothing reads the network's input gradient
             grads.update(first.backward(dy, first_cache, input_grad=False)[1])
         return grads
-
-    def with_precision(self, precision: str) -> "Network":
-        """Structural copy carrying the same parameter values in a new dtype."""
-        dtype = _dtype(precision)
-        # deepcopy each layer with its parameters pre-mapped to their cast copies
-        twins = [copy.deepcopy(layer, {id(a): a.astype(dtype) for a in layer.params.values()})
-                 for layer in self.layers]
-        return Network(twins, self.input_shape, precision=precision)
 
 
 def build_network(
@@ -328,8 +272,8 @@ def _finite(g) -> bool:
     return all(np.isfinite(gb).all() for _, gb in _gradient_blocks(g))
 
 
-def sgd_step(params: dict, grads: dict, velocity: dict, cfg: TrainConfig) -> None:
-    """Classical momentum with L2 decay folded into the gradient:
+def sgd_step(params: dict, grads: dict, velocity: dict, cfg) -> None:
+    """Classical momentum with L2 decay folded into the gradient, at cfg's rates (a TrainConfig):
     v <- mu*v - lr*(g + wd*w);  w <- w + v.  Updates params/velocity in place.
 
     Every gradient is checked finite (_finite) before any parameter changes.  The update
@@ -357,87 +301,19 @@ def sgd_step(params: dict, grads: dict, velocity: dict, cfg: TrainConfig) -> Non
             wb += vb
 
 
-def gradient_check(
-    net: Network,
-    tensor,
-    true_class,
-    *,
-    epsilon: float = 1e-4,
-    num_params: int = 200,
-    seed: int = 0,
-) -> float:
-    """Max relative error between backprop and central differences over a
-    random sample of parameters for one sample (an RdTensor or a [C, H, W]
-    array, run as a batch of one without dropout seeds, so dropout is identity).
-
-    The difference quotient always runs in float64: for a standard-precision
-    network the check perturbs a float64 twin carrying the identical
-    parameter values, so the measured error is the float32 backprop error
-    rather than float32 finite-difference noise.  The relative-error
-    denominator is floored (1e-6 in high precision, 1e-2 in standard) so
-    parameters with negligible gradients compare absolutely.  Where the two
-    perturbed forwards differ in a ReLU mask, or in where a max-pool layer's
-    backward routes its gradient (the first maximum of each window), the step
-    crosses a kink, so that parameter is measured again at epsilon / 100, then
-    epsilon / 10**4.
-    """
-    denom_floor = 1e-6 if net.dtype == np.float64 else 1e-2
-    x = np.asarray(tensor)[None]
-    logits, cache = net.forward(x)
-    _, dlogits = loss_and_grad(logits, [true_class])
-    analytic = net.backward(cache, dlogits)
-
-    probe = net if net.dtype == np.float64 else net.with_precision("high")
-    params = probe.params()
-    # draw j is value j - offsets[k] of parameter names[k], where offsets[k] <= j < offsets[k + 1]
-    names = sorted(params)
-    offsets = np.cumsum([0] + [params[name].size for name in names])
-    total = int(offsets[-1])
-    rng = np.random.default_rng(seed)
-    chosen_idx = rng.choice(total, size=min(num_params, total), replace=False)
-
-    x64 = x.astype(np.float64)
-
-    def loss_at():
-        """The loss, the ReLU masks and, per max-pool layer, how many windows route their gradient
-        to each input: the layer's own backward of a unit gradient."""
-        logits, cache = probe.forward(x64)
-        switches = [c if isinstance(layer, ReLU) else layer.backward(np.ones_like(c[1]), c)[0]
-                    for layer, c in cache.entries if isinstance(layer, (ReLU, MaxPool2d))]
-        return loss_and_grad(logits, [true_class])[0], switches
-
-    worst = 0.0
-    for j in chosen_idx:
-        k = int(np.searchsorted(offsets, j, side="right")) - 1
-        name, flat_idx = names[k], int(j - offsets[k])
-        arr = params[name].reshape(-1)
-        old = arr[flat_idx]
-        for step in (epsilon, epsilon * 1e-2, epsilon * 1e-4):
-            arr[flat_idx] = old + step
-            loss_hi, switches_hi = loss_at()
-            arr[flat_idx] = old - step
-            loss_lo, switches_lo = loss_at()
-            if all(np.array_equal(a, b) for a, b in zip(switches_hi, switches_lo)):
-                break
-        arr[flat_idx] = old
-        numeric = (loss_hi - loss_lo) / (2.0 * step)
-        g = analytic[name]
-        if isinstance(g, OuterSum):     # form the one row that holds the value
-            row, col = divmod(flat_idx, g.shape[1])
-            a = float(g.rows(row, row + 1)[0, col])
-        else:
-            a = float(g.reshape(-1)[flat_idx])
-        err = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
-        worst = max(worst, err)
-    return worst
+def _check_finite(values, path, name) -> None:
+    """Refuse a record holding a NaN or an infinity, on write and on read alike."""
+    if not np.isfinite(values).all():
+        raise WeightsFormatError(f"{path}: record {name!r} holds a NaN or infinite value")
 
 
 def save_weights(net: Network, path) -> None:
-    """Write all parameters as named float32 records."""
+    """Write all parameters as named float32 records; a non-finite one writes nothing."""
     params = net.params()
     blob = [WEIGHTS_MAGIC, struct.pack("<I", len(params))]
     for name in sorted(params):
         arr = np.ascontiguousarray(params[name], dtype="<f4")
+        _check_finite(arr, path, name)
         encoded = name.encode("utf-8")
         blob.append(struct.pack("<I", len(encoded)))
         blob.append(encoded)
@@ -479,6 +355,7 @@ def read_weight_records(path) -> dict:
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
         payload = take(4 * math.prod(dims), f"values of {name!r}")
         records[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        _check_finite(records[name], path, name)
     if pos != len(data):
         raise WeightsFormatError(f"{len(data) - pos} trailing bytes after the last record")
     return records

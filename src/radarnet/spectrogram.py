@@ -171,8 +171,8 @@ def export_pgm(matrix, log_scale: bool = False) -> bytes:
     """Render a spectrogram or tensor channel as a binary (P5) PGM.
 
     Values are min-max scaled to 0..255 (after an optional 20*log10(x+eps)
-    mapping); a constant matrix renders all-black.  Frequency bin 0 sits on
-    the bottom pixel row.
+    mapping, which needs entries >= 0); a constant matrix renders all-black.
+    Frequency bin 0 sits on the bottom pixel row.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -180,6 +180,8 @@ def export_pgm(matrix, log_scale: bool = False) -> bytes:
     if not np.all(np.isfinite(m)):
         raise ValueError("PGM export needs finite entries")
     if log_scale:
+        if m.min() < 0:
+            raise ValueError(f"log-scaled PGM export needs entries >= 0, the minimum is {m.min()}")
         m = 20.0 * np.log10(m + 1e-12)
     lo, hi = float(m.min()), float(m.max())
     if hi > lo:

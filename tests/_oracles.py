@@ -1,11 +1,17 @@
 """Independent reference implementations used to verify the pipeline.
 
 These stay deliberately naive (quadratic DFT, explicit loops) so they share
-no code path with the routines under test.
+no code path with the routines under test.  The gradient checker measures
+backprop against central differences of the network's own forward pass, run
+in float64 on a twin that with_precision casts.
 """
+
+import copy
 
 import numpy as np
 
+from radarnet.layers import MaxPool2d, OuterSum, ReLU
+from radarnet.network import Network, loss_and_grad
 from radarnet.radar import SPEED_OF_LIGHT
 
 
@@ -267,3 +273,88 @@ def two_step_loss_and_grad(logits, labels):
     dlogits = scores.copy()
     dlogits[at] -= 1.0
     return loss, dlogits / len(labels)
+
+
+def with_precision(net, precision):
+    """Structural copy of net carrying the same parameter values in a new dtype; an unknown
+    precision is a ValueError."""
+    twin = Network([], net.input_shape, precision=precision)
+    # deepcopy each layer with its parameters pre-mapped to their cast copies
+    twin.layers = [copy.deepcopy(layer, {id(a): a.astype(twin.dtype) for a in layer.params.values()})
+                   for layer in net.layers]
+    return twin
+
+
+def gradient_check(
+    net: Network,
+    tensor,
+    true_class,
+    *,
+    epsilon: float = 1e-4,
+    num_params: int = 200,
+    seed: int = 0,
+) -> float:
+    """Max relative error between backprop and central differences over a
+    random sample of parameters for one sample (an RdTensor or a [C, H, W]
+    array, run as a batch of one without dropout seeds, so dropout is identity).
+
+    The difference quotient always runs in float64: for a standard-precision
+    network the check perturbs a float64 twin carrying the identical
+    parameter values, so the measured error is the float32 backprop error
+    rather than float32 finite-difference noise.  The relative-error
+    denominator is floored (1e-6 in high precision, 1e-2 in standard) so
+    parameters with negligible gradients compare absolutely.  Where the two
+    perturbed forwards differ in a ReLU mask, or in where a max-pool layer's
+    backward routes its gradient (the first maximum of each window), the step
+    crosses a kink, so that parameter is measured again at epsilon / 100, then
+    epsilon / 10**4.
+    """
+    denom_floor = 1e-6 if net.dtype == np.float64 else 1e-2
+    x = np.asarray(tensor)[None]
+    logits, cache = net.forward(x)
+    _, dlogits = loss_and_grad(logits, [true_class])
+    analytic = net.backward(cache, dlogits)
+
+    probe = net if net.dtype == np.float64 else with_precision(net, "high")
+    params = probe.params()
+    # draw j is value j - offsets[k] of parameter names[k], where offsets[k] <= j < offsets[k + 1]
+    names = sorted(params)
+    offsets = np.cumsum([0] + [params[name].size for name in names])
+    total = int(offsets[-1])
+    rng = np.random.default_rng(seed)
+    chosen_idx = rng.choice(total, size=min(num_params, total), replace=False)
+
+    x64 = x.astype(np.float64)
+
+    def loss_at():
+        """The loss, the ReLU masks and, per max-pool layer, how many windows route their gradient
+        to each input: the layer's own backward of a unit gradient."""
+        logits, cache = probe.forward(x64)
+        switches = [c if isinstance(layer, ReLU) else layer.backward(np.ones_like(c[1]), c)[0]
+                    for layer, c in cache.entries if isinstance(layer, (ReLU, MaxPool2d))]
+        return loss_and_grad(logits, [true_class])[0], switches
+
+    worst = 0.0
+    for j in chosen_idx:
+        k = int(np.searchsorted(offsets, j, side="right")) - 1
+        name, flat_idx = names[k], int(j - offsets[k])
+        arr = params[name].reshape(-1)
+        old = arr[flat_idx]
+        for step in (epsilon, epsilon * 1e-2, epsilon * 1e-4):
+            arr[flat_idx] = old + step
+            loss_hi, switches_hi = loss_at()
+            arr[flat_idx] = old - step
+            loss_lo, switches_lo = loss_at()
+            if all(np.array_equal(a, b) for a, b in zip(switches_hi, switches_lo)):
+                break
+        arr[flat_idx] = old
+        numeric = (loss_hi - loss_lo) / (2.0 * step)
+        g = analytic[name]
+        if isinstance(g, OuterSum):     # form the one row that holds the value
+            row, col = divmod(flat_idx, g.shape[1])
+            a = float(g.rows(row, row + 1)[0, col])
+        else:
+            a = float(g.reshape(-1)[flat_idx])
+        err = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
+        worst = max(worst, err)
+    return worst

@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from radarnet import fourier
-from radarnet.config import RunConfig
+from radarnet.config import RunConfig, TrainConfig
 from radarnet.dataset import generate_dataset, load_tensor, save_tensor, stratified_fold_split
 from radarnet.evaluation import cross_validate, train_fold
 from radarnet.network import (
-    TrainConfig,
     build_network,
-    gradient_check,
     load_weights,
     predict,
     save_weights,
@@ -42,7 +40,7 @@ from radarnet.spectrogram import (
     mean_normalize,
 )
 
-from _oracles import naive_dft_modulus_onesided, parseval_one_sided
+from _oracles import gradient_check, naive_dft_modulus_onesided, parseval_one_sided
 
 P = RadarParams()
 BIN = P.bin_hz                      # 25 Hz at the default waveform
@@ -154,9 +152,10 @@ def test_criterion_5_architecture_fidelity():
         shapes[layer.name] = x.shape[1:]
     for name, shape in expected.items():
         assert shapes[name] == shape, f"{name}: {shapes[name]} != {shape}"
-    kernels = [net.layer_named(f"conv{i}").out_channels for i in range(1, 6)]
+    named = {layer.name: layer for layer in net.layers}
+    kernels = [named[f"conv{i}"].out_channels for i in range(1, 6)]
     assert kernels == [96, 256, 384, 384, 256]
-    assert [net.layer_named(n).out_features for n in ("fc6", "fc7", "fc8")] == [4096, 4096, 6]
+    assert [named[n].out_features for n in ("fc6", "fc7", "fc8")] == [4096, 4096, 6]
     assert x.shape[1:] == (6,) and abs(float(softmax(x).sum()) - 1.0) < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

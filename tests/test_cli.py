@@ -17,9 +17,15 @@ import pytest
 import radarnet
 from radarnet import evaluation
 from radarnet.cli import RUN_FIELDS, TRAIN_FIELDS, _load_run_config, build_parser, main
-from radarnet.config import DESK_COUNTS, SKEWED_COUNTS, RunConfig, apply_count_preset
-from radarnet.dataset import load_dataset, load_tensor, save_signal, save_tensor, stratified_fold_split
-from radarnet.network import ConfigError, TrainConfig
+from radarnet.config import DESK_COUNTS, SKEWED_COUNTS, ConfigError, RunConfig, TrainConfig, apply_count_preset
+from radarnet.dataset import (
+    load_dataset,
+    load_tensor,
+    save_signal,
+    save_tensor,
+    stratified_fold_split,
+    tensor_to_bytes,
+)
 from radarnet.radar import (
     PointTarget,
     RadarParams,
@@ -170,6 +176,16 @@ class TestPlot:
         assert main(["plot", str(src), "-o", str(b), "--log"]) == 0
         assert a.read_bytes()[:20].split(b"\n")[1] == b.read_bytes()[:20].split(b"\n")[1]
         assert len(a.read_bytes()) == len(b.read_bytes())
+
+    def test_log_plot_of_negative_entries_exits_1(self, tmp_path, capsys):
+        tensor = np.ones((3, 16, 8), dtype=np.float32)
+        tensor[0, 3, 2] = -1.5
+        save_tensor(tensor, tmp_path / "neg.rdt")
+        rc = main(["plot", str(tmp_path / "neg.rdt"), "-o", str(tmp_path / "x.pgm"), "--log", "--channels", "up"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: log-scaled PGM export needs entries >= 0, the minimum is -1.5\n"
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_bad_input_exits_1(self, tmp_path):
         missing = tmp_path / "none.rdt"
@@ -398,17 +414,17 @@ class TestTrainEvalPredict:
     def test_predict_refuses_nan_scores(self, workspace, tmp_path, capsys):
         tensor = load_tensor(workspace / "ds" / "tensors" / "C0003.rdt").copy()
         tensor[0, 0, 0] = np.nan
-        save_tensor(tensor, tmp_path / "nan.rdt")
+        (tmp_path / "nan.rdt").write_bytes(tensor_to_bytes(tensor))     # save_tensor refuses it
         rc = main(["predict", "-w", str(workspace / "model.rdw"), str(tmp_path / "nan.rdt")])
         assert rc == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: non-finite class scores")
+        assert out == "" and err == f"error: {tmp_path / 'nan.rdt'}: payload holds a NaN or infinite value\n"
 
     def test_negative_epochs_exit_1(self, workspace, tmp_path, capsys):
         rc = main(["train", "-d", str(workspace / "ds"), "-o", str(tmp_path / "m.rdw"),
                    "--fold", "0", *SPLIT_ARGS, "--epochs", "-3"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: epochs must be >= 0\n"
+        assert capsys.readouterr().err == "error: epochs must be an integer >= 0, got -3\n"
         assert not (tmp_path / "m.rdw").exists()
 
     @pytest.mark.parametrize("flag, value, words", [
@@ -898,7 +914,7 @@ class TestConfig:
     @pytest.mark.parametrize("command, flag, run, words", [
         ("generate", ["--seed", "-1"], {"base_seed": -1}, "base_seed must be an integer >= 0, got -1"),
         ("train", ["--split-seed", "-1"], {"split_seed": -1}, "split_seed must be an integer >= 0, got -1"),
-        ("train", ["--train-seed", "-1"], {"train": {"seed": -1}}, "seed must be >= 0"),
+        ("train", ["--train-seed", "-1"], {"train": {"seed": -1}}, "seed must be an integer >= 0, got -1"),
         ("cv", ["--split-seed", "-1"], {"split_seed": -1}, "split_seed must be an integer >= 0, got -1"),
     ], ids=["generate-seed", "train-split-seed", "train-train-seed", "cv-split-seed"])
     @pytest.mark.parametrize("given", ["flag", "json"])

@@ -21,6 +21,7 @@ from radarnet.dataset import (
     MANIFEST_VERSION,
     MAX_DIM,
     ManifestError,
+    NonFiniteValueError,
     SampleRecord,
     TensorFormatError,
     TrailingBytesError,
@@ -116,6 +117,21 @@ class TestTensorFormat:
         with pytest.raises(TensorFormatError):
             load_tensor(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "f32-overflow"])
+    def test_non_finite_value_refused_on_write_and_read(self, tmp_path, bad):
+        t = _random_tensor().astype(np.float64)
+        t[1, 2, 3] = bad
+        path = tmp_path / "bad.rdt"
+        words = f"{path}: payload holds a NaN or infinite value"
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError) as refused:
+            save_tensor(t, path)
+        assert str(refused.value) == words and not path.exists()
+        with np.errstate(over="ignore"):
+            path.write_bytes(tensor_to_bytes(t))
+        with pytest.raises(NonFiniteValueError) as refused:
+            load_tensor(path)
+        assert str(refused.value) == words
+
 
 class TestSignalFormat:
     def test_roundtrip(self, tmp_path):
@@ -167,6 +183,22 @@ class TestSignalFormat:
         (tmp_path / "bad.rbs").write_bytes(bytes(blob))
         with pytest.raises(HeaderFieldError):
             load_signal(tmp_path / "bad.rbs")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_refused_on_write_and_read(self, tmp_path, bad):
+        blob = bytearray(self._small_rbs(tmp_path))
+        samples = np.arange(8.0)
+        samples[5] = bad
+        path = tmp_path / "bad.rbs"
+        words = f"{path}: payload holds a NaN or infinite value"
+        with pytest.raises(NonFiniteValueError) as refused:
+            save_signal(BeatSignal(samples, RadarParams(samples_per_ramp=4, fft_size=4)), path)
+        assert str(refused.value) == words and not path.exists()
+        struct.pack_into("<d", blob, len(blob) - 8 * 3, bad)    # sample 5 of 8
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NonFiniteValueError) as refused:
+            load_signal(path)
+        assert str(refused.value) == words
 
     def test_trailing_garbage(self, tmp_path):
         (tmp_path / "extra.rbs").write_bytes(self._small_rbs(tmp_path) + b"\x00")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from radarnet import evaluation
-from radarnet.config import RunConfig
+from radarnet.config import RunConfig, TrainConfig
 from radarnet.dataset import (
     Dataset,
     balanced_batches,
@@ -27,7 +27,7 @@ from radarnet.evaluation import (
     evaluate,
     train_fold,
 )
-from radarnet.network import Network, TrainConfig
+from radarnet.network import Network
 from radarnet.radar import CLASS_ORDER, ProfileTable, RadarParams, VehicleClass
 
 A, B, C = VehicleClass.CAR, VehicleClass.CAR_TRAILER, VehicleClass.TRUCK
@@ -175,7 +175,7 @@ class TestTrainFold:
             "import resource, sys\n"
             "from radarnet.dataset import generate_dataset, stratified_fold_split\n"
             "from radarnet.evaluation import train_fold\n"
-            "from radarnet.network import TrainConfig\n"
+            "from radarnet.config import TrainConfig\n"
             "from radarnet.radar import CLASS_ORDER, ProfileTable, RadarParams\n"
             "ds = generate_dataset({c: 12 for c in CLASS_ORDER}, 1, ProfileTable(), RadarParams(), sys.argv[1])\n"
             "fold = stratified_fold_split(ds, 1, 8, 3, 0)[0]\n"

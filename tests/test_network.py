@@ -2,11 +2,13 @@
 
 import hashlib
 import os
+import struct
 import sys
 
 import numpy as np
 import pytest
 
+from radarnet.config import ConfigError, TrainConfig
 from radarnet.layers import (
     COLUMNS_CACHED_BELOW,
     INIT_CHUNK,
@@ -21,14 +23,11 @@ from radarnet.layers import (
 )
 from radarnet.network import (
     SGD_BLOCK,
-    ConfigError,
     Network,
     StaleCacheError,
-    TrainConfig,
     WeightShapeError,
     WeightsFormatError,
     build_network,
-    gradient_check,
     load_weights,
     loss_and_grad,
     predict,
@@ -41,12 +40,14 @@ from radarnet.radar import VehicleClass
 
 from _oracles import (
     cumsum_box_sum_channels,
+    gradient_check,
     im2col_weight_grad,
     naive_conv2d,
     naive_conv2d_weight_grad,
     naive_maxpool_backward,
     naive_response_norm,
     two_step_loss_and_grad,
+    with_precision,
 )
 
 MINI_SHAPE = (3, 257, 32)
@@ -72,7 +73,9 @@ def _arrays(cache):
 class TestBuildNetwork:
     def test_full_preset_shape_chain(self):
         net = build_network("full", (3, 227, 227), seed=0)
-        chain = dict(net.shape_chain())
+        chain, shape = {}, net.input_shape
+        for layer in net.layers:
+            shape = chain[layer.name] = layer.output_shape(shape)
         assert chain["conv1"] == (96, 55, 55)
         assert chain["pool1"] == (96, 27, 27)
         assert chain["conv2"] == (256, 27, 27)
@@ -87,9 +90,10 @@ class TestBuildNetwork:
 
     def test_full_preset_kernel_counts(self):
         net = build_network("full", (3, 227, 227), seed=0)
-        counts = [net.layer_named(f"conv{i}").out_channels for i in range(1, 6)]
+        named = {layer.name: layer for layer in net.layers}
+        counts = [named[f"conv{i}"].out_channels for i in range(1, 6)]
         assert counts == [96, 256, 384, 384, 256]
-        assert net.layer_named("fc6").in_features == 9216
+        assert named["fc6"].in_features == 9216
 
     def test_mini_preset_output(self):
         net = _mini()
@@ -157,7 +161,7 @@ class TestBuildNetwork:
 class TestWithPrecision:
     def test_twin_carries_cast_parameters(self):
         net = _mini(seed=2)
-        twin = net.with_precision("high")
+        twin = with_precision(net, "high")
         assert twin.dtype == np.float64
         for name, arr in net.params().items():
             assert twin.params()[name].dtype == np.float64
@@ -167,17 +171,19 @@ class TestWithPrecision:
         net = _mini(seed=2)
         before = net.snapshot()
         for precision in ("high", "standard"):
-            for arr in net.with_precision(precision).params().values():
+            for arr in with_precision(net, precision).params().values():
                 arr += 1.0
         for name, arr in net.params().items():
             np.testing.assert_array_equal(arr, before[name])
 
     def test_structure_and_hyperparameters_kept(self):
         net = _mini(seed=2, precision="high")
-        twin = net.with_precision("standard")
+        twin = with_precision(net, "standard")
         assert twin.input_shape == net.input_shape
-        assert twin.shape_chain() == net.shape_chain()
+        shape = twin_shape = net.input_shape
         for layer, cast in zip(net.layers, twin.layers, strict=True):
+            shape, twin_shape = layer.output_shape(shape), cast.output_shape(twin_shape)
+            assert twin_shape == shape, layer.name
             assert type(cast) is type(layer) and cast is not layer
             assert (cast.name, cast.kind) == (layer.name, layer.kind)
             settings = {k: v for k, v in vars(layer).items() if not isinstance(v, np.ndarray)}
@@ -185,7 +191,7 @@ class TestWithPrecision:
 
     def test_unknown_precision_rejected_everywhere(self):
         net = _mini()
-        for make in (lambda: net.with_precision("hgh"),
+        for make in (lambda: with_precision(net, "hgh"),
                      lambda: _mini(precision="hgh"),
                      lambda: Network(net.layers, MINI_SHAPE, precision="hgh")):
             with pytest.raises(ValueError, match="'hgh'"):
@@ -702,7 +708,7 @@ class TestOuterSum:
             out, width = self.WIDE
             assert -(-out // (SGD_BLOCK // width)) >= 3 and out % (SGD_BLOCK // width)
         else:
-            fc = _mini().layer_named(layer)
+            fc = {fc.name: fc for fc in _mini().layers}[layer]
             out, width = fc.out_features, fc.in_features
         dy, flat = self._factors(out, width, n, dtype)
         g = OuterSum(dy, flat)
@@ -873,7 +879,7 @@ class TestGradientCheck:
             Linear("fc1", COLUMNS_CACHED_BELOW * 3 * 2, 6, dtype=np.float64, rng=rng),
         ]
         net = Network(layers, (3, 7, 6), precision="high")
-        assert not net.layer_named("conv2").caches_columns
+        assert not layers[1].caches_columns
         x = np.random.default_rng(6).normal(size=(3, 7, 6))
         err = gradient_check(net, x, 1, epsilon=1e-5, num_params=400, seed=9)
         assert err < 1e-7
@@ -907,7 +913,7 @@ class TestPredict:
     def test_tie_breaks_to_lowest_index(self):
         # zero the output layer: logits all equal, probabilities exactly 1/6
         net = _mini()
-        fc2 = net.layer_named("fc2")
+        fc2 = {layer.name: layer for layer in net.layers}["fc2"]
         fc2.W[...] = 0.0
         fc2.b[...] = 0.0
         net.bump_version()
@@ -919,7 +925,7 @@ class TestPredict:
         net = _mini()
         x = _x32(4)
         label1, s1 = predict(net, x)
-        fc2 = net.layer_named("fc2")
+        fc2 = {layer.name: layer for layer in net.layers}["fc2"]
         fc2.b += np.float32(3.0)   # shifts all logits equally
         net.bump_version()
         label2, s2 = predict(net, x)
@@ -1034,6 +1040,27 @@ class TestWeightPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(WeightsFormatError, match="UTF-8"):
             read_weight_records(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_record_refused_on_write_and_read(self, tmp_path, bad):
+        net = _mini(seed=7)
+        save_weights(net, tmp_path / "w.rdw")
+        blob = bytearray((tmp_path / "w.rdw").read_bytes())
+        net.params()["fc2.b"][3] = bad
+        path = tmp_path / "bad.rdw"
+        words = f"{path}: record 'fc2.b' holds a NaN or infinite value"
+        with pytest.raises(WeightsFormatError) as refused:
+            save_weights(net, path)
+        assert str(refused.value) == words and not path.exists()
+        struct.pack_into("<f", blob, len(blob) - 4 * 3, bad)    # value 3 of the six of fc2.b, the last record
+        path.write_bytes(bytes(blob))
+        target = _mini(seed=8)
+        before = target.snapshot()
+        with pytest.raises(WeightsFormatError) as refused:
+            load_weights(target, path)
+        assert str(refused.value) == words
+        for name, arr in target.params().items():
+            assert arr.tobytes() == before[name].tobytes(), name
 
     def test_every_truncation_raises_typed_error(self, tmp_path):
         rng = np.random.default_rng(0)

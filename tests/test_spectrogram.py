@@ -451,6 +451,13 @@ class TestExportPgm:
         with pytest.raises(ValueError):
             export_pgm(np.array([[1.0, np.nan]]))
 
+    def test_log_mode_refuses_negative_entries_and_takes_zeros(self):
+        with pytest.raises(ValueError, match=r"log-scaled PGM export needs entries >= 0, the minimum is -0\.5$"):
+            export_pgm(np.array([[1.0, -0.5], [2.0, 0.0]]), log_scale=True)
+        with np.errstate(all="raise"):      # no log of a value <= 0
+            data = export_pgm(np.array([[0.0, 1.0], [10.0, 100.0]]), log_scale=True)
+        assert data.endswith(bytes([237, 255, 0, 219]))    # -240, 0, 20 and 40 dB on a 280 dB span
+
     def test_spectrogram_accepted(self):
         data = export_pgm(_spect(4, height=8))
         assert data.startswith(b"P5\n4 8\n255\n")
