@@ -149,7 +149,7 @@ MODEL_VERSION = 4
 
 def _save_model(weights_path, net, mean_tensor, cfg: RunConfig, fold: int):
     wpath, mpath, metapath = _model_paths(weights_path)
-    network.save_weights(net, wpath)
+    ds_mod.save_weights(net, wpath)
     ds_mod.save_tensor(mean_tensor, mpath)
     cfg.write_record(metapath, MODEL_VERSION, MODEL_KEYS, class_order=list(CLASS_ORDER), fold=fold)
 
@@ -198,7 +198,7 @@ def _load_model(weights_path):
         raise ConfigError(f"mean tensor {mpath} has shape {mean.shape}, "
                           f"but model meta {metapath} gives the input shape {shape}")
     net = network.build_network(model.preset, input_shape=shape)
-    network.load_weights(net, wpath)
+    ds_mod.load_weights(net, wpath)
     return net, mean, model, fold
 
 

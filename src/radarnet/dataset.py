@@ -1,10 +1,14 @@
-"""Synthetic dataset generation, persistence, fold splitting and batching.
+"""Synthetic dataset generation, the three binary formats, fold splitting and batching.
 
-Tensors live on disk as .rdt files (magic "RDT1", little-endian u32 dims,
-float32 payload) beside a JSON manifest that records only the settings that
-made them (radar, profiles, width, crop, class counts and base seed): each
-sample's id, class, seed and file follow from the counts and the base seed.
-Beat signals can optionally be kept alongside as .rbs files.  A loaded dataset
+This module holds every binary layout of the package: tensors as .rdt files
+(magic "RDT1", little-endian u32 dims, float32 payload), beat signals as .rbs
+files and network weights as .rdw files (named float32 records).  One bounded
+reader takes each file's fields from the front, and each refusal is a
+FormatError whose message begins with the file's path.  A dataset's tensors sit
+beside a JSON manifest that records only the settings that made them (radar,
+profiles, width, crop, class counts and base seed): each sample's id, class,
+seed and file follow from the counts and the base seed.  Beat signals can
+optionally be kept alongside as .rbs files.  A loaded dataset
 holds all its tensors in one read-only [N, 3, H, W] array, rows in generation
 order.  Folds and batches are drawn by one rule: group by class in A..G order,
 then permute each class with one seeded generator, one class after another.
@@ -39,50 +43,99 @@ from .radar import (
     sample_vehicle_scenario,
     synthesize_beat_signal,
 )
+from .network import Network
 from .spectrogram import RdTensor, signal_to_tensor, tensor_shape
 
 TENSOR_MAGIC = b"RDT1"
 SIGNAL_MAGIC = b"RBS2"
+WEIGHTS_MAGIC = b"RDW1"
 # samples per ramp, first ramp, class index, fft size, f0, delta_f, t_ramp, mount height, sample count
-SIGNAL_HEADER = "<IBbIddddQ"
+SIGNAL_HEADER = "IBbIddddQ"
 MANIFEST_VERSION = 4
 # the RunConfig fields a manifest records, and all it records: the settings that made the data
 DATA_KEYS = ("radar", "profiles", "target_width", "freq_range", "counts_per_class", "base_seed")
 
 MAX_DIM = 1 << 20
 MAX_ELEMENTS = 1 << 26
+MAX_RANK = 32       # the most dimensions NumPy 1.25 gives an array
 
 
-class TensorFormatError(ValueError):
-    """Malformed .rdt/.rbs payload."""
+class FormatError(ValueError):
+    """A malformed .rdt, .rbs or .rdw file; the message begins with the file's path."""
 
 
-class BadMagicError(TensorFormatError):
+class BadMagicError(FormatError):
     pass
 
 
-class TruncatedFileError(TensorFormatError):
+class TruncatedFileError(FormatError):
     pass
 
 
-class DimensionOverflowError(TensorFormatError):
+class DimensionOverflowError(FormatError):
     pass
 
 
-class TrailingBytesError(TensorFormatError):
+class TrailingBytesError(FormatError):
     pass
 
 
-class HeaderFieldError(TensorFormatError):
+class HeaderFieldError(FormatError):
     """A header field outside its valid range."""
 
 
-class NonFiniteValueError(TensorFormatError):
+class NonFiniteValueError(FormatError):
     """A NaN or an infinity in a payload; no file the package writes holds one."""
+
+
+class WeightShapeError(FormatError):
+    """Stored record shapes disagree with the network; names the layers."""
 
 
 class ManifestError(ValueError):
     """A manifest.json that does not describe a dataset."""
+
+
+def _check_finite(values, path, what) -> None:
+    """Refuse values holding a NaN or an infinity, on write and on read alike."""
+    if not np.isfinite(values).all():
+        raise NonFiniteValueError(f"{path}: {what} holds a NaN or infinite value")
+
+
+class _Reader:
+    """The one reader of the three formats: a file's bytes, its magic checked, then taken field
+    by field from the front.  Every refusal is a FormatError that begins with the file's path."""
+
+    def __init__(self, path, magic: bytes):
+        self.path, self.data, self.pos = path, memoryview(Path(path).read_bytes()), 0
+        found = self.take(4, "magic")
+        if found != magic:
+            raise self.refusal(BadMagicError, f"bad magic {bytes(found)!r}, expected {magic!r}")
+
+    def refusal(self, cls, message: str) -> FormatError:
+        return cls(f"{self.path}: {message}")
+
+    def take(self, n: int, what: str) -> memoryview:
+        """The next n bytes, field `what`; refuses before it slices past the end."""
+        if n > len(self.data) - self.pos:
+            raise self.refusal(TruncatedFileError, f"file truncated in {what} at byte {self.pos}: "
+                                                   f"{self.pos + n} bytes promised, file has {len(self.data)}")
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
+
+    def unpack(self, fields: str, what: str) -> tuple:
+        """The next little-endian struct fields."""
+        return struct.unpack("<" + fields, self.take(struct.calcsize("<" + fields), what))
+
+    def floats(self, dtype: str, count: int, what: str) -> np.ndarray:
+        """A copy of the next count values of float dtype, refused unless all are finite."""
+        values = np.frombuffer(self.take(count * np.dtype(dtype).itemsize, what), dtype=dtype).copy()
+        _check_finite(values, self.path, what)
+        return values
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise self.refusal(TrailingBytesError, f"{len(self.data) - self.pos} trailing bytes")
 
 
 def tensor_to_bytes(values: np.ndarray) -> bytes:
@@ -93,54 +146,30 @@ def tensor_to_bytes(values: np.ndarray) -> bytes:
     return TENSOR_MAGIC + struct.pack("<III", *values.shape) + payload
 
 
-def _check_finite(values, path) -> None:
-    """Refuse a payload holding a NaN or an infinity, on write and on read alike."""
-    if not np.isfinite(values).all():
-        raise NonFiniteValueError(f"{path}: payload holds a NaN or infinite value")
-
-
 def save_tensor(values: np.ndarray, path) -> None:
     blob = tensor_to_bytes(values)
-    _check_finite(np.frombuffer(blob, dtype="<f4", offset=16), path)     # the float32 values as written
+    _check_finite(np.frombuffer(blob, dtype="<f4", offset=16), path, "payload")     # the float32 values as written
     Path(path).write_bytes(blob)
-
-
-def _check_header(data: bytes, magic: bytes, header_size: int) -> None:
-    if len(data) < 4:
-        raise TruncatedFileError("file shorter than the magic")
-    if data[:4] != magic:
-        raise BadMagicError(f"bad magic {data[:4]!r}, expected {magic!r}")
-    if len(data) < header_size:
-        raise TruncatedFileError("header truncated")
-
-
-def _check_size(data: bytes, expected: int) -> None:
-    if len(data) < expected:
-        raise TruncatedFileError(f"header promises {expected} bytes, file has {len(data)}")
-    if len(data) > expected:
-        raise TrailingBytesError(f"{len(data) - expected} trailing bytes")
 
 
 def load_tensor(path) -> np.ndarray:
     """The float32 [3, H, W] array an .rdt file holds."""
-    data = Path(path).read_bytes()
-    _check_header(data, TENSOR_MAGIC, 16)
-    c, h, w = struct.unpack("<III", data[4:16])
-    if min(c, h, w) == 0 or max(c, h, w) > MAX_DIM or c * h * w > MAX_ELEMENTS:
-        raise DimensionOverflowError(f"unreasonable dimensions {(c, h, w)}")
+    file = _Reader(path, TENSOR_MAGIC)
+    c, h, w = dims = file.unpack("III", "header")
+    if min(dims) == 0 or max(dims) > MAX_DIM or c * h * w > MAX_ELEMENTS:
+        raise file.refusal(DimensionOverflowError, f"unreasonable dimensions {dims}")
     if c != 3:
-        raise HeaderFieldError(f"{c} channels, expected 3 (up, down, average)")
-    _check_size(data, 16 + c * h * w * 4)
-    values = np.frombuffer(data, dtype="<f4", count=c * h * w, offset=16).reshape(c, h, w).copy()
-    _check_finite(values, path)
+        raise file.refusal(HeaderFieldError, f"{c} channels, expected 3 (up, down, average)")
+    values = file.floats("<f4", c * h * w, "payload").reshape(dims)
+    file.end()
     return values
 
 
 def save_signal(sig: BeatSignal, path) -> None:
-    _check_finite(sig.samples, path)
+    _check_finite(sig.samples, path, "payload")
     r = sig.radar
     header = SIGNAL_MAGIC + struct.pack(
-        SIGNAL_HEADER,
+        "<" + SIGNAL_HEADER,
         r.samples_per_ramp,
         0 if sig.first_ramp is RampPolarity.UP else 1,
         -1 if sig.label is None else sig.label.index,
@@ -151,22 +180,18 @@ def save_signal(sig: BeatSignal, path) -> None:
 
 
 def load_signal(path) -> BeatSignal:
-    data = Path(path).read_bytes()
-    header_size = 4 + struct.calcsize(SIGNAL_HEADER)
-    _check_header(data, SIGNAL_MAGIC, header_size)
-    spr, first, label_idx, fft_size, f0, delta_f, t_ramp, height, count = struct.unpack(
-        SIGNAL_HEADER, data[4:header_size])
+    file = _Reader(path, SIGNAL_MAGIC)
+    spr, first, label_idx, fft_size, f0, delta_f, t_ramp, height, count = file.unpack(SIGNAL_HEADER, "header")
     if first not in (0, 1):
-        raise HeaderFieldError(f"first-ramp byte {first}, expected 0 (up) or 1 (down)")
+        raise file.refusal(HeaderFieldError, f"first-ramp byte {first}, expected 0 (up) or 1 (down)")
     if not -1 <= label_idx < len(CLASS_ORDER):
-        raise HeaderFieldError(f"class index {label_idx}, expected -1..{len(CLASS_ORDER) - 1}")
+        raise file.refusal(HeaderFieldError, f"class index {label_idx}, expected -1..{len(CLASS_ORDER) - 1}")
     try:
         radar = RadarParams(f0, delta_f, t_ramp, spr, fft_size, height)
     except ValueError as exc:
-        raise HeaderFieldError(f"header radar: {exc}") from None
-    _check_size(data, header_size + count * 8)
-    samples = np.frombuffer(data, dtype="<f8", count=count, offset=header_size).copy()
-    _check_finite(samples, path)
+        raise file.refusal(HeaderFieldError, f"header radar: {exc}") from None
+    samples = file.floats("<f8", count, "payload")
+    file.end()
     label = None if label_idx < 0 else VehicleClass(CLASS_ORDER[label_idx])
     return BeatSignal(
         samples=samples,
@@ -174,6 +199,62 @@ def load_signal(path) -> BeatSignal:
         first_ramp=RampPolarity.UP if first == 0 else RampPolarity.DOWN,
         label=label,
     )
+
+
+def save_weights(net: Network, path) -> None:
+    """Write all parameters as named float32 records; a non-finite one writes nothing."""
+    params = net.params()
+    blob = [WEIGHTS_MAGIC, struct.pack("<I", len(params))]
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name], dtype="<f4")
+        _check_finite(arr, path, f"record {name!r}")
+        encoded = name.encode("utf-8")
+        blob.append(struct.pack("<I", len(encoded)))
+        blob.append(encoded)
+        blob.append(struct.pack("<I", arr.ndim))
+        blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        blob.append(arr.tobytes())
+    Path(path).write_bytes(b"".join(blob))
+
+
+def read_weight_records(path) -> dict:
+    """Each record of an .rdw file, name -> float32 array."""
+    file = _Reader(path, WEIGHTS_MAGIC)
+    (count,) = file.unpack("I", "record count")
+    records = {}
+    for _ in range(count):
+        (name_len,) = file.unpack("I", "name length")
+        try:
+            name = str(file.take(name_len, "record name"), "utf-8")
+        except UnicodeDecodeError:
+            raise file.refusal(HeaderFieldError, f"record name ending at byte {file.pos} is not UTF-8") from None
+        if name in records:
+            raise file.refusal(HeaderFieldError, f"duplicate record {name!r}")
+        (rank,) = file.unpack("I", f"rank of {name!r}")
+        dims = file.unpack(f"{rank}I", f"shape of {name!r}")
+        if rank > MAX_RANK or 0 in dims:     # shapes NumPy may refuse: a zero lets the other dims overflow
+            raise file.refusal(DimensionOverflowError, f"record {name!r} has unreasonable dimensions {dims}")
+        records[name] = file.floats("<f4", math.prod(dims), f"record {name!r}").reshape(dims)
+    file.end()
+    return records
+
+
+def load_weights(net: Network, path) -> None:
+    """Load parameters in place through set_params.  A record that names no parameter of the
+    network, or a parameter without a record of its shape, raises WeightShapeError before
+    anything is loaded.
+    """
+    records = read_weight_records(path)
+    params = net.params()
+    extra = sorted(set(records) - set(params))
+    if extra:
+        raise WeightShapeError(f"{path}: weight records matching no parameter: " + ", ".join(extra))
+    bad = {name.split(".")[0] for name, arr in params.items()
+           if name not in records or records[name].shape != arr.shape}
+    if bad:
+        raise WeightShapeError(f"{path}: missing or mismatched weight records for layer(s): "
+                               + ", ".join(sorted(bad)))
+    net.set_params(records)
 
 
 @dataclass(frozen=True)
@@ -254,7 +335,8 @@ class Dataset:
                 raise ManifestError(f"sample {rec.sample_id}: its tensor file leaves the dataset root for {path}")
             values = load_tensor(path)
             if values.shape != shape:
-                raise TensorFormatError(f"sample {rec.sample_id} has shape {values.shape}, manifest says {shape}")
+                raise HeaderFieldError(f"{path}: sample {rec.sample_id} has shape {values.shape}, "
+                                       f"manifest says {shape}")
             out[row] = values
         out.flags.writeable = False
         return out

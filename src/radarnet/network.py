@@ -6,16 +6,14 @@ normalization after the first two pools, dropout around the 4096-wide FC
 pair and a 6-way output layer.  "mini" is a desk-scale network with the
 identical mechanisms for fast experiments.  Both end at the output layer's
 logits; softmax turns them into class probabilities, for loss_and_grad and
-predict alike.  Weights persist in a .rdw container ("RDW1", named
-little-endian float32 records).
+predict alike.  Weights persist as .rdw files through dataset.save_weights
+and dataset.load_weights: dataset holds every binary format of the package.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,8 +27,6 @@ from .layers import (
     ReLU,
 )
 from .radar import CLASS_ORDER, VehicleClass
-
-WEIGHTS_MAGIC = b"RDW1"
 
 # One row per layer: its class, its name and what the shape chain cannot give, that is
 # a conv's out channels, kernel, stride and padding and a hidden fc's units.  The fc row
@@ -84,14 +80,6 @@ PRECISIONS = {"standard": np.float32, "high": np.float64}
 # values per sgd_step block: w, g, v and the temporary take 1 MB in float32 (cache-sized);
 # every mini-net tensor fits in one block; an OuterSum is cut into whole rows of about this many
 SGD_BLOCK = 1 << 16
-
-
-class WeightsFormatError(ValueError):
-    """Malformed .rdw payload."""
-
-
-class WeightShapeError(WeightsFormatError):
-    """Stored record shapes disagree with the network; names the layers."""
 
 
 class StaleCacheError(RuntimeError):
@@ -269,7 +257,8 @@ def _finite(g) -> bool:
         dy_max, flat_max = (np.abs(f).max(axis=1, initial=0.0).astype(float) for f in (g.dy, g.flat))
         if dy_max @ flat_max < np.finfo(g.dtype).max / 2:
             return True
-    return all(np.isfinite(gb).all() for _, gb in _gradient_blocks(g))
+        return all(np.isfinite(gb).all() for _, gb in _gradient_blocks(g))
+    return bool(np.isfinite(g).all())     # in place: an array may be a view that reshape(-1) would copy
 
 
 def sgd_step(params: dict, grads: dict, velocity: dict, cfg) -> None:
@@ -299,80 +288,3 @@ def sgd_step(params: dict, grads: dict, velocity: dict, cfg) -> None:
                 vb *= cfg.momentum
             np.subtract(0.0 if first else vb, step, out=vb)
             wb += vb
-
-
-def _check_finite(values, path, name) -> None:
-    """Refuse a record holding a NaN or an infinity, on write and on read alike."""
-    if not np.isfinite(values).all():
-        raise WeightsFormatError(f"{path}: record {name!r} holds a NaN or infinite value")
-
-
-def save_weights(net: Network, path) -> None:
-    """Write all parameters as named float32 records; a non-finite one writes nothing."""
-    params = net.params()
-    blob = [WEIGHTS_MAGIC, struct.pack("<I", len(params))]
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype="<f4")
-        _check_finite(arr, path, name)
-        encoded = name.encode("utf-8")
-        blob.append(struct.pack("<I", len(encoded)))
-        blob.append(encoded)
-        blob.append(struct.pack("<I", arr.ndim))
-        blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        blob.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(blob))
-
-
-def read_weight_records(path) -> dict:
-    data = Path(path).read_bytes()
-    if len(data) < 4:
-        raise WeightsFormatError("file shorter than the magic")
-    if data[:4] != WEIGHTS_MAGIC:
-        raise WeightsFormatError(f"bad magic {data[:4]!r}, expected {WEIGHTS_MAGIC!r}")
-    view = memoryview(data)
-
-    def take(n, what):
-        """The next n bytes; raises instead of reading past the end."""
-        nonlocal pos
-        if pos + n > len(data):
-            raise WeightsFormatError(f"file truncated in {what} at byte {pos}")
-        pos += n
-        return view[pos - n : pos]
-
-    pos = 4
-    (count,) = struct.unpack("<I", take(4, "record count"))
-    records = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        raw_name = take(name_len, "record name")
-        try:
-            name = str(raw_name, "utf-8")
-        except UnicodeDecodeError:
-            raise WeightsFormatError(f"record name ending at byte {pos} is not UTF-8") from None
-        if name in records:
-            raise WeightsFormatError(f"duplicate record {name!r}")
-        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
-        payload = take(4 * math.prod(dims), f"values of {name!r}")
-        records[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-        _check_finite(records[name], path, name)
-    if pos != len(data):
-        raise WeightsFormatError(f"{len(data) - pos} trailing bytes after the last record")
-    return records
-
-
-def load_weights(net: Network, path) -> None:
-    """Load parameters in place through set_params.  A record that names no parameter of the
-    network, or a parameter without a record of its shape, raises WeightShapeError before
-    anything is loaded.
-    """
-    records = read_weight_records(path)
-    params = net.params()
-    extra = sorted(set(records) - set(params))
-    if extra:
-        raise WeightShapeError("weight records matching no parameter: " + ", ".join(extra))
-    bad = {name.split(".")[0] for name, arr in params.items()
-           if name not in records or records[name].shape != arr.shape}
-    if bad:
-        raise WeightShapeError("missing or mismatched weight records for layer(s): " + ", ".join(sorted(bad)))
-    net.set_params(records)

@@ -12,15 +12,16 @@ import pytest
 
 from radarnet import fourier
 from radarnet.config import RunConfig, TrainConfig
-from radarnet.dataset import generate_dataset, load_tensor, save_tensor, stratified_fold_split
-from radarnet.evaluation import cross_validate, train_fold
-from radarnet.network import (
-    build_network,
+from radarnet.dataset import (
+    generate_dataset,
+    load_tensor,
     load_weights,
-    predict,
+    save_tensor,
     save_weights,
-    softmax,
+    stratified_fold_split,
 )
+from radarnet.evaluation import cross_validate, train_fold
+from radarnet.network import build_network, predict, softmax
 from radarnet.radar import (
     PointTarget,
     ProfileTable,

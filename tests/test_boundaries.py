@@ -1,6 +1,7 @@
 """Module boundaries: a module of the package reads no other object's private name, by attribute
-or by import; no module imports the test instruments; and network, which holds only the network,
-imports none of the modules that build on it."""
+or by import; no module imports the test instruments; network, which holds only the network,
+imports none of the modules that build on it; and only dataset, which holds the binary formats,
+imports struct."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,9 @@ def test_network_imports_no_module_built_on_it():
     found = [f"network.py:{line} {module}" for line, module in _imported_modules(PACKAGE / "network.py")
              if ".".join(module.split(".")[:2]) in above]
     assert not found, "network imports from a module that builds on it: " + ", ".join(found)
+
+
+def test_only_dataset_imports_struct():
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "dataset.py"
+             for line, module in _imported_modules(path) if module == "struct"]
+    assert not found, "struct imported outside dataset, which holds the binary formats: " + ", ".join(found)

@@ -409,7 +409,7 @@ class TestTrainEvalPredict:
         rc = main(["predict", "-w", str(workspace / "model.rdw"), str(tmp_path / "old.rbs")])
         assert rc == 1
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: bad magic b'RBS1', expected b'RBS2'\n"
+        assert out == "" and err == f"error: {tmp_path / 'old.rbs'}: bad magic b'RBS1', expected b'RBS2'\n"
 
     def test_predict_refuses_nan_scores(self, workspace, tmp_path, capsys):
         tensor = load_tensor(workspace / "ds" / "tensors" / "C0003.rdt").copy()

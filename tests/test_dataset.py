@@ -23,7 +23,6 @@ from radarnet.dataset import (
     ManifestError,
     NonFiniteValueError,
     SampleRecord,
-    TensorFormatError,
     TrailingBytesError,
     TruncatedFileError,
     balanced_batches,
@@ -114,7 +113,7 @@ class TestTensorFormat:
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "extra.rdt"
         path.write_bytes(tensor_to_bytes(_random_tensor()) + b"junk")
-        with pytest.raises(TensorFormatError):
+        with pytest.raises(TrailingBytesError):
             load_tensor(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "f32-overflow"])
@@ -401,7 +400,7 @@ class TestStackedTensors:
     def test_shape_differing_from_manifest_rejected(self, tmp_path):
         # a (3, 7, 1) file would broadcast silently into a (3, 7, 5) row
         ds = self._dataset(tmp_path, [(3, 7, 5), (3, 7, 1)])
-        with pytest.raises(TensorFormatError, match="A0001"):
+        with pytest.raises(HeaderFieldError, match="A0001"):
             ds.load("A0000")
 
     def test_loaded_values_read_only(self, tmp_path):

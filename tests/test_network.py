@@ -9,6 +9,17 @@ import numpy as np
 import pytest
 
 from radarnet.config import ConfigError, TrainConfig
+from radarnet.dataset import (
+    BadMagicError,
+    HeaderFieldError,
+    NonFiniteValueError,
+    TrailingBytesError,
+    TruncatedFileError,
+    WeightShapeError,
+    load_weights,
+    read_weight_records,
+    save_weights,
+)
 from radarnet.layers import (
     COLUMNS_CACHED_BELOW,
     INIT_CHUNK,
@@ -25,14 +36,9 @@ from radarnet.network import (
     SGD_BLOCK,
     Network,
     StaleCacheError,
-    WeightShapeError,
-    WeightsFormatError,
     build_network,
-    load_weights,
     loss_and_grad,
     predict,
-    read_weight_records,
-    save_weights,
     sgd_step,
     softmax,
 )
@@ -1002,14 +1008,14 @@ class TestWeightPersistence:
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "w.rdw").write_bytes(b"ZZZZ betrayal")
-        with pytest.raises(WeightsFormatError):
+        with pytest.raises(BadMagicError):
             load_weights(_mini(), tmp_path / "w.rdw")
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "w.rdw"
         save_weights(_mini(seed=7), path)
         path.write_bytes(path.read_bytes() + b"\0" * 7)
-        with pytest.raises(WeightsFormatError, match="7 trailing bytes"):
+        with pytest.raises(TrailingBytesError, match="7 trailing bytes"):
             read_weight_records(path)
 
     def test_duplicate_record_rejected(self, tmp_path):
@@ -1024,7 +1030,7 @@ class TestWeightPersistence:
         path.write_bytes(blob[:4] + st.pack("<I", count + 1) + blob[8:] + again)
         target = _mini(seed=8)
         before = target.snapshot()
-        with pytest.raises(WeightsFormatError, match=r"duplicate record 'conv1\.b'"):
+        with pytest.raises(HeaderFieldError, match=r"duplicate record 'conv1\.b'"):
             load_weights(target, path)
         for name, arr in target.params().items():
             np.testing.assert_array_equal(arr, before[name])
@@ -1038,7 +1044,7 @@ class TestWeightPersistence:
         (name_len,) = st.unpack("<I", blob[8:12])
         blob[12 : 12 + name_len] = b"\xff" * name_len     # never valid UTF-8
         path.write_bytes(bytes(blob))
-        with pytest.raises(WeightsFormatError, match="UTF-8"):
+        with pytest.raises(HeaderFieldError, match="UTF-8"):
             read_weight_records(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -1049,14 +1055,14 @@ class TestWeightPersistence:
         net.params()["fc2.b"][3] = bad
         path = tmp_path / "bad.rdw"
         words = f"{path}: record 'fc2.b' holds a NaN or infinite value"
-        with pytest.raises(WeightsFormatError) as refused:
+        with pytest.raises(NonFiniteValueError) as refused:
             save_weights(net, path)
         assert str(refused.value) == words and not path.exists()
         struct.pack_into("<f", blob, len(blob) - 4 * 3, bad)    # value 3 of the six of fc2.b, the last record
         path.write_bytes(bytes(blob))
         target = _mini(seed=8)
         before = target.snapshot()
-        with pytest.raises(WeightsFormatError) as refused:
+        with pytest.raises(NonFiniteValueError) as refused:
             load_weights(target, path)
         assert str(refused.value) == words
         for name, arr in target.params().items():
@@ -1071,7 +1077,7 @@ class TestWeightPersistence:
         cut = tmp_path / "cut.rdw"
         for n in range(len(blob)):
             cut.write_bytes(blob[:n])
-            with pytest.raises(WeightsFormatError):
+            with pytest.raises(TruncatedFileError):
                 read_weight_records(cut)
 
 
