@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         # no reader is left to tell; stdout goes to devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OSError, KeyError, IndexError, FloatingPointError) as exc:
+    except (ValueError, OSError, KeyError, IndexError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

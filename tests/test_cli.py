@@ -19,6 +19,8 @@ from radarnet import evaluation
 from radarnet.cli import RUN_FIELDS, TRAIN_FIELDS, _load_run_config, build_parser, main
 from radarnet.config import DESK_COUNTS, SKEWED_COUNTS, ConfigError, RunConfig, TrainConfig, apply_count_preset
 from radarnet.dataset import (
+    DATA_KEYS,
+    MANIFEST_VERSION,
     load_dataset,
     load_tensor,
     save_signal,
@@ -318,6 +320,18 @@ class TestTrainEvalPredict:
         assert out == "" and err.startswith("error: ")
         assert all(w in err for w in words), err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_data_larger_than_memory_exits_1(self, tmp_path, capsys):
+        # a valid manifest whose 360 tensors of 3x257x80000 need 82.7 GiB at once; where the host grants
+        # that much address space, the first missing tensor file stops the read instead
+        (tmp_path / "ds").mkdir()
+        run = RunConfig(counts_per_class={c: 60 for c in "ABCDEG"}, target_width=80000)
+        run.write_record(tmp_path / "ds" / "manifest.json", MANIFEST_VERSION, DATA_KEYS)
+        rc = main(["train", "-d", str(tmp_path / "ds"), "-o", str(tmp_path / "m.rdw"), *SPLIT_ARGS, "--epochs", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert not (tmp_path / "m.rdw").exists()
 
     @pytest.mark.parametrize("key, value", [("base_seed", 5), ("counts_per_class", {"A": 1})])
     @pytest.mark.parametrize("command", ["train", "cv"])

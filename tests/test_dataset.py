@@ -67,6 +67,12 @@ class TestTensorFormat:
         save_tensor(back, tmp_path / "t2.rdt")
         assert (tmp_path / "t.rdt").read_bytes() == (tmp_path / "t2.rdt").read_bytes()
 
+    def test_loads_as_a_read_only_view(self, tmp_path):
+        # the one copy of a dataset's tensor is its row of Dataset.tensors, not the reader's
+        save_tensor(_random_tensor(), tmp_path / "t.rdt")
+        back = load_tensor(tmp_path / "t.rdt")
+        assert not back.flags.writeable and not back.flags.owndata
+
     def test_layout_is_little_endian_f32(self):
         t = np.arange(30, dtype=np.float32).reshape(3, 2, 5)
         blob = tensor_to_bytes(t)
@@ -150,6 +156,13 @@ class TestSignalFormat:
         assert back.radar == radar
         assert back.first_ramp is RampPolarity.DOWN
         assert back.label is VehicleClass.BUS
+
+    def test_samples_are_an_aligned_copy(self, tmp_path):
+        # the float64 payload starts at byte 54; the FFT runs slower on an unaligned view of it
+        save_signal(BeatSignal(np.arange(1024.0), P), tmp_path / "s.rbs")
+        samples = load_signal(tmp_path / "s.rbs").samples
+        assert samples.flags.aligned and samples.flags.owndata
+        np.testing.assert_array_equal(samples, np.arange(1024.0))
 
     def test_unlabeled_roundtrip(self, tmp_path):
         sig = BeatSignal(np.zeros(1024), P)
@@ -361,6 +374,12 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             generate_dataset({"A": 1}, 0, ProfileTable(), P, tmp_path / "ds", **kwargs)
         assert not (tmp_path / "ds").exists()
+
+    def test_tensor_shape_no_reader_takes_rejected_before_any_directory(self, tmp_path):
+        # (3, 257, 90000) is 69.4 M elements, over MAX_ELEMENTS: load_tensor and load_dataset refuse it
+        with pytest.raises(ValueError, match=r"tensor shape \(3, 257, 90000\) exceeds 67108864 elements"):
+            generate_dataset({"A": 1}, 0, ProfileTable(), P, tmp_path / "big", target_width=90000)
+        assert list(tmp_path.iterdir()) == []   # neither big nor its partial sibling
 
     def test_full_frequency_window_accepted(self, tmp_path):
         ds = generate_dataset({"A": 1}, 0, ProfileTable(), P, tmp_path / "ds",

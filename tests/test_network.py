@@ -4,6 +4,7 @@ import hashlib
 import os
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1067,6 +1068,42 @@ class TestWeightPersistence:
         assert str(refused.value) == words
         for name, arr in target.params().items():
             assert arr.tobytes() == before[name].tobytes(), name
+
+    @staticmethod
+    def _one_linear(seed):
+        """A network of one 2^22-value layer, 16 MiB of float32 weights."""
+        return Network([Linear("fc", 1 << 11, 1 << 11, rng=np.random.default_rng(seed))], (1 << 11,))
+
+    @staticmethod
+    def _traced_peak(call):
+        """The most memory the Python allocators, NumPy's included, held during call."""
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_save_writes_from_the_parameters(self, tmp_path):
+        # no copy of the weights, nor the file's bytes, is held on the way to disk
+        net = self._one_linear(0)
+        size = sum(arr.nbytes for arr in net.params().values())
+        peak = self._traced_peak(lambda: save_weights(net, tmp_path / "w.rdw"))
+        assert peak < size / 2, f"save peaked at {peak / size:.2f}x the parameters"
+        back = read_weight_records(tmp_path / "w.rdw")
+        for name, arr in net.params().items():
+            np.testing.assert_array_equal(back[name], arr)
+
+    def test_load_copies_each_record_once(self, tmp_path):
+        # the file's bytes are held once, and each record is copied only into its parameter
+        net = self._one_linear(0)
+        save_weights(net, tmp_path / "w.rdw")
+        target = self._one_linear(1)
+        size = sum(arr.nbytes for arr in target.params().values())
+        peak = self._traced_peak(lambda: load_weights(target, tmp_path / "w.rdw"))
+        assert peak < 1.5 * size, f"load peaked at {peak / size:.2f}x the parameters"
+        for name, arr in net.params().items():
+            np.testing.assert_array_equal(target.params()[name], arr)
 
     def test_every_truncation_raises_typed_error(self, tmp_path):
         rng = np.random.default_rng(0)
